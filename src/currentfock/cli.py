@@ -13,13 +13,13 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from . import dims as dims_mod
 from . import repcat, vertexops
 from .exactmath import RatMatrix, rat, rat_str
-from .fock import ModuleSpec, State, enumerate_basis, grading
+from .fock import ModuleSpec, State, enumerate_basis
 from .vertexops import Truncation
 
 EXIT_OK = 0
@@ -47,9 +47,20 @@ def _parse_lambda(text):
     return tuple(rat(part.strip()) for part in text.split(","))
 
 
-def _parse_matrices(text):
-    """Parse --H: either one JSON matrix (d=1) or a JSON list of matrices."""
-    data = json.loads(text)
+def _decode_json(flag, text, build):
+    """Build an object from the JSON value of a flag.
+
+    The builders index into the decoded data, so a value of the wrong shape
+    surfaces as KeyError, TypeError or IndexError; all are bad input.
+    """
+    try:
+        return build(json.loads(text))
+    except (KeyError, TypeError, IndexError) as err:
+        raise ConfigError("malformed %s: %s: %s" % (flag, type(err).__name__, err))
+
+
+def _matrices(data):
+    """Build --H: either one JSON matrix (d=1) or a JSON list of matrices."""
     if not isinstance(data, list) or not data:
         raise ConfigError("--H must be a JSON matrix or list of matrices")
     if isinstance(data[0][0], list):
@@ -70,7 +81,7 @@ def _build_spec(args):
     lam = _parse_lambda(args.lam) if args.lam else tuple(Fraction(0) for _ in range(d))
     if len(lam) != d:
         raise ConfigError("--lambda must list exactly d values")
-    H = _parse_matrices(args.H) if getattr(args, "H", None) else None
+    H = _decode_json("--H", args.H, _matrices) if getattr(args, "H", None) else None
     try:
         return ModuleSpec.evaluation(d, l, rat(args.c), lam, H=H)
     except ValueError as err:
@@ -86,8 +97,11 @@ def _truncation(args):
 
 def _write_output(text, args):
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ConfigError("cannot write --out: %s" % err)
     else:
         sys.stdout.write(text)
 
@@ -127,14 +141,6 @@ def _emit_report(report, args):
     return EXIT_OK if report.defect_zero else EXIT_COUNTEREXAMPLE
 
 
-def _run_jobs(jobs, threads):
-    """Run thunks, possibly fanned out; results keep submission order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [f.result() for f in [pool.submit(job) for job in jobs]]
-    return [job() for job in jobs]
-
-
 def _sample_modes(spec, args, rng):
     """Doubly homogeneous mode labels (v, j) for the strong-grading sweep."""
     sample = []
@@ -149,51 +155,33 @@ def _sample_modes(spec, args, rng):
     return sample
 
 
-def _cmd_verify(args):
-    spec = _build_spec(args)
-    tr = _truncation(args)
-    identity = args.identity
+def _verify_plan(args, spec, tr):
+    """The merged report's identity and params, and the ordered checker calls.
 
+    Sweeps over several combos name their merged params here; a single
+    whole-basis check returns params None and its report names its own.
+    """
+    identity = args.identity
     if identity == "virasoro":
-        pairs = [
-            (m, n)
+        checks = [
+            partial(vertexops.check_virasoro, m, n, spec, tr)
             for m in _parse_range(args.m_range)
             for n in _parse_range(args.n_range)
             if m + n >= -1 or m == n
         ]
-        jobs = [
-            (lambda m=m, n=n: vertexops.check_virasoro(m, n, spec, tr))
-            for m, n in pairs
-        ]
-        reports = _run_jobs(jobs, args.threads)
-        report = vertexops.merge_reports(
-            reports,
-            "virasoro",
-            {"m_range": args.m_range, "n_range": args.n_range, "spec": spec.to_json()},
-        )
-    elif identity == "e1":
+        return identity, {"m_range": args.m_range, "n_range": args.n_range}, checks
+    if identity == "e1":
         i, j = (int(part) for part in args.gen.split(","))
-        combos = [
-            (n, k) for n in _parse_range(args.n_range) for k in _parse_range(args.k_range)
+        checks = [
+            partial(vertexops.check_l_mode_commutator, n, (i, j), k, spec, tr)
+            for n in _parse_range(args.n_range)
+            for k in _parse_range(args.k_range)
         ]
-        jobs = [
-            (lambda n=n, k=k: vertexops.check_l_mode_commutator(n, (i, j), k, spec, tr))
-            for n, k in combos
-        ]
-        reports = _run_jobs(jobs, args.threads)
-        report = vertexops.merge_reports(
-            reports,
-            "l-mode-commutator",
-            {
-                "gen": [i, j],
-                "n_range": args.n_range,
-                "k_range": args.k_range,
-                "spec": spec.to_json(),
-            },
-        )
-    elif identity == "field-commutator":
+        params = {"gen": [i, j], "n_range": args.n_range, "k_range": args.k_range}
+        return "l-mode-commutator", params, checks
+    if identity == "field-commutator":
         if args.a_state:
-            labels = [State.from_json(json.loads(args.a_state))]
+            labels = [_decode_json("--a-state", args.a_state, State.from_json)]
         else:
             labels = [
                 State.term(mono)
@@ -201,92 +189,38 @@ def _cmd_verify(args):
                 for nwt_a in range(args.a_max_nwt + 1)
                 for mono in enumerate_basis(spec.d, nwt_a, wt_a)
             ]
-        combos = [
-            (a, n, k)
+        checks = [
+            partial(vertexops.check_field_commutator, n, a, k, spec, tr)
             for a in labels
             for n in _parse_range(args.n_range)
             for k in _parse_range(args.k_range)
         ]
-        jobs = [
-            (lambda a=a, n=n, k=k: vertexops.check_field_commutator(n, a, k, spec, tr))
-            for a, n, k in combos
-        ]
-        reports = _run_jobs(jobs, args.threads)
-        report = vertexops.merge_reports(
-            reports,
-            "field-commutator",
-            {
-                "a_count": len(labels),
-                "n_range": args.n_range,
-                "k_range": args.k_range,
-                "spec": spec.to_json(),
-            },
-        )
-    elif identity == "strong-grading":
-        rng = random.Random(args.seed)
-        sample = _sample_modes(spec, args, rng)
-        report = dims_mod.check_strong_grading(spec, tr, sample)
-        report.params["spec"] = spec.to_json()
-    elif identity == "l0-grading":
-        report = _check_l0_grading(
-            spec, tr, _parse_range(args.j_range), allow_truncated=args.j_max > 0
-        )
-    elif identity == "d-equals-lminus1":
-        report = _check_d_equals_lminus1(spec, tr)
-    else:
-        raise ConfigError("unknown identity %r" % identity)
-
-    return _emit_report(report, args)
+        params = {
+            "a_count": len(labels), "n_range": args.n_range, "k_range": args.k_range
+        }
+        return identity, params, checks
+    if identity == "strong-grading":
+        sample = _sample_modes(spec, args, random.Random(args.seed))
+        check = partial(dims_mod.check_strong_grading, spec, tr, sample)
+        return identity, None, [check]
+    if identity == "l0-grading":
+        j_values = _parse_range(args.j_range)
+        check = partial(vertexops.check_l0_grading, spec, tr, j_values, args.j_max > 0)
+        return identity, None, [check]
+    if identity == "d-equals-lminus1":
+        return identity, None, [partial(vertexops.check_d_equals_lminus1, spec, tr)]
+    raise ConfigError("unknown identity %r" % identity)
 
 
-def _check_l0_grading(spec, tr, j_values, allow_truncated=False):
-    """L(0) eigenvalues match weights (adjoint) and every L(j) preserves the bigrade.
-
-    Truncated L(-1) tails are refused unless --j-max gates them in, in which
-    case the report is tagged "truncated": true.
-    """
-    hit_truncation = False
-
-    def defect_of(w):
-        nonlocal hit_truncation
-        wt_w, nwt_w = grading(w)
-        if spec.is_adjoint():
-            l0w, _ = vertexops.l_apply(0, w, spec, tr)
-            mismatch = l0w - w.scale(wt_w)
-            if not mismatch.is_zero():
-                return mismatch
-        for j in j_values:
-            image, exact = vertexops.l_apply(j, w, spec, tr)
-            if not exact:
-                if not allow_truncated:
-                    raise ConfigError(
-                        "l0-grading hit a truncated L(-1) tail; pass --j-max N "
-                        "to run the truncated computation"
-                    )
-                hit_truncation = True
-            for (mono, _top), coeff in image.terms.items():
-                if mono.nwt() != nwt_w or mono.weight() != wt_w - j:
-                    return State.term(mono, _top, coeff)
-        return State.zero()
-
-    params = {"j_values": j_values, "spec": spec.to_json()}
-    report = vertexops._sweep("l0-grading", params, spec, tr, defect_of)
-    if hit_truncation:
-        report.params["truncated"] = True
-    return report
-
-
-def _check_d_equals_lminus1(spec, tr):
-    """L(-1) agrees with the translation derivation on the adjoint module."""
-    if not spec.is_adjoint():
-        raise ConfigError("d-equals-lminus1 is an adjoint-module identity")
-
-    def defect_of(w):
-        lw, _ = vertexops.l_apply(-1, w, spec, tr)
-        return lw - vertexops.d_apply(w)
-
-    params = {"spec": spec.to_json()}
-    return vertexops._sweep("d-equals-lminus1", params, spec, tr, defect_of)
+def _cmd_verify(args):
+    """Run the planned checks serially, in order, and merge their reports."""
+    spec = _build_spec(args)
+    identity, params, checks = _verify_plan(args, spec, _truncation(args))
+    reports = [check() for check in checks]
+    if params is None:
+        identity, params = reports[0].identity, dict(reports[0].params)
+    params["spec"] = spec.to_json()
+    return _emit_report(vertexops.merge_reports(reports, identity, params), args)
 
 
 def _cmd_dims(args):
@@ -341,7 +275,7 @@ def _parse_top(token):
     """Parse a top space: "r{R}:{d}@{lam1,lam2,...}" or a JSON object."""
     token = token.strip()
     if token.startswith("{"):
-        return repcat.TopSpace.from_json(json.loads(token))
+        return _decode_json("--tops", token, repcat.TopSpace.from_json)
     try:
         head, lam_text = token.split("@", 1)
         r_text, d_text = head.split(":", 1)
@@ -385,7 +319,7 @@ def _cmd_module(args):
     if action == "logcheck":
         if args.H is None or args.c is None:
             raise ConfigError("logcheck needs --H and --c")
-        H = _parse_matrices(args.H)
+        H = _decode_json("--H", args.H, _matrices)
         r = H[0].rows
         if args.lam is not None:
             lam = _parse_lambda(args.lam)
@@ -422,7 +356,13 @@ def _cmd_module(args):
 def _add_common(parser):
     parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
     parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored; sweeps run serially in a "
+        "fixed order",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
 
 

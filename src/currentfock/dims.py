@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import RatMatrix, rank
-from .fock import State, enumerate_basis, grading, module_basis
+from .fock import State, _image_rows, enumerate_basis, grading, module_basis
 from .vertexops import _sweep, vertex_mode
 
 
@@ -214,17 +214,6 @@ def check_strong_grading(spec, tr, sample):
     return _sweep("strong-grading", params, spec, tr, defect_of)
 
 
-def _stratum_vectors(images, labels):
-    index = {label: pos for pos, label in enumerate(labels)}
-    vectors = []
-    for image in images:
-        vec = [Fraction(0)] * len(labels)
-        for key, coeff in image.terms.items():
-            vec[index[key]] = coeff
-        vectors.append(vec)
-    return vectors
-
-
 def c1_quotient_dims(spec, tr):
     """Per-bigrade dimensions of W / C1(W) within the truncation.
 
@@ -268,7 +257,7 @@ def c1_quotient_dims(spec, tr):
                     image = vertex_mode(u_state, -1, State.term(mono, top), spec)
                     if not image.is_zero():
                         images.append(image)
-            span = _stratum_vectors(images, labels)
+            span = _image_rows(images, labels)
             bigrade_positions = [
                 pos for pos, (mono, _top) in enumerate(labels) if mono.nwt() == target_m
             ]

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce an int, a "num/den" string or a Fraction to an exact rational."""

@@ -215,10 +215,6 @@ class State:
         return cls(terms)
 
 
-FockState = State
-ModuleState = State
-
-
 def _check_top(r, lam, H):
     """Validate a top space: d commuting r x r matrices with H_i - lam_i*I nilpotent."""
     if len(lam) != len(H):
@@ -305,6 +301,13 @@ class ModuleSpec:
 
     def is_adjoint(self):
         return self.kind == KIND_ADJOINT
+
+    def h_square_sum(self):
+        """sum_i H_i^2: L(0) acts on the top space as this over 2l(1-c^2)."""
+        total = RatMatrix.zero(self.r, self.r)
+        for H in self.H:
+            total = total + H * H
+        return total
 
     def zero_mode_matrix(self, i, j):
         """The matrix of (u^(i) t^j)(0) on the top space: c^j * H_i."""
@@ -394,6 +397,22 @@ def module_basis(spec, max_wt, max_nwt):
                 for top in range(spec.r):
                     labels.append((mono, top))
     return labels
+
+
+def _image_rows(images, labels):
+    """One dense row per image state, its coefficients placed by basis label.
+
+    Strict: a term whose label is not in `labels` raises KeyError, so a
+    caller that truncates must drop such terms itself.
+    """
+    index = {label: pos for pos, label in enumerate(labels)}
+    rows = []
+    for image in images:
+        row = [Fraction(0)] * len(labels)
+        for key, coeff in image.terms.items():
+            row[index[key]] = coeff
+        rows.append(row)
+    return rows
 
 
 def grading(s):

@@ -153,6 +153,10 @@ def vacuum_space(spec, tr):
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
     index = {label: pos for pos, label in enumerate(basis)}
     size = len(basis)
+    # Rows are assembled sparsely, output-major per mode, instead of through
+    # fock._image_rows: a dense block per mode would allocate one basis-sized
+    # square per mode (32 squares of 694 x 694 on a d = 2, wt <= 4, nwt <= 3
+    # Jordan top) only to drop their zero rows.
     rows = []
     for i in range(1, spec.d + 1):
         for j in range(tr.max_nwt + 1):
@@ -182,10 +186,7 @@ def l0_top_matrix(spec):
         raise ValueError("l0_top_matrix applies to evaluation modules")
     if spec.c**2 == 1:
         raise ValueError("L(0) on the top space needs c^2 != 1")
-    total = RatMatrix.zero(spec.r, spec.r)
-    for H in spec.H:
-        total = total + H * H
-    return total.scale(1 / (2 * spec.l * (1 - spec.c**2)))
+    return spec.h_square_sum().scale(1 / (2 * spec.l * (1 - spec.c**2)))
 
 
 def is_genuine_logarithmic(spec):

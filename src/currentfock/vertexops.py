@@ -32,6 +32,7 @@ from .fock import (
     ModeOp,
     ModuleSpec,
     State,
+    _image_rows,
     apply_mode,
     grading,
     module_basis,
@@ -236,9 +237,7 @@ def _l_term(n, mono, top, spec, j_max):
 
     # doubly-zero-mode part of L(0): geometric series summed in closed form
     if n == 0:
-        total = RatMatrix.zero(spec.r, spec.r)
-        for H in spec.H:
-            total = total + H * H
+        total = spec.h_square_sum()
         if not total.is_zero():
             scale = 1 / (2 * l * (1 - spec.c**2))
             for t in range(spec.r):
@@ -423,6 +422,56 @@ def check_field_commutator(n, a_state, k, spec, tr):
     return _sweep("field-commutator", params, spec, tr, defect_of)
 
 
+def check_l0_grading(spec, tr, j_values, allow_truncated=False):
+    """L(0) eigenvalues match weights (adjoint) and every L(j) preserves the bigrade.
+
+    Truncated L(-1) tails are refused unless allow_truncated is set, in which
+    case the report is tagged "truncated": true.
+    """
+    hit_truncation = False
+
+    def defect_of(w):
+        nonlocal hit_truncation
+        wt_w, nwt_w = grading(w)
+        if spec.is_adjoint():
+            l0w, _ = l_apply(0, w, spec, tr)
+            mismatch = l0w - w.scale(wt_w)
+            if not mismatch.is_zero():
+                return mismatch
+        for j in j_values:
+            image, exact = l_apply(j, w, spec, tr)
+            if not exact:
+                if not allow_truncated:
+                    raise ValueError(
+                        "l0-grading hit a truncated L(-1) tail; pass --j-max N "
+                        "to run the truncated computation"
+                    )
+                hit_truncation = True
+            for (mono, top), coeff in image.terms.items():
+                if mono.nwt() != nwt_w or mono.weight() != wt_w - j:
+                    return State.term(mono, top, coeff)
+        return State.zero()
+
+    params = {"j_values": j_values, "spec": spec.to_json()}
+    report = _sweep("l0-grading", params, spec, tr, defect_of)
+    if hit_truncation:
+        report.params["truncated"] = True
+    return report
+
+
+def check_d_equals_lminus1(spec, tr):
+    """L(-1) agrees with the translation derivation on the adjoint module."""
+    if not spec.is_adjoint():
+        raise ValueError("d-equals-lminus1 is an adjoint-module identity")
+
+    def defect_of(w):
+        lw, _ = l_apply(-1, w, spec, tr)
+        return lw - d_apply(w)
+
+    params = {"spec": spec.to_json()}
+    return _sweep("d-equals-lminus1", params, spec, tr, defect_of)
+
+
 def adjoint_mode_matrix(v, n, spec, tr):
     """Matrix of the contragredient mode u_n = Res_z z^n Y'(v, z) on the dual.
 
@@ -430,7 +479,8 @@ def adjoint_mode_matrix(v, n, spec, tr):
     because L(1) strictly lowers weight the exponential terminates, and
     (-z^{-2})^{L(0)} is (-1)^{wt v} z^{-2 wt v} on a doubly homogeneous v.
     The matrix is indexed by the truncated (monomial, top) basis and its
-    dual, so M[row, col] carries the dual basis vector `col` to `row`.
+    dual, so M[row, col] carries the dual basis vector `col` to `row`; row w
+    holds the image of w under the expanded modes, terms outside tr dropped.
     """
     wt_v, _nwt_v = grading(v)
     if not spec.is_adjoint():
@@ -452,11 +502,10 @@ def adjoint_mode_matrix(v, n, spec, tr):
             raise AssertionError("L(1) expansion failed to terminate")
 
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
-    index = {label: pos for pos, label in enumerate(basis)}
-    size = len(basis)
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    kept = set(basis)
     sign = (-1) ** wt_v
-    for col, (mono, top) in enumerate(basis):
+    images = []
+    for mono, top in basis:
         w = State.term(mono, top)
         image = State.zero()
         for power, u in expansion:
@@ -464,8 +513,5 @@ def adjoint_mode_matrix(v, n, spec, tr):
             image += vertex_mode(u, k, w, spec).scale(
                 Fraction(sign, math.factorial(power))
             )
-        for key, coeff in image.terms.items():
-            row = index.get(key)
-            if row is not None:
-                rows[row][col] = coeff
-    return RatMatrix(rows, cols=size).transpose()
+        images.append(State({key: c for key, c in image.terms.items() if key in kept}))
+    return RatMatrix(_image_rows(images, basis), cols=len(basis))

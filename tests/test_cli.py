@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from currentfock.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -141,6 +143,98 @@ class TestVerify:
         assert code == EXIT_OK
 
 
+ADJ1 = '{"H": [[["0"]]], "c": null, "d": 1, "kind": "adjoint", "l": "1", "lambda": ["0"]}'
+
+# Exact stdout of every identity at a tiny truncation.  The report's field
+# order, the merge of multi-combo sweeps and the serialization of params and
+# counterexamples are all pinned byte for byte.
+PINNED_VERIFY = {
+    "virasoro": (
+        ("verify", "virasoro", "--max-wt", "2", "--max-nwt", "1",
+         "--m-range=-1..1", "--n-range=-1..1"),
+        EXIT_OK,
+        '{"counterexample": null, "defect_zero": true, "identity": "virasoro", '
+        '"max_defect": "0", "params": {"m_range": "-1..1", "n_range": "-1..1", '
+        '"spec": %s}, "states_checked": 63}\n' % ADJ1,
+    ),
+    "e1": (
+        ("verify", "e1", "--kind", "evaluation", "--c", "1/3", "--lambda", "1",
+         "--gen", "1,1", "--n-range=0..1", "--k-range=-1..1",
+         "--max-wt", "2", "--max-nwt", "1"),
+        EXIT_OK,
+        '{"counterexample": null, "defect_zero": true, "identity": "l-mode-commutator", '
+        '"max_defect": "0", "params": {"gen": [1, 1], "k_range": "-1..1", '
+        '"n_range": "0..1", "spec": {"H": [[["1"]]], "c": "1/3", "d": 1, '
+        '"kind": "evaluation", "l": "1", "lambda": ["1"]}}, "states_checked": 42}\n',
+    ),
+    "field-commutator": (
+        ("verify", "field-commutator", "--a-max-wt", "1", "--a-max-nwt", "1",
+         "--n-range=0..1", "--k-range=-1..0", "--max-wt", "2", "--max-nwt", "1"),
+        EXIT_OK,
+        '{"counterexample": null, "defect_zero": true, "identity": "field-commutator", '
+        '"max_defect": "0", "params": {"a_count": 3, "k_range": "-1..0", '
+        '"n_range": "0..1", "spec": %s}, "states_checked": 84}\n' % ADJ1,
+    ),
+    "strong-grading": (
+        ("verify", "strong-grading", "--v-max-wt", "1", "--v-max-nwt", "1",
+         "--j-range=-1..0", "--sample-size", "2", "--seed", "3",
+         "--max-wt", "2", "--max-nwt", "1"),
+        EXIT_OK,
+        '{"counterexample": null, "defect_zero": true, "identity": "strong-grading", '
+        '"max_defect": "0", "params": {"sample": '
+        '[[[{"coeff": "1", "mono": [[1, 0, 1]], "top": 0}], 0], '
+        '[[{"coeff": "1", "mono": [[1, 1, 1]], "top": 0}], -1]], '
+        '"spec": %s}, "states_checked": 7}\n' % ADJ1,
+    ),
+    "l0-grading": (
+        ("verify", "l0-grading", "--j-range=1..2", "--max-wt", "2", "--max-nwt", "2"),
+        EXIT_COUNTEREXAMPLE,
+        '{"counterexample": [{"coeff": "1", "mono": [[1, 1, 1], [1, 1, 1]], "top": 0}], '
+        '"defect_zero": false, "identity": "l0-grading", "max_defect": "1", '
+        '"params": {"j_values": [1, 2], "spec": %s}, "states_checked": 11}\n' % ADJ1,
+    ),
+    "d-equals-lminus1": (
+        ("verify", "d-equals-lminus1", "--d", "2", "--l", "1/2",
+         "--max-wt", "2", "--max-nwt", "1"),
+        EXIT_OK,
+        '{"counterexample": null, "defect_zero": true, "identity": "d-equals-lminus1", '
+        '"max_defect": "0", "params": {"spec": {"H": [[["0"]], [["0"]]], "c": null, '
+        '"d": 2, "kind": "adjoint", "l": "1/2", "lambda": ["0", "0"]}}, '
+        '"states_checked": 16}\n',
+    ),
+}
+
+E1_MERGED = ("verify", "e1", "--n-range=0..1", "--k-range=-1..1",
+             "--max-wt", "2", "--max-nwt", "1")
+E1_PARAMS = '{"gen": [1, 0], "k_range": "-1..1", "n_range": "0..1", "spec": %s}' % ADJ1
+PINNED_FORMATS = {
+    "text": (
+        "identity: l-mode-commutator\n"
+        "params: %s\n"
+        "states_checked: 42\n"
+        "defect_zero: true\n"
+        "max_defect: 0\n"
+        "counterexample: null\n" % E1_PARAMS
+    ),
+    "csv": (
+        "identity,params,states_checked,defect_zero,max_defect\n"
+        '"l-mode-commutator","%s","42","true","0"\n' % E1_PARAMS.replace('"', '""')
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("identity", sorted(PINNED_VERIFY))
+    def test_verify_json_stdout(self, capsys, identity):
+        argv, code, expected = PINNED_VERIFY[identity]
+        assert run(capsys, *argv)[:2] == (code, expected)
+
+    @pytest.mark.parametrize("fmt", sorted(PINNED_FORMATS))
+    def test_merged_report_formats(self, capsys, fmt):
+        out = run(capsys, *E1_MERGED, "--format", fmt)[:2]
+        assert out == (EXIT_OK, PINNED_FORMATS[fmt])
+
+
 class TestDims:
     def test_csv_table(self, capsys):
         code, out, _ = run(
@@ -269,6 +363,26 @@ class TestPlumbing:
         assert code == EXIT_OK
         assert out == ""
         assert path.read_text().strip() == '"4"'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "virasoro", "--kind", "evaluation", "--c", "0", "--H", "[1]"),
+            ("verify", "virasoro", "--kind", "evaluation", "--c", "0",
+             "--lambda", "1", "--H", "[[[1]],2]"),
+            ("module", "logcheck", "--H", "[[1.5]]", "--c", "0"),
+            ("verify", "field-commutator", "--a-state", '[{"mono":[[1,0,1]]}]'),
+            ("module", "homdim", "--tops", '{"r":1}', "r1:1@1", "r1:1@1"),
+            ("module", "casimir", "--lambda", "1", "--c", "1/2",
+             "--out", "/nonexistent/dir/x.json"),
+        ],
+        ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
+             "out-no-dir"],
+    )
+    def test_malformed_input_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")

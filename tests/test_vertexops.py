@@ -198,6 +198,10 @@ class TestLApply:
         spec = ModuleSpec.evaluation(1, 1, 1, (1,))
         with pytest.raises(ValueError):
             l_apply(0, State.vacuum(), spec)
+        # a trivial top action leaves no geometric series to sum at c^2 = 1
+        trivial = ModuleSpec.evaluation(1, 1, -1, (0,))
+        s = State.term(mono((1, 0, 2)))
+        assert l_apply(0, s, trivial) == (s.scale(2), True)
 
     def test_n_below_minus_one_rejected(self):
         with pytest.raises(ValueError):
