@@ -13,6 +13,7 @@ import io
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
@@ -45,6 +46,15 @@ def _parse_range(text):
 
 def _parse_lambda(text):
     return tuple(rat(part.strip()) for part in text.split(","))
+
+
+def _parse_gen(text):
+    """Parse --gen "i,j" into two integers."""
+    try:
+        i, j = (int(part) for part in text.split(","))
+        return i, j
+    except ValueError:
+        raise ConfigError("--gen must be two integers i,j, got %r" % text)
 
 
 def _decode_json(flag, text, build):
@@ -95,15 +105,18 @@ def _truncation(args):
         raise ConfigError(str(err))
 
 
+def _open_out(path):
+    """The output stream, opened before any work so a bad --out fails at once."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise ConfigError("cannot write --out: %s" % err)
+
+
 def _write_output(text, args):
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise ConfigError("cannot write --out: %s" % err)
-    else:
-        sys.stdout.write(text)
+    args.stream.write(text)
 
 
 def _report_text(report):
@@ -171,7 +184,7 @@ def _verify_plan(args, spec, tr):
         ]
         return identity, {"m_range": args.m_range, "n_range": args.n_range}, checks
     if identity == "e1":
-        i, j = (int(part) for part in args.gen.split(","))
+        i, j = _parse_gen(args.gen)
         checks = [
             partial(vertexops.check_l_mode_commutator, n, (i, j), k, spec, tr)
             for n in _parse_range(args.n_range)
@@ -355,7 +368,11 @@ def _cmd_module(args):
 
 def _add_common(parser):
     parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    parser.add_argument("--out", default=None, help="write output to a file")
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="write output to a file; it is opened, and truncated, before any work",
+    )
     parser.add_argument(
         "--threads",
         type=int,
@@ -441,17 +458,18 @@ def main(argv=None):
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            if args.k is not None:
-                args.k_range = args.k
-            if args.n is not None:
-                args.n_range = args.n
-            return _cmd_verify(args)
-        if args.command == "dims":
-            return _cmd_dims(args)
-        if args.command == "module":
-            return _cmd_module(args)
-        raise ConfigError("unknown command %r" % args.command)
+        with _open_out(args.out) as args.stream:
+            if args.command == "verify":
+                if args.k is not None:
+                    args.k_range = args.k
+                if args.n is not None:
+                    args.n_range = args.n
+                return _cmd_verify(args)
+            if args.command == "dims":
+                return _cmd_dims(args)
+            if args.command == "module":
+                return _cmd_module(args)
+            raise ConfigError("unknown command %r" % args.command)
     except (ConfigError, ValueError, json.JSONDecodeError) as err:
         sys.stderr.write("error: %s\n" % err)
         return EXIT_USAGE

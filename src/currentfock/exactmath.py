@@ -188,7 +188,7 @@ def _rref(entries, cols):
         if hit is None:
             continue
         rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
+        inv = Fraction(1) / rows[pivot_row][col]
         rows[pivot_row] = [a * inv for a in rows[pivot_row]]
         for r in range(len(rows)):
             if r != pivot_row and rows[r][col] != 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .exactmath import RatMatrix, jordan_structure, rank_nullspace, rat
 from .fock import (
@@ -143,40 +144,45 @@ def casimir_partial(lam, c, J):
     return total
 
 
+def _bigrade(label):
+    mono, _top = label
+    return mono.weight(), mono.nwt()
+
+
 def vacuum_space(spec, tr):
     """A basis of the joint kernel of all annihilation modes within tr.
 
-    Scans the modes (u^(i) t^j)(n) for 0 < n <= tr.max_wt and j <= tr.max_nwt
-    against all basis states within tr; for induced modules the result is
+    Scans the modes per bigrade: (u^(i) t^j)(n) maps bigrade (wt, nwt) into
+    (wt - n, nwt - j), so the joint kernel is the direct sum of the kernels
+    on each bigrade (wt, nwt) within tr, where only the modes with
+    0 < n <= wt and j <= nwt act.  One exact kernel is solved per bigrade.
+    Each block's canonical nullspace basis is what the whole stacked matrix
+    would give on those columns, so joining the blocks in basis order gives
+    the whole matrix's canonical basis.  For induced modules the result is
     exactly the top space.
     """
-    basis = module_basis(spec, tr.max_wt, tr.max_nwt)
-    index = {label: pos for pos, label in enumerate(basis)}
-    size = len(basis)
-    # Rows are assembled sparsely, output-major per mode, instead of through
-    # fock._image_rows: a dense block per mode would allocate one basis-sized
-    # square per mode (32 squares of 694 x 694 on a d = 2, wt <= 4, nwt <= 3
-    # Jordan top) only to drop their zero rows.
-    rows = []
-    for i in range(1, spec.d + 1):
-        for j in range(tr.max_nwt + 1):
-            for n in range(1, tr.max_wt + 1):
-                op = ModeOp(GenIndex(i, j), n)
-                block = {}
-                for col, (mono, top) in enumerate(basis):
-                    image = apply_mode(op, State.term(mono, top), spec)
-                    for key, coeff in image.terms.items():
-                        row = block.setdefault(index[key], [Fraction(0)] * size)
-                        row[col] = coeff
-                for pos in sorted(block):
-                    rows.append(block[pos])
-    matrix = RatMatrix(rows, cols=size) if rows else RatMatrix.zero(0, size)
-    _rank, kernel = rank_nullspace(matrix)
     states = []
-    for vec in kernel:
-        states.append(
-            State({basis[pos]: coeff for pos, coeff in enumerate(vec) if coeff != 0})
-        )
+    basis = module_basis(spec, tr.max_wt, tr.max_nwt)
+    for (wt, nwt), run in groupby(basis, key=_bigrade):
+        labels = list(run)
+        size = len(labels)
+        rows = []
+        for i in range(1, spec.d + 1):
+            for j in range(nwt + 1):
+                for n in range(1, wt + 1):
+                    op = ModeOp(GenIndex(i, j), n)
+                    # one row per output label of this mode, filled sparsely
+                    block = {}
+                    for col, (mono, top) in enumerate(labels):
+                        image = apply_mode(op, State.term(mono, top), spec)
+                        for key, coeff in image.terms.items():
+                            block.setdefault(key, [Fraction(0)] * size)[col] = coeff
+                    rows.extend(block.values())
+        matrix = RatMatrix(rows, cols=size) if rows else RatMatrix.zero(0, size)
+        _rank, kernel = rank_nullspace(matrix)
+        for vec in kernel:
+            terms = {labels[pos]: coeff for pos, coeff in enumerate(vec) if coeff != 0}
+            states.append(State(terms))
     return states
 
 

@@ -223,11 +223,25 @@ PINNED_FORMATS = {
 }
 
 
+# The vacuum space of the benchmark's Jordan top (d = 2, r = 2, c = 1/3).
+VACUUM_JORDAN = ("module", "vacuum", "--kind", "evaluation", "--d", "2", "--c=1/3",
+                 "--lambda", "1,1", "--H", "[[[1,1],[0,1]],[[1,0],[0,1]]]",
+                 "--max-wt", "2", "--max-nwt", "1", "--format", "json")
+PINNED_VACUUM = (
+    '{"basis": [[{"coeff": "1", "mono": [], "top": 0}], '
+    '[{"coeff": "1", "mono": [], "top": 1}]], '
+    '"bigrades_scanned": {"max_nwt": 1, "max_wt": 2}, "dimension": 2}\n'
+)
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("identity", sorted(PINNED_VERIFY))
     def test_verify_json_stdout(self, capsys, identity):
         argv, code, expected = PINNED_VERIFY[identity]
         assert run(capsys, *argv)[:2] == (code, expected)
+
+    def test_vacuum_json_stdout(self, capsys):
+        assert run(capsys, *VACUUM_JORDAN)[:2] == (EXIT_OK, PINNED_VACUUM)
 
     @pytest.mark.parametrize("fmt", sorted(PINNED_FORMATS))
     def test_merged_report_formats(self, capsys, fmt):
@@ -383,6 +397,31 @@ class TestPlumbing:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, workhorse",
+        [
+            (VACUUM_JORDAN, "currentfock.repcat.vacuum_space"),
+            (("verify", "virasoro", "--max-wt", "2", "--max-nwt", "1"),
+             "currentfock.vertexops.check_virasoro"),
+        ],
+        ids=["vacuum", "virasoro"],
+    )
+    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch,
+                                                  argv, workhorse):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+
+        monkeypatch.setattr(workhorse, refuse)
+        code, out, err = run(capsys, *argv, "--out", "/nonexistent/dir/x.json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("gen", ["1", "1,2,3", "a,b"])
+    def test_malformed_gen_names_the_flag(self, capsys, gen):
+        code, out, err = run(capsys, "verify", "e1", "--gen", gen)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: --gen ") and err.count("\n") == 1
 
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")

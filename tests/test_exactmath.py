@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from currentfock.exactmath import (
     RatMatrix,
+    _rref,
     jordan_structure,
     rank,
     rank_nullspace,
@@ -103,6 +106,38 @@ def test_rank_nullspace_random_properties(seed):
     assert r == rank_by_minors(m)
     assert r == rank(m.transpose())
     for vec in ns:
+        assert all(x == 0 for x in m.apply(vec))
+
+
+def test_rref_of_int_rows_stays_exact():
+    # an int pivot once inverted to a float: [[1.0, 0.0], [0.0, 1.0]]
+    reduced, pivots = _rref([(2, 1), (1, 3)], 2)
+    assert (reduced, pivots) == ([[1, 0], [0, 1]], [0, 1])
+    assert not any(isinstance(a, float) for row in reduced for a in row)
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+INT_OR_FRACTION_ROWS = st.integers(0, 4).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(SCALARS, min_size=cols, max_size=cols), max_size=4),
+        st.just(cols),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(INT_OR_FRACTION_ROWS)
+def test_rank_nullspace_is_exact_on_int_and_fraction_entries(case):
+    rows, cols = case
+    reduced, _pivots = _rref(rows, cols)
+    assert not any(isinstance(a, float) for row in reduced for a in row)
+    m = RatMatrix(rows, cols=cols)
+    r, ns = rank_nullspace(m)
+    assert r + len(ns) == cols
+    for vec in ns:
+        assert not any(isinstance(x, float) for x in vec)
         assert all(x == 0 for x in m.apply(vec))
 
 

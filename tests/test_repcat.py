@@ -13,6 +13,7 @@ from currentfock import (
     State,
     TopSpace,
     Truncation,
+    apply_mode,
     casimir_partial,
     casimir_scalar,
     eval_action,
@@ -21,6 +22,8 @@ from currentfock import (
     is_genuine_logarithmic,
     jordan_structure,
     l0_top_matrix,
+    mode,
+    module_basis,
     rank_nullspace,
     vacuum_space,
 )
@@ -112,8 +115,6 @@ class TestVacuumSpace:
         assert len(states) == 1
 
     def test_vacuum_vectors_are_killed_by_annihilation(self):
-        from currentfock import apply_mode, mode
-
         spec = ModuleSpec.evaluation(
             1, 2, 0, (0,), H=[RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])]
         )
@@ -123,6 +124,59 @@ class TestVacuumSpace:
             for j in range(3):
                 for n in range(1, 4):
                     assert apply_mode(mode(1, j, n), s, spec).is_zero()
+
+
+def whole_matrix_vacuum(spec, tr):
+    """Independent oracle: one stacked matrix over the whole truncated basis.
+
+    Every annihilation mode within tr is applied to every basis state; the
+    images fill one dense matrix (one row per mode and output label, one
+    column per basis label) whose canonical nullspace is read off at once,
+    with no use of the bigrading.
+    """
+    basis = module_basis(spec, tr.max_wt, tr.max_nwt)
+    index = {label: pos for pos, label in enumerate(basis)}
+    size = len(basis)
+    rows = []
+    for i in range(1, spec.d + 1):
+        for j in range(tr.max_nwt + 1):
+            for n in range(1, tr.max_wt + 1):
+                block = {}
+                for col, (mono, top) in enumerate(basis):
+                    image = apply_mode(mode(i, j, n), State.term(mono, top), spec)
+                    for key, coeff in image.terms.items():
+                        block.setdefault(index[key], [Fraction(0)] * size)[col] = coeff
+                rows.extend(block[pos] for pos in sorted(block))
+    matrix = RatMatrix(rows, cols=size) if rows else RatMatrix.zero(0, size)
+    _rank, kernel = rank_nullspace(matrix)
+    return [
+        State({basis[pos]: coeff for pos, coeff in enumerate(vec) if coeff != 0})
+        for vec in kernel
+    ]
+
+
+VACUUM_SPECS = {
+    "adjoint-d1": ModuleSpec.adjoint(1, 1),
+    "adjoint-d2": ModuleSpec.adjoint(2, Fraction(1, 2)),
+    "scalar-eval": ModuleSpec.evaluation(1, 1, Fraction(1, 2), (2,)),
+    "jordan-r2-c1/3": ModuleSpec.evaluation(
+        2, 1, Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+    ),
+    "r3-c2": ModuleSpec.evaluation(
+        1, 2, 2, (1,), H=[[[1, 1, 0], [0, 1, 1], [0, 0, 1]]]
+    ),
+    "nilpotent-d2-c0": ModuleSpec.evaluation(
+        2, 1, 0, (0, 0), H=[[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+    ),
+}
+
+
+@pytest.mark.parametrize("tr", [(0, 0), (2, 1), (3, 2), (4, 1)], ids=str)
+@pytest.mark.parametrize("name", sorted(VACUUM_SPECS))
+def test_vacuum_space_matches_whole_matrix_oracle(name, tr):
+    spec, tr = VACUUM_SPECS[name], Truncation(*tr)
+    expected = [s.to_json() for s in whole_matrix_vacuum(spec, tr)]
+    assert [s.to_json() for s in vacuum_space(spec, tr)] == expected
 
 
 class TestL0TopMatrix:
