@@ -273,6 +273,12 @@ class ModuleSpec:
                 raise ValueError("the adjoint module carries no evaluation point")
         elif self.c is None:
             raise ValueError("evaluation modules need an evaluation point c")
+        # every cache keyed by a spec hashes it per lookup; hash the Fractions once
+        key = (self.kind, self.d, self.l, self.c, self.r, self.lam, self.H)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def adjoint(cls, d, l):
@@ -339,64 +345,59 @@ class ModuleSpec:
         )
 
 
-@lru_cache(maxsize=None)
-def _basis_tuple(d, m, n):
-    """All monomials over d colors with nwt m and weight n, as a sorted tuple."""
-    parts = [
-        (i, j, nu)
-        for i in range(1, d + 1)
-        for j in range(m + 1)
-        for nu in range(1, n + 1)
-    ]
-    results = []
-
-    def extend(idx, rem_m, rem_n, chosen):
-        if rem_m == 0 and rem_n == 0:
-            results.append(Monomial(sorted(chosen)))
-            return
-        if idx == len(parts) or rem_n == 0:
-            return
-        i, j, nu = parts[idx]
-        extend(idx + 1, rem_m, rem_n, chosen)
-        count = 1
-        while rem_m - count * j >= 0 and rem_n - count * nu >= 0:
-            extend(
-                idx + 1,
-                rem_m - count * j,
-                rem_n - count * nu,
-                chosen + [(i, j, nu)] * count,
-            )
-            count += 1
-
-    extend(0, m, n, [])
-    results.sort()
-    return tuple(results)
-
-
 def enumerate_basis(d, m, n):
     """Monomial basis of the doubly homogeneous subspace (nwt m, weight n).
 
     Returned in canonical (lexicographic) order with no duplicates; empty
     whenever m > 0 and n = 0, since every variable has positive weight.
+    The order needs no sort.  A depth-first walk builds each monomial as a
+    sorted tuple, one factor at a time, trying each next factor >= the last
+    one in increasing order; and since every factor has positive weight, no
+    monomial of the cell is a prefix of another.  So the walk meets them in
+    lexicographic order.  A fresh list is built on every call; nothing is
+    cached.
     """
     if d < 1 or m < 0 or n < 0:
         raise ValueError("enumerate_basis needs d >= 1 and m, n >= 0")
-    return list(_basis_tuple(d, m, n))
+    if n == 0:
+        return [EMPTY] if m == 0 else []
+    out = []
+
+    def extend(prefix, rem_m, rem_n, i0, j0, nu0):
+        # next factor (i, j, nu) >= (i0, j0, nu0), with j <= rem_m and nu <= rem_n
+        for i in range(i0, d + 1):
+            for j in range(j0 if i == i0 else 0, rem_m + 1):
+                lo = nu0 if i == i0 and j == j0 else 1
+                # at color d every later factor has power >= j as well
+                if i < d or 2 * j <= rem_m:
+                    for nu in range(lo, rem_n):
+                        extend(prefix + ((i, j, nu),), rem_m - j, rem_n - nu, i, j, nu)
+                if j == rem_m and lo <= rem_n:
+                    out.append(Monomial(prefix + ((i, j, rem_n),)))
+
+    extend((), m, n, 1, 0, 1)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _basis_labels(d, r, max_wt, max_nwt):
+    """The labels of `module_basis`, as a tuple; they depend on no other spec field."""
+    return tuple(
+        (mono, top)
+        for n in range(max_wt + 1)
+        for m in range(max_nwt + 1)
+        for mono in enumerate_basis(d, m, n)
+        for top in range(r)
+    )
 
 
 def module_basis(spec, max_wt, max_nwt):
     """All (monomial, top) basis labels of a module within the given bounds.
 
     Ordered by (weight, nwt, monomial, top) so every table built from it is
-    deterministic.
+    deterministic.  A fresh list each call, so callers may change it freely.
     """
-    labels = []
-    for n in range(max_wt + 1):
-        for m in range(max_nwt + 1):
-            for mono in enumerate_basis(spec.d, m, n):
-                for top in range(spec.r):
-                    labels.append((mono, top))
-    return labels
+    return list(_basis_labels(spec.d, spec.r, max_wt, max_nwt))
 
 
 def _image_rows(images, labels):

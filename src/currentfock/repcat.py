@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import product
 
 from .exactmath import RatMatrix, jordan_structure, rank_nullspace, rat
 from .fock import (
@@ -31,7 +31,7 @@ from .fock import (
     State,
     _check_top,
     apply_mode,
-    module_basis,
+    enumerate_basis,
 )
 
 
@@ -144,28 +144,25 @@ def casimir_partial(lam, c, J):
     return total
 
 
-def _bigrade(label):
-    mono, _top = label
-    return mono.weight(), mono.nwt()
-
-
 def vacuum_space(spec, tr):
     """A basis of the joint kernel of all annihilation modes within tr.
 
     Scans the modes per bigrade: (u^(i) t^j)(n) maps bigrade (wt, nwt) into
     (wt - n, nwt - j), so the joint kernel is the direct sum of the kernels
     on each bigrade (wt, nwt) within tr, where only the modes with
-    0 < n <= wt and j <= nwt act.  One exact kernel is solved per bigrade.
-    Each block's canonical nullspace basis is what the whole stacked matrix
-    would give on those columns, so joining the blocks in basis order gives
-    the whole matrix's canonical basis.  For induced modules the result is
-    exactly the top space.
+    0 < n <= wt and j <= nwt act.  One exact kernel is solved per bigrade,
+    on its top-0 labels, and each kernel vector is emitted once per top
+    index.  Each block's canonical nullspace basis is what the whole stacked
+    matrix would give on those columns, so joining the blocks in basis order
+    gives the whole matrix's canonical basis.  For induced modules the
+    result is exactly the top space.
     """
     states = []
-    basis = module_basis(spec, tr.max_wt, tr.max_nwt)
-    for (wt, nwt), run in groupby(basis, key=_bigrade):
-        labels = list(run)
-        size = len(labels)
+    for wt, nwt in product(range(tr.max_wt + 1), range(tr.max_nwt + 1)):
+        monos = enumerate_basis(spec.d, nwt, wt)
+        if not monos:
+            continue
+        size = len(monos)
         rows = []
         for i in range(1, spec.d + 1):
             for j in range(nwt + 1):
@@ -173,16 +170,18 @@ def vacuum_space(spec, tr):
                     op = ModeOp(GenIndex(i, j), n)
                     # one row per output label of this mode, filled sparsely
                     block = {}
-                    for col, (mono, top) in enumerate(labels):
-                        image = apply_mode(op, State.term(mono, top), spec)
+                    for col, mono in enumerate(monos):
+                        image = apply_mode(op, State.term(mono), spec)
                         for key, coeff in image.terms.items():
                             block.setdefault(key, [Fraction(0)] * size)[col] = coeff
                     rows.extend(block.values())
         matrix = RatMatrix(rows, cols=size) if rows else RatMatrix.zero(0, size)
         _rank, kernel = rank_nullspace(matrix)
+        # annihilation modes keep the top index and ignore it: r copies of one kernel
         for vec in kernel:
-            terms = {labels[pos]: coeff for pos, coeff in enumerate(vec) if coeff != 0}
-            states.append(State(terms))
+            for top in range(spec.r):
+                terms = {(monos[pos], top): c for pos, c in enumerate(vec) if c != 0}
+                states.append(State(terms))
     return states
 
 

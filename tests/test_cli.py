@@ -234,6 +234,65 @@ PINNED_VACUUM = (
 )
 
 
+# Dimension tables.  At d = 2, enum = dp = gf_product in every cell; one row
+# of counts per nwt m, over weights n = 0..6.
+DIMS_D2 = ("dims", "--d", "2", "--max-p", "6", "--max-q", "3", "--format", "json")
+D2_COUNTS = [
+    [1, 2, 5, 10, 20, 36, 65],
+    [0, 2, 6, 16, 36, 76, 148],
+    [0, 2, 9, 26, 66, 148, 310],
+    [0, 2, 10, 36, 98, 240, 532],
+]
+PINNED_DIMS_JSON = '{"meta": {"d": 2, "max_p": 6, "max_q": 3}, "rows": [%s]}\n' % (
+    ", ".join(
+        '{"diff": null, "dp": %d, "enum": %d, "gf_paper_ct": null, "gf_product": %d, '
+        '"m": %d, "n": %d}' % (k, k, k, m, n)
+        for m, row in enumerate(D2_COUNTS)
+        for n, k in enumerate(row)
+    )
+)
+DIMS_D1 = ("dims", "--d", "1", "--max-p", "6", "--max-q", "4", "--format", "csv")
+PINNED_DIMS_CSV = (
+    "# d=1,max_p=6,max_q=4\n"
+    "m,n,enum,dp,gf_product,gf_paper_ct,diff\n"
+    "0,0,1,1,1,1,0\n"
+    "0,1,1,1,1,1,0\n"
+    "0,2,2,2,2,2,0\n"
+    "0,3,3,3,3,3,0\n"
+    "0,4,5,5,5,5,0\n"
+    "0,5,7,7,7,7,0\n"
+    "0,6,11,11,11,11,0\n"
+    "1,0,0,0,0,0,0\n"
+    "1,1,1,1,1,1,0\n"
+    "1,2,2,2,2,2,0\n"
+    "1,3,4,4,4,3,1\n"
+    "1,4,7,7,7,5,2\n"
+    "1,5,12,12,12,7,5\n"
+    "1,6,19,19,19,11,8\n"
+    "2,0,0,0,0,0,0\n"
+    "2,1,1,1,1,1,0\n"
+    "2,2,3,3,3,3,0\n"
+    "2,3,6,6,6,5,1\n"
+    "2,4,12,12,12,9,3\n"
+    "2,5,21,21,21,13,8\n"
+    "2,6,36,36,36,21,15\n"
+    "3,0,0,0,0,0,0\n"
+    "3,1,1,1,1,1,0\n"
+    "3,2,3,3,3,3,0\n"
+    "3,3,8,8,8,6,2\n"
+    "3,4,16,16,16,11,5\n"
+    "3,5,31,31,31,17,14\n"
+    "3,6,55,55,55,28,27\n"
+    "4,0,0,0,0,0,0\n"
+    "4,1,1,1,1,1,0\n"
+    "4,2,4,4,4,4,0\n"
+    "4,3,10,10,10,8,2\n"
+    "4,4,23,23,23,16,7\n"
+    "4,5,45,45,45,25,20\n"
+    "4,6,84,84,84,42,42\n"
+)
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("identity", sorted(PINNED_VERIFY))
     def test_verify_json_stdout(self, capsys, identity):
@@ -247,6 +306,14 @@ class TestPinnedOutput:
     def test_merged_report_formats(self, capsys, fmt):
         out = run(capsys, *E1_MERGED, "--format", fmt)[:2]
         assert out == (EXIT_OK, PINNED_FORMATS[fmt])
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(DIMS_D2, PINNED_DIMS_JSON), (DIMS_D1, PINNED_DIMS_CSV)],
+        ids=["d2-json", "d1-csv"],
+    )
+    def test_dims_stdout(self, capsys, argv, expected):
+        assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
 
 
 class TestDims:

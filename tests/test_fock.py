@@ -18,6 +18,7 @@ from currentfock import (
     mode,
     module_basis,
 )
+from currentfock.vertexops import _l_term
 
 
 def mono(*factors):
@@ -71,6 +72,42 @@ class TestEnumerateBasis:
                         ):
                             count += 1
                 assert len(enumerate_basis(1, m, n)) == count
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ordered_oracle(self, d):
+        # independent oracle, order included: k factors of weight >= 1 that sum
+        # to n weigh at most n - k + 1 each, and combinations_with_replacement
+        # yields every multiset of them once, as a sorted tuple
+        max_m, max_n = 4, 6
+        for n in range(max_n + 1):
+            by_nwt = {m: [] for m in range(max_m + 1)}
+            for k in range(n + 1):
+                parts = [
+                    (i, j, nu)
+                    for i in range(1, d + 1)
+                    for j in range(max_m + 1)
+                    for nu in range(1, n - k + 2)
+                ]
+                for combo in itertools.combinations_with_replacement(parts, k):
+                    nwt = sum(p[1] for p in combo)
+                    if sum(p[2] for p in combo) == n and nwt <= max_m:
+                        by_nwt[nwt].append(Monomial(combo))
+            for m in range(max_m + 1):
+                assert enumerate_basis(d, m, n) == sorted(by_nwt[m])
+
+    def test_callers_cannot_corrupt_the_basis(self):
+        spec = ModuleSpec.evaluation(
+            2, 1, 0, (0, 0), H=[[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+        )
+        for fetch in (
+            lambda: enumerate_basis(2, 2, 3),
+            lambda: module_basis(spec, 3, 2),
+        ):
+            first = fetch()
+            expected = list(first)
+            first.reverse()
+            first.append(None)
+            assert fetch() == expected
 
 
 class TestGrading:
@@ -181,6 +218,21 @@ def test_bigrade_shifts():
 
 
 class TestModuleSpec:
+    def test_equal_specs_share_cache_entries(self):
+        def build():
+            return ModuleSpec.evaluation(
+                1, Fraction(7, 11), Fraction(2, 13), (1,), H=[[[1, 1], [0, 1]]]
+            )
+
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        w = mono((1, 0, 1), (1, 1, 2))
+        _l_term(0, w, 1, first, 0)
+        hits = _l_term.cache_info().hits
+        _l_term(0, w, 1, second, 0)
+        assert _l_term.cache_info().hits == hits + 1
+
     def test_level_must_be_nonzero(self):
         with pytest.raises(ValueError):
             ModuleSpec.adjoint(1, 0)
