@@ -241,13 +241,14 @@ def _cmd_dims(args):
         raise ConfigError("dims needs d >= 1 and nonnegative bounds")
     d, P, Q = args.d, args.max_p, args.max_q
     product = dims_mod.gf_product_count(d, P, Q)
+    parts = dims_mod.bipartite_table(d, P, Q)
     paper = dims_mod.gf_paper_ct(P, Q) if d == 1 else None
     rows = []
     agree = True
     for m in range(Q + 1):
         for n in range(P + 1):
             enum = len(enumerate_basis(d, m, n))
-            dp = dims_mod.bipartite_count(d, m, n)
+            dp = parts.get(m, n)
             gf = product.get(m, n)
             if not (enum == dp == gf):
                 agree = False

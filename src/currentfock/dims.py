@@ -58,26 +58,31 @@ def validate_dimension_table(table):
             raise ValueError("positive nwt needs positive weight; cell (%d, %d)" % (m, n))
 
 
-@lru_cache(maxsize=None)
-def _bipartite_table(d, max_m, max_n):
-    """DP table of colored bipartite partition counts up to (max_m, max_n)."""
-    ways = [[0] * (max_n + 1) for _ in range(max_m + 1)]
+def bipartite_table(d, P, Q):
+    """Colored bipartite partition counts for weight <= P, nwt <= Q, as one DP table."""
+    if d < 1 or P < 0 or Q < 0:
+        raise ValueError("bipartite_table needs d >= 1 and nonnegative bounds")
+    ways = [[0] * (P + 1) for _ in range(Q + 1)]
     ways[0][0] = 1
-    for j in range(max_m + 1):
-        for nu in range(1, max_n + 1):
+    for j in range(Q + 1):
+        for nu in range(1, P + 1):
             for _color in range(d):
                 # one unbounded part type per color
-                for m in range(j, max_m + 1):
-                    for n in range(nu, max_n + 1):
+                for m in range(j, Q + 1):
+                    for n in range(nu, P + 1):
                         ways[m][n] += ways[m - j][n - nu]
-    return tuple(tuple(row) for row in ways)
+    table = DimTable(d=d)
+    for m in range(Q + 1):
+        for n in range(P + 1):
+            table.entries[(m, n)] = ways[m][n]
+    return table
 
 
 def bipartite_count(d, m, n):
     """Number of multisets of colored parts (color, j >= 0, nu >= 1) summing to (m, n)."""
     if d < 1 or m < 0 or n < 0:
         raise ValueError("bipartite_count needs d >= 1 and m, n >= 0")
-    return _bipartite_table(d, m, n)[m][n]
+    return bipartite_table(d, n, m).get(m, n)
 
 
 class LaurentSeries2:
@@ -197,14 +202,16 @@ def check_strong_grading(spec, tr, sample):
         wt_v, nwt_v = grading(v)
         graded_sample.append((v, j, wt_v, nwt_v))
 
-    def defect_of(w):
-        wt_w, nwt_w = grading(w)
+    def defect_of(label):
+        mono, top = label
+        wt_w, nwt_w = mono.weight(), mono.nwt()
+        w = State.term(mono, top)
         for v, j, wt_v, nwt_v in graded_sample:
             image = vertex_mode(v, j, w, spec)
-            for (mono, _top), coeff in image.terms.items():
-                if mono.nwt() > nwt_v + nwt_w or mono.weight() != wt_w + wt_v - j - 1:
-                    return State.term(mono, _top, coeff)
-        return State.zero()
+            for key, coeff in image.terms.items():
+                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1:
+                    return {key: coeff}
+        return {}
 
     if grading(State.vacuum()) != (0, 0):
         raise AssertionError("the vacuum must sit in bigrade (0, 0)")

@@ -58,6 +58,10 @@ class RatMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
+    def __reduce__(self):
+        # __setattr__ refuses the default slot restore; rebuild through __init__
+        return (RatMatrix, (self.entries, self.cols))
+
     @classmethod
     def zero(cls, rows, cols):
         return cls([[0] * cols for _ in range(rows)], cols=cols)

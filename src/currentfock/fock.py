@@ -187,10 +187,6 @@ class State:
         result.terms = {} if s == 0 else {k: s * c for k, c in self.terms.items()}
         return result
 
-    def max_abs_coeff(self):
-        """Largest |coefficient|; the defect size of a difference state."""
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
-
     def __repr__(self):
         if not self.terms:
             return "State(0)"
@@ -213,6 +209,34 @@ class State:
             key = (Monomial.from_json(entry["mono"]), entry.get("top", 0))
             terms[key] = terms.get(key, 0) + rat(entry["coeff"])
         return cls(terms)
+
+
+def _int_first(x):
+    """An integral rational as an int; any other rational unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _axpy(out, s, col):
+    """out += s * col on {(monomial, top): coefficient} dicts; cancelled terms go."""
+    for key, c in col.items():
+        v = out.get(key, 0) + s * c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+
+def _int_first_terms(terms):
+    return {key: _int_first(c) for key, c in terms.items()}
+
+
+def _state(terms):
+    """A State of the terms (no zeros among them), its coefficients made int-first."""
+    result = State.__new__(State)
+    result.terms = _int_first_terms(terms)
+    return result
 
 
 def _check_top(r, lam, H):
@@ -279,6 +303,10 @@ class ModuleSpec:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the loading process hashes its own strings
+        return (ModuleSpec, (self.kind, self.d, self.l, self.c, self.r, self.lam, self.H))
 
     @classmethod
     def adjoint(cls, d, l):
@@ -434,37 +462,40 @@ def grading(s):
     return result if result is not None else (0, 0)
 
 
+def _check_mode(spec, i, j):
+    if not 1 <= i <= spec.d:
+        raise ValueError("color index %d out of range 1..%d" % (i, spec.d))
+    if j < 0:
+        raise ValueError("generator power must be nonnegative")
+
+
 def apply_mode(op, w, spec):
     """Apply a single mode (u^(i) t^j)(n) to a state.
 
     n < 0 multiplies by x_{i,j,-n}; n > 0 acts as n*l*d/dx_{i,j,n}; n = 0
     acts on the top index through c^j * H_i (and as zero on the adjoint
-    module).
+    module).  Each term's column is computed afresh and nothing is stored.
     """
     (i, j), n = op
-    if not 1 <= i <= spec.d:
-        raise ValueError("color index %d out of range 1..%d" % (i, spec.d))
-    if j < 0:
-        raise ValueError("generator power must be nonnegative")
-    out = State.zero()
+    _check_mode(spec, i, j)
+    out = {}
     for (mono, top), coeff in w.terms.items():
-        out += _apply_mode_term(ModeOp(GenIndex(i, j), n), mono, top, spec).scale(coeff)
-    return out
+        _axpy(out, coeff, _mode_column(spec, i, j, n, mono, top))
+    return _state(out)
 
 
-@lru_cache(maxsize=None)
-def _apply_mode_term(op, mono, top, spec):
-    (i, j), n = op
+def _mode_column(spec, i, j, n, mono, top):
+    """The image of one basis label under (u^(i) t^j)(n), as a fresh int-first dict."""
     if n < 0:
-        return State.term(mono.times(i, j, -n), top)
+        return {(mono.times(i, j, -n), top): 1}
     if n > 0:
         mult = mono.multiplicity(i, j, n)
         if mult == 0:
-            return State.zero()
-        return State.term(mono.without(i, j, n), top, n * spec.l * mult)
+            return {}
+        return {(mono.without(i, j, n), top): _int_first(n * spec.l * mult)}
     if spec.is_adjoint():
-        return State.zero()
+        return {}
     matrix = spec.zero_mode_matrix(i, j)
-    return State(
-        {(mono, t): matrix[t, top] for t in range(spec.r) if matrix[t, top] != 0}
-    )
+    return {
+        (mono, t): _int_first(matrix[t, top]) for t in range(spec.r) if matrix[t, top] != 0
+    }

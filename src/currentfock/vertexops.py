@@ -28,12 +28,15 @@ from typing import NamedTuple
 
 from .exactmath import RatMatrix, rat_str
 from .fock import (
-    GenIndex,
-    ModeOp,
     ModuleSpec,
     State,
+    _axpy,
+    _check_mode,
     _image_rows,
-    apply_mode,
+    _int_first,
+    _int_first_terms,
+    _mode_column,
+    _state,
     grading,
     module_basis,
 )
@@ -67,7 +70,247 @@ def _gbinom(m, r):
     num = 1
     for s in range(r):
         num *= m - s
-    return Fraction(num, math.factorial(r))
+    # a product of r consecutive integers is divisible by r!
+    return num // math.factorial(r)
+
+
+def _vertex_labels(v):
+    """The (monomial, coefficient) pairs of a label of Y(v, z), in canonical order."""
+    out = []
+    for vmono, vtop, vcoeff in v.iter_terms():
+        if vtop != 0:
+            raise ValueError("vertex-operator labels live in M(l); top index must be 0")
+        out.append((vmono, _int_first(vcoeff)))
+    return out
+
+
+class Operators:
+    """L(n), single modes a(k) and vertex-operator modes Y(v)_k on one module.
+
+    Each operator is compiled on demand, one basis label at a time, into a
+    column: a dict {(monomial, top): coefficient} whose coefficients are
+    int-first (an int wherever the rational is integral, else a Fraction).
+    Columns are memoized here and never handed out: `l`, `mode` and
+    `vertex` apply an operator to a term dict and return a fresh dict.
+    Obtain one through `operators(spec, j_max)`, so that every sweep of one
+    command reuses the same columns.
+    """
+
+    def __init__(self, spec, j_max):
+        self.spec = spec
+        self.j_max = j_max
+        self._level_ok = (
+            spec.is_adjoint() or spec.c**2 != 1 or all(m.is_zero() for m in spec.H)
+        )
+        self._l = {}
+        self._modes = {}
+        self._vertex = {}
+
+    def l(self, n, terms):
+        """L(n) applied to a term dict: (fresh dict, exact); see `l_apply`."""
+        if n < -1:
+            raise ValueError("only the operators L(n) with n >= -1 exist here")
+        if not self._level_ok:
+            raise ValueError(
+                "L(n) on an evaluation module with nontrivial top action needs c^2 != 1"
+            )
+        out = {}
+        exact = True
+        for (mono, top), coeff in terms.items():
+            key = (n, mono, top)
+            column = self._l.get(key)
+            if column is None:
+                column = self._l[key] = self._l_column(n, mono, top)
+            _axpy(out, coeff, column[0])
+            exact = exact and column[1]
+        return out, exact
+
+    def mode(self, i, j, k, terms):
+        """The single mode (u^(i) t^j)(k) applied to a term dict; a fresh dict."""
+        _check_mode(self.spec, i, j)
+        out = {}
+        for (mono, top), coeff in terms.items():
+            key = (i, j, k, mono, top)
+            column = self._modes.get(key)
+            if column is None:
+                column = self._modes[key] = _mode_column(self.spec, i, j, k, mono, top)
+            _axpy(out, coeff, column)
+        return out
+
+    def vertex(self, labels, k, terms):
+        """Y(v)_k applied to a term dict, v given by `_vertex_labels`; a fresh dict."""
+        out = {}
+        for vmono, vcoeff in labels:
+            for (wmono, wtop), wcoeff in terms.items():
+                key = (vmono, k, wmono, wtop)
+                column = self._vertex.get(key)
+                if column is None:
+                    column = self._vertex[key] = self._vertex_column(vmono, k, wmono, wtop)
+                _axpy(out, vcoeff * wcoeff, column)
+        return out
+
+    def _vertex_column(self, vmono, k, wmono, wtop):
+        spec = self.spec
+        factors = tuple(vmono)
+        count = len(factors)
+        if count == 0:
+            # Y(1, z) is the identity field.
+            return {(wmono, wtop): 1} if k == -1 else {}
+        target = k + 1 - vmono.weight()
+
+        pos = {}
+        for i, j, q in wmono:
+            pos.setdefault((i, j), set()).add(q)
+
+        def zero_ok(i, j):
+            if spec.is_adjoint() or spec.H[i - 1].is_zero():
+                return False
+            return j == 0 or spec.c != 0
+
+        max_mu = []
+        for i, j, _nt in factors:
+            cands = pos.get((i, j))
+            if cands:
+                max_mu.append(max(cands))
+            else:
+                max_mu.append(0 if zero_ok(i, j) else -1)
+        suffix_max = [0] * (count + 1)
+        for t in reversed(range(count)):
+            suffix_max[t] = suffix_max[t + 1] + max_mu[t]
+
+        out = {}
+        assignment = []
+
+        def descend(t, remaining):
+            if t == count:
+                if remaining == 0:
+                    _axpy(out, 1, self._apply_assignment(factors, assignment, wmono, wtop))
+                return
+            i, j, _nt = factors[t]
+            lo = remaining - suffix_max[t + 1]
+            for mu in range(lo, max_mu[t] + 1):
+                if mu > 0 and mu not in pos.get((i, j), ()):
+                    continue
+                if mu == 0 and not zero_ok(i, j):
+                    continue
+                assignment.append(mu)
+                descend(t + 1, remaining - mu)
+                assignment.pop()
+
+        descend(0, target)
+        return _int_first_terms(out)
+
+    def _apply_assignment(self, factors, mus, wmono, wtop):
+        scalar = 1
+        for (_i, _j, nt), mu in zip(factors, mus):
+            r = nt - 1
+            scalar *= (-1) ** r * _gbinom(mu + r, r)
+            if scalar == 0:
+                return {}
+        # Zero modes act first, then annihilation modes, then creation modes.
+        ordered = sorted(
+            zip(factors, mus),
+            key=lambda fm: (0 if fm[1] == 0 else (1 if fm[1] > 0 else 2), fm[1]),
+        )
+        terms = {(wmono, wtop): scalar}
+        for (i, j, _nt), mu in ordered:
+            terms = self.mode(i, j, mu, terms)
+            if not terms:
+                break
+        return terms
+
+    def _l_column(self, n, mono, top):
+        """(column, exact) of L(n) on one basis label."""
+        spec = self.spec
+        l = spec.l
+        out = {}
+        exact = True
+
+        def add(key, coeff):
+            v = out.get(key, 0) + coeff
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+
+        # creation * annihilation pairings (for n = 0 this is the weight count)
+        floor = max(0, n)
+        for (i, j, q), mult in mono.distinct():
+            if q > floor:
+                add((mono.without(i, j, q).times(i, j, q - n), top), q * mult)
+
+        # annihilation * annihilation, both factors acting on variables of w
+        if n >= 2:
+            seen = {(i, j) for (i, j, _q) in mono}
+            for p in range(1, n // 2 + 1):
+                q = n - p
+                for i, j in sorted(seen):
+                    mp = mono.multiplicity(i, j, p)
+                    mq = mono.multiplicity(i, j, q)
+                    if p == q:
+                        if mq >= 2:
+                            coeff = p * q * mq * (mq - 1) // 2 * l
+                            add((mono.without(i, j, p).without(i, j, q), top), coeff)
+                    elif mp >= 1 and mq >= 1:
+                        coeff = p * q * l * mp * mq
+                        add((mono.without(i, j, p).without(i, j, q), top), coeff)
+
+        if spec.is_adjoint():
+            return _int_first_terms(out), exact
+
+        # zero mode * annihilation: a(n) kills all but finitely many variables
+        if n >= 1:
+            for (i, j, q), mult in mono.distinct():
+                if q == n:
+                    matrix = spec.zero_mode_matrix(i, j)
+                    if matrix.is_zero():
+                        continue
+                    base = mono.without(i, j, n)
+                    for t in range(spec.r):
+                        entry = matrix[t, top]
+                        if entry:
+                            add((base, t), n * mult * entry)
+
+        # doubly-zero-mode part of L(0): geometric series summed in closed form
+        if n == 0:
+            total = spec.h_square_sum()
+            if not total.is_zero():
+                scale = 1 / (2 * l * (1 - spec.c**2))
+                for t in range(spec.r):
+                    entry = total[t, top]
+                    if entry:
+                        add((mono, t), scale * entry)
+
+        # creation * zero-mode tail of L(-1): infinite in j unless c = 0
+        if n == -1:
+            for i in range(1, spec.d + 1):
+                H = spec.H[i - 1]
+                if H.is_zero():
+                    continue
+                if spec.c == 0:
+                    powers = [0]
+                else:
+                    powers = range(self.j_max + 1)
+                    exact = False
+                for j in powers:
+                    cj = spec.c**j
+                    for t in range(spec.r):
+                        entry = H[t, top]
+                        if entry:
+                            add((mono.times(i, j, 1), t), cj * entry / l)
+
+        return _int_first_terms(out), exact
+
+
+@lru_cache(maxsize=4)
+def operators(spec, j_max):
+    """The shared `Operators` of (spec, j_max), from a small bounded registry.
+
+    One command keeps using the same few modules (a field-commutator sweep
+    needs its module and the adjoint one), so their columns live across all
+    of the command's sweeps while the registry stays bounded.
+    """
+    return Operators(spec, j_max)
 
 
 def vertex_mode(v, k, w, spec):
@@ -76,95 +319,7 @@ def vertex_mode(v, k, w, spec):
     Linear in v and in w; exact.  The adjoint module realizes the algebra's
     own operators Y(v, z).
     """
-    out = State.zero()
-    for vmono, vtop, vcoeff in v.iter_terms():
-        if vtop != 0:
-            raise ValueError("vertex-operator labels live in M(l); top index must be 0")
-        for (wmono, wtop), wcoeff in w.terms.items():
-            out += _vertex_term(vmono, k, wmono, wtop, spec).scale(vcoeff * wcoeff)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _vertex_term(vmono, k, wmono, wtop, spec):
-    factors = tuple(vmono)
-    count = len(factors)
-    if count == 0:
-        # Y(1, z) is the identity field.
-        return State.term(wmono, wtop) if k == -1 else State.zero()
-    target = k + 1 - vmono.weight()
-
-    pos = {}
-    for i, j, q in wmono:
-        pos.setdefault((i, j), set()).add(q)
-
-    def zero_ok(i, j):
-        if spec.is_adjoint() or spec.H[i - 1].is_zero():
-            return False
-        return j == 0 or spec.c != 0
-
-    max_mu = []
-    for i, j, _nt in factors:
-        cands = pos.get((i, j))
-        if cands:
-            max_mu.append(max(cands))
-        else:
-            max_mu.append(0 if zero_ok(i, j) else -1)
-    suffix_max = [0] * (count + 1)
-    for t in reversed(range(count)):
-        suffix_max[t] = suffix_max[t + 1] + max_mu[t]
-
-    out = State.zero()
-    assignment = []
-
-    def descend(t, remaining):
-        nonlocal out
-        if t == count:
-            if remaining == 0:
-                out += _apply_assignment(factors, tuple(assignment), wmono, wtop, spec)
-            return
-        i, j, _nt = factors[t]
-        lo = remaining - suffix_max[t + 1]
-        for mu in range(lo, max_mu[t] + 1):
-            if mu > 0 and mu not in pos.get((i, j), ()):
-                continue
-            if mu == 0 and not zero_ok(i, j):
-                continue
-            assignment.append(mu)
-            descend(t + 1, remaining - mu)
-            assignment.pop()
-
-    descend(0, target)
-    return out
-
-
-def _apply_assignment(factors, mus, wmono, wtop, spec):
-    scalar = Fraction(1)
-    for (_i, _j, nt), mu in zip(factors, mus):
-        r = nt - 1
-        scalar *= (-1) ** r * _gbinom(mu + r, r)
-        if scalar == 0:
-            return State.zero()
-    # Zero modes act first, then annihilation modes, then creation modes.
-    ordered = sorted(
-        zip(factors, mus),
-        key=lambda fm: (0 if fm[1] == 0 else (1 if fm[1] > 0 else 2), fm[1]),
-    )
-    state = State.term(wmono, wtop, scalar)
-    for (i, j, _nt), mu in ordered:
-        state = apply_mode(ModeOp(GenIndex(i, j), mu), state, spec)
-        if state.is_zero():
-            break
-    return state
-
-
-def _check_level_point(spec):
-    if spec.is_adjoint():
-        return
-    if spec.c**2 == 1 and any(not m.is_zero() for m in spec.H):
-        raise ValueError(
-            "L(n) on an evaluation module with nontrivial top action needs c^2 != 1"
-        )
+    return _state(operators(spec, 0).vertex(_vertex_labels(v), k, w.terms))
 
 
 def l_apply(n, w, spec, tr=None):
@@ -174,96 +329,9 @@ def l_apply(n, w, spec, tr=None):
     on evaluation modules with c != 0 and a nontrivial top action; the tail
     is cut at j <= tr.j_max.  Everything else is a finite exact sum.
     """
-    if n < -1:
-        raise ValueError("only the operators L(n) with n >= -1 exist here")
-    _check_level_point(spec)
     j_max = tr.j_max if tr is not None else 0
-    out = State.zero()
-    exact = True
-    for (mono, top), coeff in w.terms.items():
-        term, term_exact = _l_term(n, mono, top, spec, j_max)
-        out += term.scale(coeff)
-        exact = exact and term_exact
-    return out, exact
-
-
-@lru_cache(maxsize=None)
-def _l_term(n, mono, top, spec, j_max):
-    l = spec.l
-    out = State.zero()
-    exact = True
-
-    # creation * annihilation pairings (for n = 0 this is the weight count)
-    floor = max(0, n)
-    for (i, j, q), mult in mono.distinct():
-        if q > floor:
-            out += State.term(mono.without(i, j, q).times(i, j, q - n), top, q * mult)
-
-    # annihilation * annihilation, both factors acting on variables of w
-    if n >= 2:
-        seen = {(i, j) for (i, j, _q) in mono}
-        for p in range(1, n // 2 + 1):
-            q = n - p
-            for i, j in sorted(seen):
-                mp = mono.multiplicity(i, j, p)
-                mq = mono.multiplicity(i, j, q)
-                if p == q:
-                    if mq >= 2:
-                        coeff = Fraction(p * q, 2) * l * mq * (mq - 1)
-                        out += State.term(
-                            mono.without(i, j, p).without(i, j, q), top, coeff
-                        )
-                elif mp >= 1 and mq >= 1:
-                    coeff = p * q * l * mp * mq
-                    out += State.term(
-                        mono.without(i, j, p).without(i, j, q), top, coeff
-                    )
-
-    if spec.is_adjoint():
-        return out, exact
-
-    # zero mode * annihilation: a(n) kills all but finitely many variables
-    if n >= 1:
-        for (i, j, q), mult in mono.distinct():
-            if q == n:
-                matrix = spec.zero_mode_matrix(i, j)
-                if matrix.is_zero():
-                    continue
-                base = mono.without(i, j, n)
-                for t in range(spec.r):
-                    entry = matrix[t, top]
-                    if entry:
-                        out += State.term(base, t, n * mult * entry)
-
-    # doubly-zero-mode part of L(0): geometric series summed in closed form
-    if n == 0:
-        total = spec.h_square_sum()
-        if not total.is_zero():
-            scale = 1 / (2 * l * (1 - spec.c**2))
-            for t in range(spec.r):
-                entry = total[t, top]
-                if entry:
-                    out += State.term(mono, t, scale * entry)
-
-    # creation * zero-mode tail of L(-1): infinite in j unless c = 0
-    if n == -1:
-        for i in range(1, spec.d + 1):
-            H = spec.H[i - 1]
-            if H.is_zero():
-                continue
-            if spec.c == 0:
-                powers = [0]
-            else:
-                powers = range(j_max + 1)
-                exact = False
-            for j in powers:
-                cj = spec.c**j
-                for t in range(spec.r):
-                    entry = H[t, top]
-                    if entry:
-                        out += State.term(mono.times(i, j, 1), t, cj * entry / l)
-
-    return out, exact
+    out, exact = operators(spec, j_max).l(n, w.terms)
+    return _state(out), exact
 
 
 def d_apply(v):
@@ -336,44 +404,44 @@ def merge_reports(reports, identity, params):
 
 
 def _sweep(identity, params, spec, tr, defect_of):
+    """Run defect_of on every basis label within tr; a defect is a term dict."""
     checked = 0
-    max_defect = Fraction(0)
+    max_defect = 0
     counterexample = None
-    for mono, top in module_basis(spec, tr.max_wt, tr.max_nwt):
-        w = State.term(mono, top)
-        defect = defect_of(w)
+    for label in module_basis(spec, tr.max_wt, tr.max_nwt):
+        defect = defect_of(label)
         checked += 1
-        size = defect.max_abs_coeff()
-        if size > 0:
+        if defect:
             if counterexample is None:
-                counterexample = w
+                counterexample = State.term(*label)
+            size = max(abs(c) for c in defect.values())
             if size > max_defect:
                 max_defect = size
+    max_defect = Fraction(max_defect)
     return Report(identity, params, checked, max_defect == 0, max_defect, counterexample)
 
 
 def _exact(pair):
-    state, exact = pair
+    terms, exact = pair
     if not exact:
         raise ValueError(
             "identity check hit a truncated L(-1) tail; "
             "restrict to exact configurations (c = 0 or trivial top action)"
         )
-    return state
+    return terms
 
 
 def check_l_mode_commutator(n, gen, k, spec, tr):
     """Verify [L(n), a(k)] = -k a(n+k) on every basis state within tr."""
     i, j = gen
-    a_k = ModeOp(GenIndex(i, j), k)
-    a_nk = ModeOp(GenIndex(i, j), n + k)
+    ops = operators(spec, tr.j_max)
 
-    def defect_of(w):
-        lhs = _exact(l_apply(n, apply_mode(a_k, w, spec), spec, tr)) - apply_mode(
-            a_k, _exact(l_apply(n, w, spec, tr)), spec
-        )
-        rhs = apply_mode(a_nk, w, spec).scale(-k)
-        return lhs - rhs
+    def defect_of(label):
+        w = {label: 1}
+        defect = _exact(ops.l(n, ops.mode(i, j, k, w)))
+        _axpy(defect, -1, ops.mode(i, j, k, _exact(ops.l(n, w))))
+        _axpy(defect, k, ops.mode(i, j, n + k, w))
+        return defect
 
     params = {"n": n, "gen": [i, j], "k": k}
     return _sweep("l-mode-commutator", params, spec, tr, defect_of)
@@ -385,13 +453,14 @@ def check_virasoro(m, n, spec, tr):
         raise ValueError("Virasoro generators exist only for indices >= -1")
     if m + n < -1 and m != n:
         raise ValueError("L(%d) is not defined; need m+n >= -1 or m = n" % (m + n))
+    ops = operators(spec, tr.j_max)
 
-    def defect_of(w):
-        lm_ln = _exact(l_apply(m, _exact(l_apply(n, w, spec, tr)), spec, tr))
-        ln_lm = _exact(l_apply(n, _exact(l_apply(m, w, spec, tr)), spec, tr))
-        defect = lm_ln - ln_lm
+    def defect_of(label):
+        w = {label: 1}
+        defect = _exact(ops.l(m, _exact(ops.l(n, w))))
+        _axpy(defect, -1, _exact(ops.l(n, _exact(ops.l(m, w)))))
         if m != n:
-            defect = defect - _exact(l_apply(m + n, w, spec, tr)).scale(m - n)
+            _axpy(defect, n - m, _exact(ops.l(m + n, w)))
         return defect
 
     params = {"m": m, "n": n}
@@ -404,19 +473,22 @@ def check_field_commutator(n, a_state, k, spec, tr):
     A must be doubly homogeneous; the right side runs over m = -1..n.
     """
     grading(a_state)
-    adj = spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l)
-    lm_a = [(m, _exact(l_apply(m, a_state, adj))) for m in range(-1, n + 1)]
+    ops = operators(spec, tr.j_max)
+    adj = ops if spec.is_adjoint() else operators(ModuleSpec.adjoint(spec.d, spec.l), 0)
+    rhs = []
+    for m in range(-1, n + 1):
+        lma = _exact(adj.l(m, a_state.terms))
+        if lma:
+            rhs.append((k + n - m, math.comb(n + 1, m + 1), _vertex_labels(_state(lma))))
+    a_labels = _vertex_labels(a_state)
 
-    def defect_of(w):
-        lhs = _exact(
-            l_apply(n, vertex_mode(a_state, k, w, spec), spec, tr)
-        ) - vertex_mode(a_state, k, _exact(l_apply(n, w, spec, tr)), spec)
-        rhs = State.zero()
-        for m, lma in lm_a:
-            if lma.is_zero():
-                continue
-            rhs += vertex_mode(lma, k + n - m, w, spec).scale(math.comb(n + 1, m + 1))
-        return lhs - rhs
+    def defect_of(label):
+        w = {label: 1}
+        defect = _exact(ops.l(n, ops.vertex(a_labels, k, w)))
+        _axpy(defect, -1, ops.vertex(a_labels, k, _exact(ops.l(n, w))))
+        for mode_k, binom, lma in rhs:
+            _axpy(defect, -binom, ops.vertex(lma, mode_k, w))
+        return defect
 
     params = {"n": n, "A": a_state.to_json(), "k": k}
     return _sweep("field-commutator", params, spec, tr, defect_of)
@@ -429,17 +501,20 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
     case the report is tagged "truncated": true.
     """
     hit_truncation = False
+    ops = operators(spec, tr.j_max)
 
-    def defect_of(w):
+    def defect_of(label):
         nonlocal hit_truncation
-        wt_w, nwt_w = grading(w)
+        mono, _top = label
+        wt_w, nwt_w = mono.weight(), mono.nwt()
+        w = {label: 1}
         if spec.is_adjoint():
-            l0w, _ = l_apply(0, w, spec, tr)
-            mismatch = l0w - w.scale(wt_w)
-            if not mismatch.is_zero():
+            mismatch, _ = ops.l(0, w)
+            _axpy(mismatch, -wt_w, w)
+            if mismatch:
                 return mismatch
         for j in j_values:
-            image, exact = l_apply(j, w, spec, tr)
+            image, exact = ops.l(j, w)
             if not exact:
                 if not allow_truncated:
                     raise ValueError(
@@ -447,10 +522,10 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
                         "to run the truncated computation"
                     )
                 hit_truncation = True
-            for (mono, top), coeff in image.terms.items():
-                if mono.nwt() != nwt_w or mono.weight() != wt_w - j:
-                    return State.term(mono, top, coeff)
-        return State.zero()
+            for key, coeff in image.items():
+                if key[0].nwt() != nwt_w or key[0].weight() != wt_w - j:
+                    return {key: coeff}
+        return {}
 
     params = {"j_values": j_values, "spec": spec.to_json()}
     report = _sweep("l0-grading", params, spec, tr, defect_of)
@@ -463,10 +538,12 @@ def check_d_equals_lminus1(spec, tr):
     """L(-1) agrees with the translation derivation on the adjoint module."""
     if not spec.is_adjoint():
         raise ValueError("d-equals-lminus1 is an adjoint-module identity")
+    ops = operators(spec, tr.j_max)
 
-    def defect_of(w):
-        lw, _ = l_apply(-1, w, spec, tr)
-        return lw - d_apply(w)
+    def defect_of(label):
+        defect, _ = ops.l(-1, {label: 1})
+        _axpy(defect, -1, d_apply(State.term(*label)).terms)
+        return defect
 
     params = {"spec": spec.to_json()}
     return _sweep("d-equals-lminus1", params, spec, tr, defect_of)

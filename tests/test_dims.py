@@ -11,6 +11,7 @@ from currentfock import (
     State,
     Truncation,
     bipartite_count,
+    bipartite_table,
     c1_quotient_dims,
     check_strong_grading,
     enumerate_basis,
@@ -37,6 +38,14 @@ class TestBipartiteCount:
         assert bipartite_count(1, 0, 4) == 5
         assert bipartite_count(1, 1, 2) == 2
         assert bipartite_count(1, 2, 3) == 6
+
+    def test_one_table_answers_every_cell(self):
+        for d in (1, 2, 3):
+            table = bipartite_table(d, 6, 3)
+            for m in range(4):
+                for n in range(7):
+                    count = len(enumerate_basis(d, m, n))
+                    assert table.get(m, n) == bipartite_count(d, m, n) == count
 
     def test_matches_enumeration(self):
         for d in (1, 2):

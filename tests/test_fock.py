@@ -1,6 +1,7 @@
 """Monomials, states, basis enumeration and single-mode actions."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from currentfock import (
     mode,
     module_basis,
 )
-from currentfock.vertexops import _l_term
+from currentfock.vertexops import operators
 
 
 def mono(*factors):
@@ -227,11 +228,26 @@ class TestModuleSpec:
         first, second = build(), build()
         assert first is not second
         assert first == second and hash(first) == hash(second)
-        w = mono((1, 0, 1), (1, 1, 2))
-        _l_term(0, w, 1, first, 0)
-        hits = _l_term.cache_info().hits
-        _l_term(0, w, 1, second, 0)
-        assert _l_term.cache_info().hits == hits + 1
+        assert operators(first, 0) is operators(second, 0)
+        assert operators.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModuleSpec.adjoint(1, 1),
+            ModuleSpec.evaluation(
+                2, Fraction(1, 2), Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+            ),
+        ],
+        ids=["adjoint", "jordan"],
+    )
+    def test_pickle_roundtrip(self, spec):
+        payload = pickle.dumps(spec)
+        loaded = pickle.loads(payload)
+        assert loaded == spec and hash(loaded) == hash(spec)
+        assert loaded.H == spec.H and hash(loaded.H[0]) == hash(spec.H[0])
+        # cached hashes are rebuilt on load: a string hashes differently in another process
+        assert b"_hash" not in payload
 
     def test_level_must_be_nonzero(self):
         with pytest.raises(ValueError):

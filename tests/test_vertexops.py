@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from currentfock import fock, vertexops
 from currentfock import (
     ModuleSpec,
     Monomial,
@@ -15,6 +18,7 @@ from currentfock import (
     adjoint_mode_matrix,
     apply_mode,
     check_field_commutator,
+    check_l0_grading,
     check_l_mode_commutator,
     check_virasoro,
     d_apply,
@@ -25,6 +29,8 @@ from currentfock import (
     module_basis,
     vertex_mode,
 )
+from currentfock.fock import EMPTY
+from currentfock.vertexops import _gbinom, operators
 
 
 def mono(*factors):
@@ -372,3 +378,130 @@ def test_vertex_mode_commutes_with_central_zero_modes(seed):
     lhs = apply_mode(z, vertex_mode(v, k, w, spec), spec)
     rhs = vertex_mode(v, k, apply_mode(z, w, spec), spec)
     assert lhs == rhs
+
+
+# L(n) = omega_{n+1} with omega = (1/2l) sum_{i, j <= nwt(w)} x_{i,j,1}^2: a second
+# implementation of L(n), through Y, sharing no code with the L(n) columns.
+OMEGA_SPECS = {
+    "adj-d%d-l%s" % (d, l): ModuleSpec.adjoint(d, l)
+    for d in (1, 2)
+    for l in (Fraction(1), Fraction(1, 2), Fraction(-2))
+}
+OMEGA_SPECS["eval-c0-d1"] = ModuleSpec.evaluation(1, 1, 0, (1,))
+OMEGA_SPECS["eval-c0-d2-jordan"] = ModuleSpec.evaluation(
+    2, Fraction(1, 2), 0, (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+)
+
+
+@pytest.mark.parametrize("spec", OMEGA_SPECS.values(), ids=OMEGA_SPECS.keys())
+def test_l_equals_omega_mode(spec):
+    for wmono, top in module_basis(spec, 3, 2):
+        w = State.term(wmono, top)
+        scale = 1 / (2 * spec.l)
+        omega = State(
+            {
+                (mono((i, j, 1), (i, j, 1)), 0): scale
+                for i in range(1, spec.d + 1)
+                for j in range(wmono.nwt() + 1)
+            }
+        )
+        for n in range(-1, 3):
+            lw, exact = l_apply(n, w, spec)
+            assert exact
+            assert lw == vertex_mode(omega, n + 1, w, spec), (wmono, top, n)
+
+
+def test_gbinom_is_an_exact_int():
+    for m in range(-6, 7):
+        for r in range(5):
+            expected = Fraction(1)
+            for s in range(r):
+                expected *= Fraction(m - s, s + 1)
+            got = _gbinom(m, r)
+            assert type(got) is int and got == expected
+
+
+def assert_int_first(state):
+    for coeff in state.terms.values():
+        assert type(coeff) in (int, Fraction)
+        assert (type(coeff) is int) == (Fraction(coeff).denominator == 1)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def spec_and_state(draw):
+    l = draw(SMALL.filter(lambda x: x != 0))
+    if draw(st.booleans()):
+        spec = ModuleSpec.adjoint(draw(st.integers(1, 2)), l)
+    else:
+        c = draw(SMALL.filter(lambda x: x * x != 1))
+        lam = draw(SMALL)
+        H = [[[lam, 1], [0, lam]]] if draw(st.booleans()) else None
+        spec = ModuleSpec.evaluation(1, l, c, (lam,), H=H)
+    labels = module_basis(spec, 2, 1)
+    picked = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=2, unique=True))
+    coeffs = draw(st.lists(SMALL.filter(lambda x: x != 0), min_size=2, max_size=2))
+    return spec, State(dict(zip(picked, coeffs)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec_and_state())
+def test_coefficients_are_int_first(case):
+    spec, w = case
+    tr = Truncation(2, 2, 1)
+    for n in range(-1, 3):
+        assert_int_first(l_apply(n, w, spec, tr)[0])
+    for vmono, _top in module_basis(ModuleSpec.adjoint(spec.d, spec.l), 2, 1):
+        for k in (-2, 0, 1):
+            assert_int_first(vertex_mode(State.term(vmono), k, w, spec))
+    for j in (0, 1):
+        for k in (-1, 0, 1, 2):
+            assert_int_first(apply_mode(mode(1, j, k), w, spec))
+    # L(2) x_{1,1,1}^2 = l*vacuum leaves the bigrade, so this defect is nonzero
+    rep = check_l0_grading(spec, tr, [2], allow_truncated=True)
+    assert type(rep.max_defect) is Fraction and rep.max_defect > 0
+
+
+def test_returned_states_do_not_alias_compiled_columns():
+    spec = ModuleSpec.evaluation(1, Fraction(1, 2), Fraction(1, 3), (1,), H=[[[1, 1], [0, 1]]])
+    w = State.term(mono((1, 0, 1), (1, 1, 2)), 1)
+    v = State.term(mono((1, 0, 1), (1, 0, 1)))
+    calls = [
+        lambda: l_apply(0, w, spec)[0],
+        lambda: l_apply(-1, w, spec, Truncation(3, 2, 2))[0],
+        lambda: vertex_mode(v, -1, w, spec),
+        lambda: vertex_mode(v, 2, w, spec),
+        lambda: apply_mode(mode(1, 0, 1), w, spec),
+    ]
+    for call in calls:
+        first = call()
+        expected = dict(first.terms)
+        assert expected
+        for key in first.terms:
+            first.terms[key] = 12345
+        first.terms[(EMPTY, 0)] = 7
+        assert call().terms == expected
+
+
+def test_vertex_columns_are_compiled_once_per_command():
+    # the module and the adjoint one (for L(m)A) share the registry without evicting
+    spec = ModuleSpec.evaluation(1, Fraction(5, 7), 0, (2,))
+    tr = Truncation(3, 2, 0)
+    a = State.term(mono((1, 0, 1), (1, 1, 1)))
+    assert check_field_commutator(1, a, -1, spec, tr).defect_zero
+    ops = operators(spec, 0)
+    compiled = dict(ops._vertex)
+    assert compiled
+    assert check_field_commutator(1, a, -1, spec, tr).defect_zero
+    assert operators(spec, 0) is ops
+    assert ops._vertex == compiled
+
+
+@pytest.mark.parametrize("module", [fock, vertexops], ids=["fock", "vertexops"])
+def test_no_unbounded_caches(module):
+    for name, value in vars(module).items():
+        info = getattr(value, "cache_info", None)
+        if callable(info):
+            assert info().maxsize is not None, name
