@@ -9,7 +9,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import random
 import sys
@@ -115,10 +114,6 @@ def _open_out(path):
         raise ConfigError("cannot write --out: %s" % err)
 
 
-def _write_output(text, args):
-    args.stream.write(text)
-
-
 def _report_text(report):
     lines = [
         "identity: %s" % report.identity,
@@ -138,7 +133,7 @@ def _report_text(report):
 
 def _emit_report(report, args):
     if args.format == "json":
-        _write_output(json.dumps(report.to_json(), sort_keys=True) + "\n", args)
+        args.stream.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     elif args.format == "csv":
         row = [
             report.identity,
@@ -148,9 +143,9 @@ def _emit_report(report, args):
             rat_str(report.max_defect),
         ]
         header = "identity,params,states_checked,defect_zero,max_defect\n"
-        _write_output(header + ",".join('"%s"' % f.replace('"', '""') for f in row) + "\n", args)
+        args.stream.write(header + ",".join('"%s"' % f.replace('"', '""') for f in row) + "\n")
     else:
-        _write_output(_report_text(report), args)
+        args.stream.write(_report_text(report))
     return EXIT_OK if report.defect_zero else EXIT_COUNTEREXAMPLE
 
 
@@ -214,7 +209,7 @@ def _verify_plan(args, spec, tr):
         return identity, params, checks
     if identity == "strong-grading":
         sample = _sample_modes(spec, args, random.Random(args.seed))
-        check = partial(dims_mod.check_strong_grading, spec, tr, sample)
+        check = partial(vertexops.check_strong_grading, spec, tr, sample)
         return identity, None, [check]
     if identity == "l0-grading":
         j_values = _parse_range(args.j_range)
@@ -252,11 +247,8 @@ def _cmd_dims(args):
             gf = product.get(m, n)
             if not (enum == dp == gf):
                 agree = False
-            if paper is not None:
-                ct = paper.get(m, n)
-                rows.append((m, n, enum, dp, gf, str(ct), str(enum - ct)))
-            else:
-                rows.append((m, n, enum, dp, gf, "", ""))
+            ct = None if paper is None else paper.get(m, n)
+            rows.append((m, n, enum, dp, gf, ct, None if ct is None else enum - ct))
     meta = {"d": d, "max_p": P, "max_q": Q}
     if args.format == "json":
         payload = {
@@ -268,20 +260,18 @@ def _cmd_dims(args):
                     "enum": enum,
                     "dp": dp,
                     "gf_product": gf,
-                    "gf_paper_ct": None if ct == "" else int(ct),
-                    "diff": None if diff == "" else int(diff),
+                    "gf_paper_ct": ct,
+                    "diff": diff,
                 }
                 for m, n, enum, dp, gf, ct, diff in rows
             ],
         }
-        _write_output(json.dumps(payload, sort_keys=True) + "\n", args)
+        args.stream.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        out = io.StringIO()
-        out.write("# d=%d,max_p=%d,max_q=%d\n" % (d, P, Q))
-        out.write("m,n,enum,dp,gf_product,gf_paper_ct,diff\n")
-        for m, n, enum, dp, gf, ct, diff in rows:
-            out.write("%d,%d,%d,%d,%d,%s,%s\n" % (m, n, enum, dp, gf, ct, diff))
-        _write_output(out.getvalue(), args)
+        args.stream.write("# d=%d,max_p=%d,max_q=%d\n" % (d, P, Q))
+        args.stream.write("m,n,enum,dp,gf_product,gf_paper_ct,diff\n")
+        for row in rows:
+            args.stream.write(",".join("" if x is None else str(x) for x in row) + "\n")
     return EXIT_OK if agree else EXIT_COUNTEREXAMPLE
 
 
@@ -317,7 +307,7 @@ def _cmd_module(args):
             value = repcat.casimir_scalar(_parse_lambda(args.lam), rat(args.c))
         except ValueError as err:
             raise ConfigError(str(err))
-        _write_output(json.dumps(rat_str(value)) + "\n", args)
+        args.stream.write(json.dumps(rat_str(value)) + "\n")
         return EXIT_OK
     if action == "vacuum":
         spec = _build_spec(args)
@@ -328,13 +318,15 @@ def _cmd_module(args):
             "bigrades_scanned": {"max_wt": tr.max_wt, "max_nwt": tr.max_nwt},
             "basis": [s.to_json() for s in states],
         }
-        _write_output(json.dumps(payload, sort_keys=True) + "\n", args)
+        args.stream.write(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_OK
     if action == "logcheck":
         if args.H is None or args.c is None:
             raise ConfigError("logcheck needs --H and --c")
         H = _decode_json("--H", args.H, _matrices)
         r = H[0].rows
+        if any(m.rows != r or m.cols != r for m in H):
+            raise ConfigError("--H must hold square matrices of one size")
         if args.lam is not None:
             lam = _parse_lambda(args.lam)
         else:
@@ -347,9 +339,8 @@ def _cmd_module(args):
             genuine, blocks = repcat.is_genuine_logarithmic(spec)
         except ValueError as err:
             raise ConfigError(str(err))
-        _write_output(
-            json.dumps({"blocks": blocks, "genuine": genuine}, sort_keys=True) + "\n",
-            args,
+        args.stream.write(
+            json.dumps({"blocks": blocks, "genuine": genuine}, sort_keys=True) + "\n"
         )
         return EXIT_OK
     if action == "homdim":
@@ -362,7 +353,7 @@ def _cmd_module(args):
             )
         except ValueError as err:
             raise ConfigError(str(err))
-        _write_output(json.dumps(dim) + "\n", args)
+        args.stream.write(json.dumps(dim) + "\n")
         return EXIT_OK
     raise ConfigError("unknown module action %r" % action)
 

@@ -1,4 +1,4 @@
-"""Bigraded dimension tables, strong-grading sweeps and C1 quotient dimensions.
+"""Bigraded dimension tables and C1 quotient dimensions.
 
 The dimension of the doubly homogeneous subspace with nwt m and weight n is
 the number of d-colored bipartite partitions (m, n) = sum_j (m_j, n_j) with
@@ -14,17 +14,19 @@ sum p'(k,m) x^k q^m = 1/(x; q)_inf.  The matched-index pairing of the two
 factors does not biject with multisets of pairs, so this column genuinely
 differs from the other three (first at (m, n) = (2, 3): 5 against 6); it is
 reported as a diagnostic with a diff column rather than silently dropped.
+
+The C1 quotient applies the modes u_{-1} through the shared column maps of
+`vertexops.operators` and reads each intersection dimension off two ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactmath import RatMatrix, rank
-from .fock import State, _image_rows, enumerate_basis, grading, module_basis
-from .vertexops import _sweep, vertex_mode
+from .fock import _image_rows, enumerate_basis, module_basis
+from .vertexops import operators
 
 
 @dataclass
@@ -171,14 +173,20 @@ def gf_paper_ct(P, Q):
     return table
 
 
-@lru_cache(maxsize=None)
 def partitions_exact_parts(k, n):
-    """p(k, n): partitions of n into exactly k positive parts."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n < k:
+    """p(k, n): partitions of n into exactly k positive parts.
+
+    Taking one from every part leaves a partition of n - k into at most k
+    parts, which by conjugation is one into parts of size at most k; those
+    are counted by one small table per call.
+    """
+    if k < 0 or n < k:
         return 0
-    return partitions_exact_parts(k - 1, n - 1) + partitions_exact_parts(k, n - k)
+    ways = [1] + [0] * (n - k)
+    for part in range(1, k + 1):
+        for total in range(part, n - k + 1):
+            ways[total] += ways[total - part]
+    return ways[n - k]
 
 
 def partitions_nonneg_parts(k, m):
@@ -190,56 +198,20 @@ def partitions_nonneg_parts(k, m):
     return partitions_exact_parts(k, m + k)
 
 
-def check_strong_grading(spec, tr, sample):
-    """Sweep the grading containments over sampled modes against all basis states.
-
-    For each sampled (v, j) with v doubly homogeneous of bigrade (wt_v, m)
-    and every basis state w of bigrade (wt_w, k) within tr, every term of
-    v_j w must have nwt <= m + k and weight exactly wt_w + wt_v - j - 1.
-    """
-    graded_sample = []
-    for v, j in sample:
-        wt_v, nwt_v = grading(v)
-        graded_sample.append((v, j, wt_v, nwt_v))
-
-    def defect_of(label):
-        mono, top = label
-        wt_w, nwt_w = mono.weight(), mono.nwt()
-        w = State.term(mono, top)
-        for v, j, wt_v, nwt_v in graded_sample:
-            image = vertex_mode(v, j, w, spec)
-            for key, coeff in image.terms.items():
-                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1:
-                    return {key: coeff}
-        return {}
-
-    if grading(State.vacuum()) != (0, 0):
-        raise AssertionError("the vacuum must sit in bigrade (0, 0)")
-    params = {
-        "sample": [[v.to_json(), j] for v, j, _w, _m in graded_sample],
-    }
-    return _sweep("strong-grading", params, spec, tr, defect_of)
-
-
 def c1_quotient_dims(spec, tr):
     """Per-bigrade dimensions of W / C1(W) within the truncation.
 
     C1 generators are u_{-1} w for doubly homogeneous u of positive weight;
-    for the target nwt stratum m only u with nwt(u) <= m are used, and the
-    span is intersected with each bigrade exactly (dim(S cap U) computed from
-    ranks).  Entries are dim W^(m)_(n) minus the span dimension.
+    for the target nwt stratum m only u with nwt(u) <= m are used.  Their
+    span S in weight n is intersected exactly with the coordinate subspace U
+    of the bigrade (m, n): dim(S cap U) = rank(S) - rank(S with the columns
+    of U deleted).  Entries are dim W^(m)_(n) minus that intersection.
     """
-    nwt_cap = 2 * tr.max_nwt
-    # labels and W-dimensions per weight stratum
+    ops = operators(spec, tr.j_max)
+    # labels up to nwt 2 * max_nwt hold every image, grouped by weight
     labels_by_wt = {}
-    for n in range(tr.max_wt + 1):
-        labels = []
-        for m in range(nwt_cap + 1):
-            for mono in enumerate_basis(spec.d, m, n):
-                for top in range(spec.r):
-                    labels.append((mono, top))
-        labels_by_wt[n] = labels
-
+    for label in module_basis(spec, tr.max_wt, 2 * tr.max_nwt):
+        labels_by_wt.setdefault(label[0].weight(), []).append(label)
     module_labels = module_basis(spec, tr.max_wt, tr.max_nwt)
 
     table = DimTable(d=spec.d)
@@ -257,28 +229,18 @@ def c1_quotient_dims(spec, tr):
                 wt_u = u.weight()
                 if wt_u > n:
                     continue
-                u_state = State.term(u)
-                for mono, top in module_labels:
-                    if mono.weight() != n - wt_u:
-                        continue
-                    image = vertex_mode(u_state, -1, State.term(mono, top), spec)
-                    if not image.is_zero():
-                        images.append(image)
+                for label in module_labels:
+                    if label[0].weight() == n - wt_u:
+                        image = ops.vertex([(u, 1)], -1, {label: 1})
+                        if image:
+                            images.append(image)
             span = _image_rows(images, labels)
-            bigrade_positions = [
-                pos for pos, (mono, _top) in enumerate(labels) if mono.nwt() == target_m
-            ]
-            dim_w = len(bigrade_positions)
+            in_bigrade = [mono.nwt() == target_m for mono, _top in labels]
+            dim_w = sum(in_bigrade)
+            intersection = 0
             if span:
-                span_rank = rank(RatMatrix(span, cols=len(labels)))
-                stacked = list(span)
-                for pos in bigrade_positions:
-                    row = [Fraction(0)] * len(labels)
-                    row[pos] = Fraction(1)
-                    stacked.append(row)
-                sum_rank = rank(RatMatrix(stacked, cols=len(labels)))
-                intersection = span_rank + dim_w - sum_rank
-            else:
-                intersection = 0
+                rest = [[c for c, inside in zip(row, in_bigrade) if not inside]
+                        for row in span]
+                intersection = rank(RatMatrix(span)) - rank(RatMatrix(rest))
             table.entries[(target_m, n)] = dim_w - intersection
     return table

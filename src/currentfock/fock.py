@@ -429,7 +429,7 @@ def module_basis(spec, max_wt, max_nwt):
 
 
 def _image_rows(images, labels):
-    """One dense row per image state, its coefficients placed by basis label.
+    """One dense row per image term dict, its coefficients placed by basis label.
 
     Strict: a term whose label is not in `labels` raises KeyError, so a
     caller that truncates must drop such terms itself.
@@ -438,7 +438,7 @@ def _image_rows(images, labels):
     rows = []
     for image in images:
         row = [Fraction(0)] * len(labels)
-        for key, coeff in image.terms.items():
+        for key, coeff in image.items():
             row[index[key]] = coeff
         rows.append(row)
     return rows

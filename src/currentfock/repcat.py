@@ -25,14 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .exactmath import RatMatrix, jordan_structure, rank_nullspace, rat
-from .fock import (
-    GenIndex,
-    ModeOp,
-    State,
-    _check_top,
-    apply_mode,
-    enumerate_basis,
-)
+from .fock import GenIndex, State, _check_top, _mode_column, enumerate_basis
 
 
 @dataclass(frozen=True)
@@ -167,12 +160,12 @@ def vacuum_space(spec, tr):
         for i in range(1, spec.d + 1):
             for j in range(nwt + 1):
                 for n in range(1, wt + 1):
-                    op = ModeOp(GenIndex(i, j), n)
-                    # one row per output label of this mode, filled sparsely
+                    # one row per output label of this mode, filled sparsely; each
+                    # column is read once, so none is memoized
                     block = {}
                     for col, mono in enumerate(monos):
-                        image = apply_mode(op, State.term(mono), spec)
-                        for key, coeff in image.terms.items():
+                        column = _mode_column(spec, i, j, n, mono, 0)
+                        for key, coeff in column.items():
                             block.setdefault(key, [Fraction(0)] * size)[col] = coeff
                     rows.extend(block.values())
         matrix = RatMatrix(rows, cols=size) if rows else RatMatrix.zero(0, size)

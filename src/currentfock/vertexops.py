@@ -16,6 +16,15 @@ appear: the doubly-zero-mode part of L(0), which is summed in closed form as
 a geometric series (hence the c^2 != 1 requirement), and the creation times
 zero-mode tail of L(-1), which for c != 0 is genuinely infinite and is
 truncated at j <= j_max with an explicit exactness flag.
+
+Every internal use of these operators applies columns, dicts
+{(monomial, top): coefficient}, to term dicts of the same shape.  The
+identity checkers (Virasoro, mode and field commutators, L(0) grading,
+d = L(-1), strong grading) and the contragredient matrices here and the C1
+quotients in `dims` use the memoized columns of `Operators`; the vacuum
+spaces in `repcat` read each single-mode column `fock._mode_column` once,
+unmemoized.  `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode` are
+the public `State` API and are not called inside the package.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exactmath import RatMatrix, rat_str
 from .fock import (
@@ -53,16 +61,6 @@ class Truncation:
     def __post_init__(self):
         if self.max_wt < 0 or self.max_nwt < 0 or self.j_max < 0:
             raise ValueError("truncation bounds must be nonnegative")
-
-
-class VertexModeRequest(NamedTuple):
-    """A state v of M(l) labeling Y(v,z), together with one mode number k."""
-
-    v: State
-    k: int
-
-    def apply(self, w, spec):
-        return vertex_mode(self.v, self.k, w, spec)
 
 
 def _gbinom(m, r):
@@ -138,7 +136,7 @@ class Operators:
         return out
 
     def vertex(self, labels, k, terms):
-        """Y(v)_k applied to a term dict, v given by `_vertex_labels`; a fresh dict."""
+        """Y(v)_k applied to a term dict, v as (monomial, coefficient) pairs; a fresh dict."""
         out = {}
         for vmono, vcoeff in labels:
             for (wmono, wtop), wcoeff in terms.items():
@@ -340,12 +338,15 @@ def d_apply(v):
     Coincides with L(-1) on the adjoint module; implemented independently so
     the two can be checked against each other.
     """
-    out = State.zero()
-    for (mono, top), coeff in v.terms.items():
+    return _state(_translate(v.terms))
+
+
+def _translate(terms):
+    """`d_apply` on a term dict; a fresh dict."""
+    out = {}
+    for (mono, top), coeff in terms.items():
         for (i, j, q), mult in mono.distinct():
-            out += State.term(
-                mono.without(i, j, q).times(i, j, q + 1), top, coeff * q * mult
-            )
+            _axpy(out, coeff * q * mult, {(mono.without(i, j, q).times(i, j, q + 1), top): 1})
     return out
 
 
@@ -542,11 +543,40 @@ def check_d_equals_lminus1(spec, tr):
 
     def defect_of(label):
         defect, _ = ops.l(-1, {label: 1})
-        _axpy(defect, -1, d_apply(State.term(*label)).terms)
+        _axpy(defect, -1, _translate({label: 1}))
         return defect
 
     params = {"spec": spec.to_json()}
     return _sweep("d-equals-lminus1", params, spec, tr, defect_of)
+
+
+def check_strong_grading(spec, tr, sample):
+    """Sweep the grading containments over sampled modes against all basis states.
+
+    For each sampled (v, j) with v doubly homogeneous of bigrade (wt_v, m)
+    and every basis state w of bigrade (wt_w, k) within tr, every term of
+    v_j w must have nwt <= m + k and weight exactly wt_w + wt_v - j - 1.
+    """
+    graded_sample = []
+    params = {"sample": []}
+    for v, j in sample:
+        wt_v, nwt_v = grading(v)
+        graded_sample.append((j, _vertex_labels(v), wt_v, nwt_v))
+        params["sample"].append([v.to_json(), j])
+    ops = operators(spec, tr.j_max)
+
+    def defect_of(label):
+        mono, _top = label
+        wt_w, nwt_w = mono.weight(), mono.nwt()
+        for j, labels, wt_v, nwt_v in graded_sample:
+            for key, coeff in ops.vertex(labels, j, {label: 1}).items():
+                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1:
+                    return {key: coeff}
+        return {}
+
+    if grading(State.vacuum()) != (0, 0):
+        raise AssertionError("the vacuum must sit in bigrade (0, 0)")
+    return _sweep("strong-grading", params, spec, tr, defect_of)
 
 
 def adjoint_mode_matrix(v, n, spec, tr):
@@ -566,29 +596,28 @@ def adjoint_mode_matrix(v, n, spec, tr):
                 "contragredient matrices need an integer L(0) spectrum: "
                 "use the adjoint module or an evaluation module with c = 0, lambda = 0"
             )
-    adj = spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l)
+    adj = operators(spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l), 0)
 
+    # (mode k, coefficient, label) of each term L(1)^p v / p! of the expansion
+    sign = (-1) ** wt_v
     expansion = []
-    u = v
+    u = v.terms
     power = 0
-    while not u.is_zero():
-        expansion.append((power, u))
-        u = _exact(l_apply(1, u, adj))
+    while u:
+        scale = Fraction(sign, math.factorial(power))
+        expansion.append((2 * wt_v - n - power - 2, scale, _vertex_labels(_state(u))))
+        u = _exact(adj.l(1, u))
         power += 1
         if power > wt_v + 1:
             raise AssertionError("L(1) expansion failed to terminate")
 
+    ops = operators(spec, tr.j_max)
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
     kept = set(basis)
-    sign = (-1) ** wt_v
     images = []
-    for mono, top in basis:
-        w = State.term(mono, top)
-        image = State.zero()
-        for power, u in expansion:
-            k = 2 * wt_v - n - power - 2
-            image += vertex_mode(u, k, w, spec).scale(
-                Fraction(sign, math.factorial(power))
-            )
-        images.append(State({key: c for key, c in image.terms.items() if key in kept}))
+    for label in basis:
+        image = {}
+        for k, scale, labels in expansion:
+            _axpy(image, scale, ops.vertex(labels, k, {label: 1}))
+        images.append({key: c for key, c in image.items() if key in kept})
     return RatMatrix(_image_rows(images, basis), cols=len(basis))

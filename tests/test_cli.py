@@ -1,10 +1,15 @@
 """CLI surface: exit codes, output formats, determinism, round-trips."""
 
+import contextlib
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from currentfock.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 
@@ -456,9 +461,11 @@ class TestPlumbing:
             ("module", "homdim", "--tops", '{"r":1}', "r1:1@1", "r1:1@1"),
             ("module", "casimir", "--lambda", "1", "--c", "1/2",
              "--out", "/nonexistent/dir/x.json"),
+            ("module", "logcheck", "--H", "[[[]]]", "--c", "0"),
+            ("module", "logcheck", "--H", "[[1],[2]]", "--c", "0"),
         ],
         ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
-             "out-no-dir"],
+             "out-no-dir", "H-no-columns", "H-not-square"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -512,3 +519,128 @@ class TestPlumbing:
         assert code == EXIT_OK
         assert "defect_zero: true" in out
         assert "max_defect: 0" in out
+
+
+# Argv fuzz over small verify, dims and module commands.  Truncations stay at or
+# below (3, 2), ranges are short and rationals have small height, so every
+# example is fast.  Each draw may append one perturbation that is malformed by
+# construction; a later flag overrides an earlier one, so it always takes effect.
+RATS = ["1", "-1", "2", "1/2", "-1/3", "3/2", "0"]
+NONZERO = [x for x in RATS if x != "0"]
+SPEC_BAD = [["--l=0"], ["--d=0"], ["--max-nwt=-1"], ["--max-wt=x"], ["--format=xml"],
+            ["--kind=evaluation", "--c=0", "--H=[1]"]]
+VERIFY_FLAGS = {
+    "virasoro": {"--m-range": ["-1..1", "0..2", "2", "-1"],
+                 "--n-range": ["-1..1", "0..2", "-1"]},
+    "e1": {"--gen": ["1,0", "1,1"], "--n-range": ["-1..1", "0..2"],
+           "--k-range": ["-1..1", "0", "-2..0"]},
+    "field-commutator": {"--a-max-wt": ["0", "1"], "--a-max-nwt": ["0", "1"],
+                         "--n-range": ["-1..1", "0..1"], "--k-range": ["-1..1", "0"]},
+    "strong-grading": {"--v-max-wt": ["1", "2"], "--v-max-nwt": ["0", "1"],
+                       "--j-range": ["-1..1", "0..2"], "--sample-size": ["1", "4"],
+                       "--seed": ["0", "3"]},
+    "l0-grading": {"--j-range": ["-1..1", "2", "0..2"], "--j-max": ["0", "1", "2"]},
+    "d-equals-lminus1": {},
+}
+JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
+MODULE_BAD = {
+    "casimir": [["--c=1"], ["--lambda=x"]],
+    "vacuum": SPEC_BAD,
+    "logcheck": [["--H=[[[]]]"], ["--H=[[1],[2]]"], ["--H=[[1.5]]"], ["--l=0"]],
+    "homdim": [["--tops", "r1:1@1"], ["--tops", "r1:1@1", "r1:1@1", "bogus"]],
+}
+
+
+@st.composite
+def spec_flags(draw):
+    d = draw(st.integers(1, 2))
+    flags = ["--d=%d" % d, "--l=" + draw(st.sampled_from(NONZERO))]
+    if draw(st.booleans()):
+        lam = [draw(st.sampled_from(RATS)) for _ in range(d)]
+        flags += ["--kind=evaluation", "--c=" + draw(st.sampled_from(RATS)),
+                  "--lambda=" + ",".join(lam)]
+        if d == 1 and draw(st.booleans()):
+            flags.append("--H=" + json.dumps([[lam[0], "1"], ["0", lam[0]]]))
+    flags.append("--max-wt=%d" % draw(st.integers(0, 3)))
+    flags.append("--max-nwt=%d" % draw(st.integers(0, 2)))
+    return flags
+
+
+@st.composite
+def small_argv(draw):
+    """(argv, format, malformed): a small command and whether it is bad by construction."""
+    fmt = draw(st.sampled_from(["json", "csv", "text"]))
+    command = draw(st.sampled_from(["verify", "dims", "module"]))
+    if command == "verify":
+        identity = draw(st.sampled_from(sorted(VERIFY_FLAGS)))
+        argv = ["verify", identity] + draw(spec_flags())
+        for flag, values in sorted(VERIFY_FLAGS[identity].items()):
+            if draw(st.booleans()):
+                argv.append("%s=%s" % (flag, draw(st.sampled_from(values))))
+        bad = SPEC_BAD
+    elif command == "dims":
+        argv = ["dims", "--d=%d" % draw(st.integers(1, 2)),
+                "--max-p=%d" % draw(st.integers(0, 4)), "--max-q=%d" % draw(st.integers(0, 3))]
+        bad = [["--d=0"], ["--max-p=-1"], ["--max-q=-1"], ["--format=xml"]]
+    else:
+        action = draw(st.sampled_from(sorted(MODULE_BAD)))
+        argv = ["module", action]
+        if action == "casimir":
+            argv += ["--lambda=" + draw(st.sampled_from(["1", "1,-1", "1/2"])),
+                     "--c=" + draw(st.sampled_from(["0", "1/2", "-1/3", "2"]))]
+        elif action == "vacuum":
+            argv += draw(spec_flags())
+        elif action == "logcheck":
+            H = ["[[1,1],[0,1]]", "[[0,1],[0,0]]", "[[2]]", "[[[1,1],[0,1]],[[1,0],[0,1]]]"]
+            argv += ["--H=" + draw(st.sampled_from(H)), "--c=" + draw(st.sampled_from(RATS))]
+        else:
+            tops = ["r1:1@1", "r1:1@2", "r2:1@1", JORDAN_TOP]
+            argv += ["--tops"] + [draw(st.sampled_from(tops)) for _ in range(3)]
+        bad = MODULE_BAD[action]
+    argv.append("--format=" + fmt)
+    if draw(st.integers(0, 3)) == 0:
+        return argv + draw(st.sampled_from(bad)), fmt, True
+    return argv, fmt, False
+
+
+def counterexample_shown(command, fmt, out):
+    """Whether stdout reports a nonzero defect (verify) or disagreeing columns (dims)."""
+    if command == "verify":
+        if fmt == "json":
+            return json.loads(out)["defect_zero"] is False
+        if fmt == "text":
+            return "defect_zero: false\n" in out
+        return next(csv.reader(out.splitlines()[1:]))[3] == "false"
+    if command == "dims":
+        if fmt == "json":
+            rows = [(r["enum"], r["dp"], r["gf_product"]) for r in json.loads(out)["rows"]]
+        else:
+            rows = [tuple(line.split(",")[2:5]) for line in out.splitlines()[2:]]
+        return any(len(set(row)) > 1 for row in rows)
+    return False
+
+
+# L(2) x_{1,1,1}^2 = l * vacuum leaves the bigrade: a counterexample in each format
+L0_COUNTEREXAMPLE = ["verify", "l0-grading", "--j-range=2", "--max-wt=2", "--max-nwt=2"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(small_argv())
+@example((L0_COUNTEREXAMPLE + ["--format=json"], "json", False))
+@example((L0_COUNTEREXAMPLE + ["--format=csv"], "csv", False))
+@example((L0_COUNTEREXAMPLE + ["--format=text"], "text", False))
+def test_argv_fuzz_keeps_the_exit_code_contract(case):
+    argv, fmt, malformed = case
+    out, err = io.StringIO(), io.StringIO()
+    # an exception escaping main would print a traceback; here it fails the test
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if malformed:
+        assert code == EXIT_USAGE, argv
+    if code == EXIT_USAGE:
+        assert out == "" and "error:" in err, argv
+    else:
+        assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE) and err == "", argv
+        assert (code == EXIT_COUNTEREXAMPLE) == counterexample_shown(argv[0], fmt, out), argv

@@ -17,10 +17,13 @@ from currentfock import (
     enumerate_basis,
     gf_paper_ct,
     gf_product_count,
+    module_basis,
     partitions_exact_parts,
     partitions_nonneg_parts,
+    vertex_mode,
 )
-from currentfock.dims import LaurentSeries2, validate_dimension_table
+from currentfock.dims import DimTable, LaurentSeries2, validate_dimension_table
+from currentfock.exactmath import rank
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
@@ -216,3 +219,88 @@ class TestC1Quotients:
             totals.append(sum(table.get(1, n) for n in range(max_wt + 1)))
         assert totals[0] >= totals[1] >= totals[2]
         assert totals[1] == totals[2]
+
+
+def c1_quotient_dims_oracle(spec, tr):
+    """C1 quotients State by State through vertex_mode; dim(S cap U) from a stacked rank.
+
+    Each bigrade's coordinate subspace U is stacked under the span S as one
+    identity row per label, and dim(S cap U) = rank S + dim U - rank(S + U).
+    """
+    labels_by_wt = {
+        n: [
+            (w, top)
+            for m in range(2 * tr.max_nwt + 1)
+            for w in enumerate_basis(spec.d, m, n)
+            for top in range(spec.r)
+        ]
+        for n in range(tr.max_wt + 1)
+    }
+    module_labels = module_basis(spec, tr.max_wt, tr.max_nwt)
+    table = DimTable(d=spec.d)
+    for target_m in range(tr.max_nwt + 1):
+        gens = [
+            u
+            for wt_u in range(1, tr.max_wt + 1)
+            for nwt_u in range(target_m + 1)
+            for u in enumerate_basis(spec.d, nwt_u, wt_u)
+        ]
+        for n in range(tr.max_wt + 1):
+            labels = labels_by_wt[n]
+            index = {label: pos for pos, label in enumerate(labels)}
+            span = []
+            for u in gens:
+                for w_mono, top in module_labels:
+                    if w_mono.weight() != n - u.weight():
+                        continue
+                    image = vertex_mode(State.term(u), -1, State.term(w_mono, top), spec)
+                    if not image.is_zero():
+                        row = [Fraction(0)] * len(labels)
+                        for key, coeff in image.terms.items():
+                            row[index[key]] = coeff
+                        span.append(row)
+            positions = [pos for pos, (m, _t) in enumerate(labels) if m.nwt() == target_m]
+            intersection = 0
+            if span:
+                stacked = list(span)
+                for pos in positions:
+                    row = [Fraction(0)] * len(labels)
+                    row[pos] = Fraction(1)
+                    stacked.append(row)
+                intersection = (
+                    rank(RatMatrix(span, cols=len(labels)))
+                    + len(positions)
+                    - rank(RatMatrix(stacked, cols=len(labels)))
+                )
+            table.entries[(target_m, n)] = len(positions) - intersection
+    return table
+
+
+C1_CASES = {
+    "adj-d1": (ModuleSpec.adjoint(1, 1), ((2, 1), (3, 2), (4, 1), (4, 2))),
+    "adj-d2": (ModuleSpec.adjoint(2, Fraction(1, 2)), ((2, 1), (3, 2), (4, 1))),
+    "scalar-c0": (ModuleSpec.evaluation(1, 1, 0, (1,)), ((3, 2), (4, 2))),
+    "scalar-c1/2": (ModuleSpec.evaluation(1, -2, Fraction(1, 2), (2,)), ((3, 2), (4, 1))),
+    "jordan-d1-c1/3": (
+        ModuleSpec.evaluation(1, 1, Fraction(1, 3), (1,), H=[[[1, 1], [0, 1]]]),
+        ((3, 2), (4, 1)),
+    ),
+    # Fractions make the d = 2 Jordan block the slowest case; (3, 1) keeps it short
+    "jordan-d2-c1/3": (
+        ModuleSpec.evaluation(
+            2, 1, Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+        ),
+        ((2, 1), (3, 1)),
+    ),
+    "nilpotent-c0": (ModuleSpec.evaluation(1, 1, 0, (0,), H=[[[0, 1], [0, 0]]]), ((4, 2),)),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, bounds",
+    [(spec, b) for spec, bounds in C1_CASES.values() for b in bounds],
+    ids=["%s-%s" % (name, b) for name, (_s, bounds) in C1_CASES.items() for b in bounds],
+)
+def test_c1_quotient_dims_matches_stacked_rank_oracle(spec, bounds):
+    tr = Truncation(*bounds)
+    assert c1_quotient_dims(spec, tr).to_json() == c1_quotient_dims_oracle(spec, tr).to_json()

@@ -1,5 +1,6 @@
 """Vertex-operator modes, L(n), the translation operator and identity sweeps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,19 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from currentfock import fock, vertexops
+from currentfock import cli, dims, exactmath, fock, repcat, vertexops
 from currentfock import (
     ModuleSpec,
     Monomial,
     RatMatrix,
     State,
     Truncation,
-    VertexModeRequest,
     adjoint_mode_matrix,
     apply_mode,
     check_field_commutator,
     check_l0_grading,
     check_l_mode_commutator,
+    check_strong_grading,
     check_virasoro,
     d_apply,
     enumerate_basis,
@@ -117,11 +118,6 @@ class TestVertexMode:
                 for (m2, _t2), _c in out.terms.items():
                     assert m2.weight() == wmono.weight() + wt_v - k - 1
                     assert m2.nwt() <= wmono.nwt() + nwt_v
-
-    def test_request_wrapper(self):
-        req = VertexModeRequest(State.term(mono((1, 0, 1))), 1)
-        w = State.term(mono((1, 0, 1)))
-        assert req.apply(w, ADJ) == apply_mode(mode(1, 0, 1), w, ADJ)
 
 
 class TestLApply:
@@ -485,23 +481,92 @@ def test_returned_states_do_not_alias_compiled_columns():
         assert call().terms == expected
 
 
-def test_vertex_columns_are_compiled_once_per_command():
+A_LABEL = State.term(mono((1, 0, 1), (1, 1, 1)))
+VERTEX_SWEEPS = {
     # the module and the adjoint one (for L(m)A) share the registry without evicting
+    "field-commutator": lambda spec, tr: check_field_commutator(1, A_LABEL, -1, spec, tr),
+    "strong-grading": lambda spec, tr: check_strong_grading(
+        spec, tr, [(A_LABEL, -1), (State.term(mono((1, 0, 2))), 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", VERTEX_SWEEPS.values(), ids=VERTEX_SWEEPS.keys())
+def test_vertex_columns_are_compiled_once_per_command(sweep):
     spec = ModuleSpec.evaluation(1, Fraction(5, 7), 0, (2,))
     tr = Truncation(3, 2, 0)
-    a = State.term(mono((1, 0, 1), (1, 1, 1)))
-    assert check_field_commutator(1, a, -1, spec, tr).defect_zero
+    assert sweep(spec, tr).defect_zero
     ops = operators(spec, 0)
     compiled = dict(ops._vertex)
     assert compiled
-    assert check_field_commutator(1, a, -1, spec, tr).defect_zero
+    assert sweep(spec, tr).defect_zero
     assert operators(spec, 0) is ops
     assert ops._vertex == compiled
 
 
-@pytest.mark.parametrize("module", [fock, vertexops], ids=["fock", "vertexops"])
+MODULES = [cli, dims, exactmath, fock, repcat, vertexops]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.__name__.split(".")[-1] for m in MODULES])
 def test_no_unbounded_caches(module):
     for name, value in vars(module).items():
         info = getattr(value, "cache_info", None)
         if callable(info):
             assert info().maxsize is not None, name
+
+
+def adjoint_mode_matrix_oracle(v, n, spec, tr):
+    """The contragredient matrix built State by State through l_apply and vertex_mode."""
+    wt_v, _nwt_v = grading(v)
+    adj = spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l)
+    expansion = []
+    u = v
+    while not u.is_zero():
+        expansion.append((len(expansion), u))
+        u, exact = l_apply(1, u, adj)
+        assert exact
+    basis = module_basis(spec, tr.max_wt, tr.max_nwt)
+    index = {label: pos for pos, label in enumerate(basis)}
+    rows = []
+    for mono_w, top in basis:
+        w = State.term(mono_w, top)
+        image = State.zero()
+        for power, u in expansion:
+            k = 2 * wt_v - n - power - 2
+            image += vertex_mode(u, k, w, spec).scale(
+                Fraction((-1) ** wt_v, math.factorial(power))
+            )
+        row = [Fraction(0)] * len(basis)
+        for key, coeff in image.terms.items():
+            if key in index:
+                row[index[key]] = coeff
+        rows.append(row)
+    return RatMatrix(rows, cols=len(basis))
+
+
+CONTRAGREDIENT_SPECS = {
+    "adj-d1": ModuleSpec.adjoint(1, 1),
+    "adj-d2": ModuleSpec.adjoint(2, Fraction(1, 2)),
+    "scalar-c0": ModuleSpec.evaluation(1, Fraction(-2), 0, (0,)),
+    "nilpotent-c0": ModuleSpec.evaluation(1, 1, 0, (0,), H=[[[0, 1], [0, 0]]]),
+    "jordan-d2-c0": ModuleSpec.evaluation(
+        2, 2, 0, (0, 0), H=[[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+    ),
+}
+CONTRAGREDIENT_LABELS = [
+    State.vacuum(),
+    State.term(mono((1, 0, 1))),
+    State.term(mono((1, 1, 1), (1, 0, 1))),
+    State.term(mono((1, 0, 2)), coeff=Fraction(2, 3)) - State.term(mono((1, 0, 1), (1, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("tr", [Truncation(2, 1), Truncation(3, 2), Truncation(4, 2)], ids=str)
+@pytest.mark.parametrize(
+    "spec", CONTRAGREDIENT_SPECS.values(), ids=CONTRAGREDIENT_SPECS.keys()
+)
+def test_adjoint_mode_matrix_matches_state_level_oracle(spec, tr):
+    for v in CONTRAGREDIENT_LABELS:
+        for n in (-2, 0, 1):
+            got = adjoint_mode_matrix(v, n, spec, tr).to_json()
+            assert got == adjoint_mode_matrix_oracle(v, n, spec, tr).to_json(), (v, n)
