@@ -170,6 +170,8 @@ def _verify_plan(args, spec, tr):
     whole-basis check returns params None and its report names its own.
     """
     identity = args.identity
+    if args.j_range is None:
+        args.j_range = "-1..1" if identity == "l0-grading" else "-2..2"
     if identity == "virasoro":
         checks = [
             partial(vertexops.check_virasoro, m, n, spec, tr)
@@ -423,7 +425,9 @@ def build_parser():
     verify.add_argument("--a-max-nwt", type=int, default=1)
     verify.add_argument("--v-max-wt", type=int, default=2)
     verify.add_argument("--v-max-nwt", type=int, default=2)
-    verify.add_argument("--j-range", default="-2..2")
+    verify.add_argument(
+        "--j-range", default=None, help="default -2..2; -1..1 for l0-grading"
+    )
     verify.add_argument("--sample-size", type=int, default=None)
     _add_common(verify)
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmath import RatMatrix, rank
-from .fock import _image_rows, enumerate_basis, module_basis
+from .exactmath import rank
+from .fock import enumerate_basis, module_basis
 from .vertexops import operators
 
 
@@ -205,13 +205,10 @@ def c1_quotient_dims(spec, tr):
     for the target nwt stratum m only u with nwt(u) <= m are used.  Their
     span S in weight n is intersected exactly with the coordinate subspace U
     of the bigrade (m, n): dim(S cap U) = rank(S) - rank(S with the columns
-    of U deleted).  Entries are dim W^(m)_(n) minus that intersection.
+    of U deleted), the images themselves being the sparse rows.  Entries are
+    dim W^(m)_(n) minus that intersection.
     """
     ops = operators(spec, tr.j_max)
-    # labels up to nwt 2 * max_nwt hold every image, grouped by weight
-    labels_by_wt = {}
-    for label in module_basis(spec, tr.max_wt, 2 * tr.max_nwt):
-        labels_by_wt.setdefault(label[0].weight(), []).append(label)
     module_labels = module_basis(spec, tr.max_wt, tr.max_nwt)
 
     table = DimTable(d=spec.d)
@@ -223,7 +220,6 @@ def c1_quotient_dims(spec, tr):
             for u in enumerate_basis(spec.d, nwt_u, wt_u)
         ]
         for n in range(tr.max_wt + 1):
-            labels = labels_by_wt[n]
             images = []
             for u in gens:
                 wt_u = u.weight()
@@ -231,16 +227,12 @@ def c1_quotient_dims(spec, tr):
                     continue
                 for label in module_labels:
                     if label[0].weight() == n - wt_u:
-                        image = ops.vertex([(u, 1)], -1, {label: 1})
-                        if image:
-                            images.append(image)
-            span = _image_rows(images, labels)
-            in_bigrade = [mono.nwt() == target_m for mono, _top in labels]
-            dim_w = sum(in_bigrade)
-            intersection = 0
-            if span:
-                rest = [[c for c, inside in zip(row, in_bigrade) if not inside]
-                        for row in span]
-                intersection = rank(RatMatrix(span)) - rank(RatMatrix(rest))
+                        images.append(ops.vertex([(u, 1)], -1, {label: 1}))
+            rest = [
+                {key: c for key, c in image.items() if key[0].nwt() != target_m}
+                for image in images
+            ]
+            dim_w = spec.r * len(enumerate_basis(spec.d, target_m, n))
+            intersection = rank(images) - rank(rest)
             table.entries[(target_m, n)] = dim_w - intersection
     return table

@@ -1,9 +1,15 @@
-"""Exact rational scalars and dense rational linear algebra.
+"""Exact rational scalars, rational matrices and one sparse elimination.
 
-Scalars are `fractions.Fraction` everywhere: arbitrary precision, always in
-lowest terms, positive denominator, zero is 0/1.  No floating point enters
-the package at any point; every computation downstream of this module is an
-exact identity over the rationals.
+Scalars are exact rationals: a Python `int` where a value is integral and a
+`fractions.Fraction` otherwise (`RatMatrix` stores Fractions).  No floating
+point enters the package at any point; every computation downstream of this
+module is an exact identity over the rationals.
+
+Every exact rank and kernel goes through `_echelon`, a forward elimination
+over sparse rows {column: coefficient} whose columns may be any mutually
+ordered keys, so callers hand their term dicts straight in.  `rank` counts
+its pivots; `rank_nullspace` reads a canonical basis off the reduced row
+echelon form `_rref` builds from it.
 
 Serialization convention: a rational renders as ``"num/den"`` with the
 denominator omitted when it is 1 (``"-3/4"``, ``"7"``).  This is exactly what
@@ -35,7 +41,8 @@ class RatMatrix:
     """Immutable dense matrix over the rationals.
 
     Entries are stored as a tuple of row tuples of Fractions; matrices are
-    hashable so operator tables built from them can be memoized.
+    hashable because the top-space matrices H_i are fields of the hashed
+    `ModuleSpec`, which keys the operator registry.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -163,9 +170,6 @@ class RatMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * rat(v) for a, v in zip(row, vec)) for row in self.entries)
 
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shapes differ")
@@ -178,30 +182,63 @@ class RatMatrix:
         return cls(data, cols=cols)
 
 
-def _rref(entries, cols):
-    """Row-reduce a list of row tuples in place; return pivot column indices."""
-    rows = [list(row) for row in entries]
-    pivots = []
-    pivot_row = 0
-    for col in range(cols):
-        hit = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                hit = r
+def _axpy(out, s, col):
+    """out += s * col on sparse {key: coefficient} dicts; cancelled keys go."""
+    for key, c in col.items():
+        v = out.get(key, 0) + s * c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+
+def _sparse_rows(entries):
+    """Dense rows as sparse rows {column index: nonzero entry}."""
+    return ({col: a for col, a in enumerate(row) if a} for row in entries)
+
+
+def _echelon(rows):
+    """Forward elimination over sparse rows {column: coefficient}.
+
+    Columns may be any mutually ordered keys.  Each row is reduced by the
+    pivots found so far, smallest column first, until it is zero or its
+    smallest column holds no pivot yet; that column becomes its pivot.
+    Returns {pivot column: row scaled to 1 there}; the number of pivots is
+    the rank.  The input rows are not changed.
+    """
+    pivots = {}
+    for row in rows:
+        row = {col: a for col, a in row.items() if a}
+        while row:
+            col = min(row)
+            lead = row[col]
+            if col not in pivots:
+                if lead != 1:
+                    inv = Fraction(1) / lead
+                    row = {key: a * inv for key, a in row.items()}
+                pivots[col] = row
                 break
-        if hit is None:
-            continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = Fraction(1) / rows[pivot_row][col]
-        rows[pivot_row] = [a * inv for a in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
+            _axpy(row, -lead, pivots[col])
+    return pivots
+
+
+def _rref(entries, cols):
+    """Reduced row echelon form of dense rows: (rows, pivot column indices).
+
+    `_echelon`, then each pivot column is cleared above its pivot, last
+    pivot first.  The pivot rows come first, in pivot order, then one zero
+    row for each dependent input row.
+    """
+    echelon = _echelon(_sparse_rows(entries))
+    pivots = sorted(echelon)
+    for k in range(len(pivots) - 1, 0, -1):
+        below = echelon[pivots[k]]
+        for col in pivots[:k]:
+            above = echelon[col]
+            if pivots[k] in above:
+                _axpy(above, -above[pivots[k]], below)
+    rows = [[echelon[p].get(col, 0) for col in range(cols)] for p in pivots]
+    rows.extend([0] * cols for _ in range(len(entries) - len(pivots)))
     return rows, pivots
 
 
@@ -229,7 +266,10 @@ def rank_nullspace(m):
 
 
 def rank(m):
-    return rank_nullspace(m)[0]
+    """Exact rank of a RatMatrix or of an iterable of sparse rows {column: coeff}."""
+    if isinstance(m, RatMatrix):
+        m = _sparse_rows(m.entries)
+    return len(_echelon(m))
 
 
 def jordan_structure(m, eigenvalue):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactmath import RatMatrix, rat, rat_str
+from .exactmath import RatMatrix, _axpy, rat, rat_str
 
 KIND_ADJOINT = "adjoint"
 KIND_EVALUATION = "evaluation"
@@ -126,7 +126,8 @@ class State:
 
     Elements of the vertex algebra M(l) use top index 0 throughout; module
     states over an r-dimensional top space use indices 0..r-1.  Zero
-    coefficients are never stored.
+    coefficients are never stored, and a coefficient is an `int` wherever
+    it is integral.
     """
 
     __slots__ = ("terms",)
@@ -137,7 +138,7 @@ class State:
             for key, coeff in terms.items():
                 coeff = rat(coeff)
                 if coeff != 0:
-                    clean[key] = coeff
+                    clean[key] = _int_first(coeff)
         self.terms = clean
 
     @classmethod
@@ -146,7 +147,7 @@ class State:
 
     @classmethod
     def term(cls, mono, top=0, coeff=1):
-        return cls({(mono, top): rat(coeff)})
+        return cls({(mono, top): coeff})
 
     @classmethod
     def vacuum(cls, top=0):
@@ -165,15 +166,8 @@ class State:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        result = State.__new__(State)
-        result.terms = out
-        return result
+        _axpy(out, 1, other.terms)
+        return State(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -183,9 +177,7 @@ class State:
 
     def scale(self, s):
         s = rat(s)
-        result = State.__new__(State)
-        result.terms = {} if s == 0 else {k: s * c for k, c in self.terms.items()}
-        return result
+        return State({k: s * c for k, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -218,25 +210,8 @@ def _int_first(x):
     return x
 
 
-def _axpy(out, s, col):
-    """out += s * col on {(monomial, top): coefficient} dicts; cancelled terms go."""
-    for key, c in col.items():
-        v = out.get(key, 0) + s * c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-
-
 def _int_first_terms(terms):
     return {key: _int_first(c) for key, c in terms.items()}
-
-
-def _state(terms):
-    """A State of the terms (no zeros among them), its coefficients made int-first."""
-    result = State.__new__(State)
-    result.terms = _int_first_terms(terms)
-    return result
 
 
 def _check_top(r, lam, H):
@@ -428,22 +403,6 @@ def module_basis(spec, max_wt, max_nwt):
     return list(_basis_labels(spec.d, spec.r, max_wt, max_nwt))
 
 
-def _image_rows(images, labels):
-    """One dense row per image term dict, its coefficients placed by basis label.
-
-    Strict: a term whose label is not in `labels` raises KeyError, so a
-    caller that truncates must drop such terms itself.
-    """
-    index = {label: pos for pos, label in enumerate(labels)}
-    rows = []
-    for image in images:
-        row = [Fraction(0)] * len(labels)
-        for key, coeff in image.items():
-            row[index[key]] = coeff
-        rows.append(row)
-    return rows
-
-
 def grading(s):
     """The common bigrade (weight shift, nwt) of a state.
 
@@ -481,7 +440,7 @@ def apply_mode(op, w, spec):
     out = {}
     for (mono, top), coeff in w.terms.items():
         _axpy(out, coeff, _mode_column(spec, i, j, n, mono, top))
-    return _state(out)
+    return State(out)
 
 
 def _mode_column(spec, i, j, n, mono, top):

@@ -20,12 +20,13 @@ actions; their dimension is an exact nullspace computation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactmath import RatMatrix, jordan_structure, rank_nullspace, rat
-from .fock import GenIndex, State, _check_top, _mode_column, enumerate_basis
+from .exactmath import RatMatrix, jordan_structure, rank, rank_nullspace, rat
+from .fock import State, _check_top, _mode_column, enumerate_basis
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def eval_action(gen, f_powers, top, c):
 
     f is given as a list of (exponent, coefficient) pairs.
     """
-    i = gen[0] if isinstance(gen, (tuple, GenIndex)) else gen
+    i = gen[0] if isinstance(gen, tuple) else gen
     if not 1 <= i <= top.d:
         raise ValueError("color index %d out of range 1..%d" % (i, top.d))
     c = rat(c)
@@ -206,32 +207,20 @@ def intertwiner_dim(problem):
     T must satisfy T(H1_i u) = H3_i T(u) - T(u) H2_i for every color i; at
     the evaluation point 0 the generators with j >= 1 act as zero, so these
     are the only constraints.  Computed as an exact nullspace dimension over
-    the full r1*r2*r3-dimensional space of linear maps.
+    the full r1*r2*r3-dimensional space of linear maps, whose unknown T[c, b, a]
+    is the column (c, b, a) of one sparse row per constraint.
     """
     src, mid, tgt = problem.source, problem.middle, problem.target
-    d = src.d
     r1, r2, r3 = src.r, mid.r, tgt.r
-
-    def flat(c, b, a):
-        return (c * r2 + b) * r1 + a
-
-    unknowns = r1 * r2 * r3
     rows = []
-    for i in range(d):
-        H1, H2, H3 = src.H[i], mid.H[i], tgt.H[i]
-        for c in range(r3):
-            for b in range(r2):
-                for a in range(r1):
-                    row = [Fraction(0)] * unknowns
-                    for a2 in range(r1):
-                        row[flat(c, b, a2)] += H1[a2, a]
-                    for c2 in range(r3):
-                        row[flat(c2, b, a)] -= H3[c, c2]
-                    for b2 in range(r2):
-                        row[flat(c, b2, a)] += H2[b, b2]
-                    rows.append(row)
-    if not rows:
-        return unknowns
-    matrix = RatMatrix(rows, cols=unknowns)
-    _rank, kernel = rank_nullspace(matrix)
-    return len(kernel)
+    for H1, H2, H3 in zip(src.H, mid.H, tgt.H):
+        for c, b, a in product(range(r3), range(r2), range(r1)):
+            row = defaultdict(int)
+            for a2 in range(r1):
+                row[(c, b, a2)] += H1[a2, a]
+            for c2 in range(r3):
+                row[(c2, b, a)] -= H3[c, c2]
+            for b2 in range(r2):
+                row[(c, b2, a)] += H2[b, b2]
+            rows.append(row)
+    return r1 * r2 * r3 - rank(rows)

@@ -34,17 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import RatMatrix, rat_str
+from .exactmath import RatMatrix, _axpy, rat_str
 from .fock import (
     ModuleSpec,
     State,
-    _axpy,
     _check_mode,
-    _image_rows,
     _int_first,
     _int_first_terms,
     _mode_column,
-    _state,
     grading,
     module_basis,
 )
@@ -317,7 +314,7 @@ def vertex_mode(v, k, w, spec):
     Linear in v and in w; exact.  The adjoint module realizes the algebra's
     own operators Y(v, z).
     """
-    return _state(operators(spec, 0).vertex(_vertex_labels(v), k, w.terms))
+    return State(operators(spec, 0).vertex(_vertex_labels(v), k, w.terms))
 
 
 def l_apply(n, w, spec, tr=None):
@@ -329,7 +326,7 @@ def l_apply(n, w, spec, tr=None):
     """
     j_max = tr.j_max if tr is not None else 0
     out, exact = operators(spec, j_max).l(n, w.terms)
-    return _state(out), exact
+    return State(out), exact
 
 
 def d_apply(v):
@@ -338,7 +335,7 @@ def d_apply(v):
     Coincides with L(-1) on the adjoint module; implemented independently so
     the two can be checked against each other.
     """
-    return _state(_translate(v.terms))
+    return State(_translate(v.terms))
 
 
 def _translate(terms):
@@ -480,7 +477,7 @@ def check_field_commutator(n, a_state, k, spec, tr):
     for m in range(-1, n + 1):
         lma = _exact(adj.l(m, a_state.terms))
         if lma:
-            rhs.append((k + n - m, math.comb(n + 1, m + 1), _vertex_labels(_state(lma))))
+            rhs.append((k + n - m, math.comb(n + 1, m + 1), _vertex_labels(State(lma))))
     a_labels = _vertex_labels(a_state)
 
     def defect_of(label):
@@ -605,7 +602,7 @@ def adjoint_mode_matrix(v, n, spec, tr):
     power = 0
     while u:
         scale = Fraction(sign, math.factorial(power))
-        expansion.append((2 * wt_v - n - power - 2, scale, _vertex_labels(_state(u))))
+        expansion.append((2 * wt_v - n - power - 2, scale, _vertex_labels(State(u))))
         u = _exact(adj.l(1, u))
         power += 1
         if power > wt_v + 1:
@@ -613,11 +610,11 @@ def adjoint_mode_matrix(v, n, spec, tr):
 
     ops = operators(spec, tr.j_max)
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
-    kept = set(basis)
-    images = []
+    zero = Fraction(0)  # shared, so RatMatrix need not build one per cell
+    rows = []
     for label in basis:
         image = {}
         for k, scale, labels in expansion:
             _axpy(image, scale, ops.vertex(labels, k, {label: 1}))
-        images.append({key: c for key, c in image.items() if key in kept})
-    return RatMatrix(_image_rows(images, basis), cols=len(basis))
+        rows.append([image.get(key, zero) for key in basis])
+    return RatMatrix(rows, cols=len(basis))

@@ -97,6 +97,12 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    def test_l0_grading_default_range_is_minus_one_to_one(self, capsys):
+        # the strong-grading default -2..2 would ask for L(-2), which does not exist
+        code, out, _ = run(capsys, "verify", "l0-grading", "--max-wt", "2", "--max-nwt", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["params"]["j_values"] == [-1, 0, 1]
+
     def test_l0_grading_finds_the_grading_counterexample(self, capsys):
         # exact nwt preservation fails at j = 2; the verifier must report it
         code, out, _ = run(

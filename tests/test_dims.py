@@ -285,12 +285,11 @@ C1_CASES = {
         ModuleSpec.evaluation(1, 1, Fraction(1, 3), (1,), H=[[[1, 1], [0, 1]]]),
         ((3, 2), (4, 1)),
     ),
-    # Fractions make the d = 2 Jordan block the slowest case; (3, 1) keeps it short
     "jordan-d2-c1/3": (
         ModuleSpec.evaluation(
             2, 1, Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
         ),
-        ((2, 1), (3, 1)),
+        ((2, 1), (3, 1), (3, 2), (4, 2)),
     ),
     "nilpotent-c0": (ModuleSpec.evaluation(1, 1, 0, (0,), H=[[[0, 1], [0, 0]]]), ((4, 2),)),
 }

@@ -227,3 +227,66 @@ def _invert(m):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return RatMatrix([row[n:] for row in aug])
+
+
+def dense_rref(entries, cols):
+    """Gauss-Jordan on dense rows, pivot column by pivot column (reference copy)."""
+    rows = [list(row) for row in entries]
+    pivots = []
+    pivot_row = 0
+    for col in range(cols):
+        hit = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col] != 0:
+                hit = r
+                break
+        if hit is None:
+            continue
+        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
+        inv = Fraction(1) / rows[pivot_row][col]
+        rows[pivot_row] = [a * inv for a in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return rows, pivots
+
+
+# rows drawn from a small pool, so repeated rows and zero rows are common
+ROW_POOLS = st.integers(0, 5).flatmap(
+    lambda cols: st.tuples(
+        st.lists(
+            st.one_of(
+                st.lists(SCALARS, min_size=cols, max_size=cols),
+                st.just([0] * cols),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.just(cols),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ROW_POOLS, st.data())
+def test_rref_matches_dense_gauss_jordan(case, data):
+    pool, cols = case
+    rows = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    assert _rref(rows, cols) == dense_rref(rows, cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(INT_OR_FRACTION_ROWS, st.randoms(use_true_random=False))
+def test_rank_of_sparse_rows_with_tuple_columns_matches_dense(case, rng):
+    rows, cols = case
+    labels = [(("x", (col * 7) % 5), col % 2) for col in range(cols)]
+    sparse = [{labels[col]: a for col, a in enumerate(row)} for row in rows]
+    order = list(range(cols))
+    rng.shuffle(order)
+    dense = RatMatrix([[row[col] for col in order] for row in rows], cols=cols)
+    assert rank(sparse) == rank(dense) == rank_by_minors(dense)

@@ -365,6 +365,40 @@ class TestIntertwinerDim:
         assert intertwiner_dim(direct) == intertwiner_dim(flipped)
         assert intertwiner_dim(flipped) == brute_force_hom_dim(flipped)
 
+    @pytest.mark.parametrize(
+        "lams",
+        [(0, 0, 0), (1, 2, 3), (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)), (1, 1, 3)],
+        ids=["zero", "integral", "fractional", "off-sum"],
+    )
+    def test_d1_matches_clebsch_gordan_closed_form(self, lams):
+        # at d = 1 the maps are Hom(Omega_1 (x) Omega_2, Omega_3) over C[x], x acting
+        # as H1 (x) 1 + 1 (x) H2; on J_a (x) J_b its nilpotent part has Jordan type
+        # J_{a+b+1-2i}, i = 1..min(a, b), and dim Hom(J_p, J_q) = min(p, q)
+        jordan_types = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+        def top(blocks, lam):
+            r = sum(blocks)
+            starts = {sum(blocks[:k]) for k in range(len(blocks))}
+            rows = [
+                [lam if a == b else int(b == a + 1 and b not in starts) for b in range(r)]
+                for a in range(r)
+            ]
+            return TopSpace(r, (lam,), (RatMatrix(rows),))
+
+        l1, l2, l3 = lams
+        for p1, p2, p3 in itertools.product(jordan_types, repeat=3):
+            expected = 0
+            if l1 + l2 == l3:
+                expected = sum(
+                    min(a + b + 1 - 2 * i, c)
+                    for a in p1
+                    for b in p2
+                    for c in p3
+                    for i in range(1, min(a, b) + 1)
+                )
+            p = HomProblem(top(p1, l1), top(p2, l2), top(p3, l3))
+            assert intertwiner_dim(p) == expected, (p1, p2, p3)
+
     def test_hom_problem_json_roundtrip(self):
         p = HomProblem(
             TopSpace(2, (1,), (RatMatrix([[1, 1], [0, 1]]),)),

@@ -455,6 +455,15 @@ def test_coefficients_are_int_first(case):
     for j in (0, 1):
         for k in (-1, 0, 1, 2):
             assert_int_first(apply_mode(mode(1, j, k), w, spec))
+    assert_int_first(w)
+    assert_int_first(w + w)
+    for s in (Fraction(2), Fraction(3, 2), -1):
+        assert_int_first(w.scale(s))
+    for mono, top in module_basis(spec, 1, 1):
+        assert_int_first(State.term(mono, top))
+        assert_int_first(State.term(mono, top, Fraction(4, 2)))
+    for state in repcat.vacuum_space(spec, Truncation(2, 1)):
+        assert_int_first(state)
     # L(2) x_{1,1,1}^2 = l*vacuum leaves the bigrade, so this defect is nonzero
     rep = check_l0_grading(spec, tr, [2], allow_truncated=True)
     assert type(rep.max_defect) is Fraction and rep.max_defect > 0
