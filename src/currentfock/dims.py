@@ -209,25 +209,25 @@ def c1_quotient_dims(spec, tr):
     dim W^(m)_(n) minus that intersection.
     """
     ops = operators(spec, tr.j_max)
-    module_labels = module_basis(spec, tr.max_wt, tr.max_nwt)
+    labels_of_weight = {}
+    for label in module_basis(spec, tr.max_wt, tr.max_nwt):
+        labels_of_weight.setdefault(label[0].weight(), []).append(label)
 
     table = DimTable(d=spec.d)
     for target_m in range(tr.max_nwt + 1):
         gens = [
-            u
+            (wt_u, u)
             for wt_u in range(1, tr.max_wt + 1)
             for nwt_u in range(target_m + 1)
             for u in enumerate_basis(spec.d, nwt_u, wt_u)
         ]
         for n in range(tr.max_wt + 1):
-            images = []
-            for u in gens:
-                wt_u = u.weight()
-                if wt_u > n:
-                    continue
-                for label in module_labels:
-                    if label[0].weight() == n - wt_u:
-                        images.append(ops.vertex([(u, 1)], -1, {label: 1}))
+            # the columns are read-only; `rank` copies its rows before eliminating
+            images = [
+                ops.vertex_column(u, -1, label)
+                for wt_u, u in gens
+                for label in labels_of_weight.get(n - wt_u, ())
+            ]
             rest = [
                 {key: c for key, c in image.items() if key[0].nwt() != target_m}
                 for image in images

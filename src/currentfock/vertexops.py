@@ -2,12 +2,9 @@
 
 The vertex operator attached to a monomial a_1(-n_1)...a_k(-n_k)1 is the
 normal-ordered product of the derivative fields (1/(n_t-1)!)(d/dz)^{n_t-1}
-a_t(z).  Extracting the coefficient of z^{-k-1} turns each field into a sum
-of single modes with integer binomial prefactors, so a vertex-operator mode
-applied to a state is a finite signed sum of ordinary mode compositions.
-Normal ordering places creation modes strictly left of annihilation modes;
-zero modes go to the far right (they are central here, so this is only a
-bookkeeping convention).
+a_t(z).  Its modes are built one factor at a time by the iterate formula of
+a normal-ordered product (see `Operators`), so a vertex-operator mode applied
+to a state is a finite signed sum of ordinary mode compositions.
 
 L(n) is the quadratic expression (1/2l) sum over colors, generator powers j
 and splittings of n into two modes, normal ordered.  On the adjoint module
@@ -17,14 +14,15 @@ a geometric series (hence the c^2 != 1 requirement), and the creation times
 zero-mode tail of L(-1), which for c != 0 is genuinely infinite and is
 truncated at j <= j_max with an explicit exactness flag.
 
-Every internal use of these operators applies columns, dicts
-{(monomial, top): coefficient}, to term dicts of the same shape.  The
-identity checkers (Virasoro, mode and field commutators, L(0) grading,
-d = L(-1), strong grading) and the contragredient matrices here and the C1
-quotients in `dims` use the memoized columns of `Operators`; the vacuum
-spaces in `repcat` read each single-mode column `fock._mode_column` once,
-unmemoized.  `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode` are
-the public `State` API and are not called inside the package.
+Every internal use of these operators reads columns, dicts
+{(monomial, top): coefficient}, memoized by `Operators`.  Columns are handed
+out read-only to the identity checkers (Virasoro, mode and field
+commutators, L(0) grading, d = L(-1), strong grading), the contragredient
+matrices here and the C1 quotients in `dims`, which accumulate into dicts of
+their own.  The public `State` API, `l_apply`, `vertex_mode`, `d_apply` and
+`fock.apply_mode`, still returns fresh states and is not called inside the
+package.  The vacuum spaces in `repcat` read each single-mode column
+`fock._mode_column` once, unmemoized.
 """
 
 from __future__ import annotations
@@ -34,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import RatMatrix, _axpy, rat_str
+from .exactmath import RatMatrix, _axpy, rat, rat_str
 from .fock import (
     ModuleSpec,
+    Monomial,
     State,
     _check_mode,
     _int_first,
@@ -69,14 +68,19 @@ def _gbinom(m, r):
     return num // math.factorial(r)
 
 
-def _vertex_labels(v):
-    """The (monomial, coefficient) pairs of a label of Y(v, z), in canonical order."""
+def _vertex_labels(v, spec):
+    """The (monomial, coefficient) pairs of a label of Y(v, z) on spec, in canonical order."""
     out = []
     for vmono, vtop, vcoeff in v.iter_terms():
         if vtop != 0:
             raise ValueError("vertex-operator labels live in M(l); top index must be 0")
+        for i, j, _n in vmono:
+            _check_mode(spec, i, j)
         out.append((vmono, _int_first(vcoeff)))
     return out
+
+
+_EMPTY_COLUMN = {}  # shared by every operator that kills a label; never changed
 
 
 class Operators:
@@ -85,10 +89,25 @@ class Operators:
     Each operator is compiled on demand, one basis label at a time, into a
     column: a dict {(monomial, top): coefficient} whose coefficients are
     int-first (an int wherever the rational is integral, else a Fraction).
-    Columns are memoized here and never handed out: `l`, `mode` and
-    `vertex` apply an operator to a term dict and return a fresh dict.
-    Obtain one through `operators(spec, j_max)`, so that every sweep of one
-    command reuses the same columns.
+    Columns are memoized here and handed out read-only to the checkers
+    through `l_column`, `mode_column` and `vertex_column`; a caller that
+    changed one would corrupt every later use.  `l` and `vertex` apply an
+    operator to a term dict and return a fresh dict, and the public `State`
+    API still returns fresh states.  Obtain one through
+    `operators(spec, j_max)`, so that every sweep of one command reuses the
+    same columns.
+
+    Y(v)_k is compiled by the iterate formula for a normal-ordered product.
+    For v = x(-n) u, with x = u^(i) t^j and r = n - 1,
+
+        (x(-n) u)_k w = sum_{mu >= 0} C(-mu-1, r) u_{k-mu-r-1} (x(mu) w)
+                      + sum_{mu < 0}  C(-mu-1, r) x(mu) (u_{k-mu-r-1} w),
+
+    and Y(1)_k = delta_{k,-1}.  x(mu) w vanishes for mu > 0 unless w holds
+    the variable x_{i,j,mu}; C(-mu-1, r) vanishes for -n < mu < 0; and the
+    sum over mu < 0 stops where u_{k-mu-r-1} w would have negative weight.
+    The columns of the tail u come from the same memo, so they are shared
+    across the labels v, the modes k and the depths n.
     """
 
     def __init__(self, spec, j_max):
@@ -101,121 +120,83 @@ class Operators:
         self._modes = {}
         self._vertex = {}
 
+    def l_column(self, n, label):
+        """The read-only (column, exact) of L(n) on one basis label; see `l_apply`."""
+        key = (n, label)
+        entry = self._l.get(key)
+        if entry is None:
+            entry = self._l[key] = self._compile_l(n, *label)
+        return entry
+
+    def mode_column(self, i, j, k, label):
+        """The read-only column of the single mode (u^(i) t^j)(k) on one basis label."""
+        key = (i, j, k, label)
+        column = self._modes.get(key)
+        if column is None:
+            _check_mode(self.spec, i, j)
+            column = _mode_column(self.spec, i, j, k, *label) or _EMPTY_COLUMN
+            self._modes[key] = column
+        return column
+
+    def vertex_column(self, vmono, k, label):
+        """The read-only column of Y(v)_k on one basis label, v a monomial of M(l)."""
+        key = (vmono, k, label)
+        column = self._vertex.get(key)
+        if column is None:
+            column = self._vertex[key] = self._compile_vertex(vmono, k, label)
+        return column
+
     def l(self, n, terms):
         """L(n) applied to a term dict: (fresh dict, exact); see `l_apply`."""
+        self._check_l(n)
+        out = {}
+        exact = True
+        for label, coeff in terms.items():
+            column, column_exact = self.l_column(n, label)
+            _axpy(out, coeff, column)
+            exact = exact and column_exact
+        return out, exact
+
+    def vertex(self, labels, k, terms):
+        """Y(v)_k applied to a term dict, v as (monomial, coefficient) pairs; a fresh dict."""
+        out = {}
+        for vmono, vcoeff in labels:
+            for label, coeff in terms.items():
+                _axpy(out, vcoeff * coeff, self.vertex_column(vmono, k, label))
+        return out
+
+    def _check_l(self, n):
         if n < -1:
             raise ValueError("only the operators L(n) with n >= -1 exist here")
         if not self._level_ok:
             raise ValueError(
                 "L(n) on an evaluation module with nontrivial top action needs c^2 != 1"
             )
-        out = {}
-        exact = True
-        for (mono, top), coeff in terms.items():
-            key = (n, mono, top)
-            column = self._l.get(key)
-            if column is None:
-                column = self._l[key] = self._l_column(n, mono, top)
-            _axpy(out, coeff, column[0])
-            exact = exact and column[1]
-        return out, exact
 
-    def mode(self, i, j, k, terms):
-        """The single mode (u^(i) t^j)(k) applied to a term dict; a fresh dict."""
-        _check_mode(self.spec, i, j)
-        out = {}
-        for (mono, top), coeff in terms.items():
-            key = (i, j, k, mono, top)
-            column = self._modes.get(key)
-            if column is None:
-                column = self._modes[key] = _mode_column(self.spec, i, j, k, mono, top)
-            _axpy(out, coeff, column)
-        return out
-
-    def vertex(self, labels, k, terms):
-        """Y(v)_k applied to a term dict, v as (monomial, coefficient) pairs; a fresh dict."""
-        out = {}
-        for vmono, vcoeff in labels:
-            for (wmono, wtop), wcoeff in terms.items():
-                key = (vmono, k, wmono, wtop)
-                column = self._vertex.get(key)
-                if column is None:
-                    column = self._vertex[key] = self._vertex_column(vmono, k, wmono, wtop)
-                _axpy(out, vcoeff * wcoeff, column)
-        return out
-
-    def _vertex_column(self, vmono, k, wmono, wtop):
-        spec = self.spec
-        factors = tuple(vmono)
-        count = len(factors)
-        if count == 0:
+    def _compile_vertex(self, vmono, k, label):
+        if not vmono:
             # Y(1, z) is the identity field.
-            return {(wmono, wtop): 1} if k == -1 else {}
-        target = k + 1 - vmono.weight()
-
-        pos = {}
-        for i, j, q in wmono:
-            pos.setdefault((i, j), set()).add(q)
-
-        def zero_ok(i, j):
-            if spec.is_adjoint() or spec.H[i - 1].is_zero():
-                return False
-            return j == 0 or spec.c != 0
-
-        max_mu = []
-        for i, j, _nt in factors:
-            cands = pos.get((i, j))
-            if cands:
-                max_mu.append(max(cands))
-            else:
-                max_mu.append(0 if zero_ok(i, j) else -1)
-        suffix_max = [0] * (count + 1)
-        for t in reversed(range(count)):
-            suffix_max[t] = suffix_max[t + 1] + max_mu[t]
-
+            return {label: 1} if k == -1 else _EMPTY_COLUMN
+        (i, j, n), tail = vmono[0], Monomial(vmono[1:])
+        r = n - 1
+        # every term of the column has this weight
+        weight = label[0].weight() + vmono.weight() - k - 1
+        if weight < 0:
+            return _EMPTY_COLUMN
         out = {}
-        assignment = []
+        for mu in sorted({0} | {q for (a, b, q) in label[0] if (a, b) == (i, j)}):
+            scale = _gbinom(-mu - 1, r)
+            for key, coeff in self.mode_column(i, j, mu, label).items():
+                _axpy(out, scale * coeff, self.vertex_column(tail, k - mu - r - 1, key))
+        # x(-p) raises the weight by p, so u_{k+p-r-1} w has weight `weight - p`
+        for p in range(n, weight + 1):
+            scale = _gbinom(p - 1, r)
+            for key, coeff in self.vertex_column(tail, k + p - r - 1, label).items():
+                _axpy(out, scale * coeff, self.mode_column(i, j, -p, key))
+        return _int_first_terms(out) if out else _EMPTY_COLUMN
 
-        def descend(t, remaining):
-            if t == count:
-                if remaining == 0:
-                    _axpy(out, 1, self._apply_assignment(factors, assignment, wmono, wtop))
-                return
-            i, j, _nt = factors[t]
-            lo = remaining - suffix_max[t + 1]
-            for mu in range(lo, max_mu[t] + 1):
-                if mu > 0 and mu not in pos.get((i, j), ()):
-                    continue
-                if mu == 0 and not zero_ok(i, j):
-                    continue
-                assignment.append(mu)
-                descend(t + 1, remaining - mu)
-                assignment.pop()
-
-        descend(0, target)
-        return _int_first_terms(out)
-
-    def _apply_assignment(self, factors, mus, wmono, wtop):
-        scalar = 1
-        for (_i, _j, nt), mu in zip(factors, mus):
-            r = nt - 1
-            scalar *= (-1) ** r * _gbinom(mu + r, r)
-            if scalar == 0:
-                return {}
-        # Zero modes act first, then annihilation modes, then creation modes.
-        ordered = sorted(
-            zip(factors, mus),
-            key=lambda fm: (0 if fm[1] == 0 else (1 if fm[1] > 0 else 2), fm[1]),
-        )
-        terms = {(wmono, wtop): scalar}
-        for (i, j, _nt), mu in ordered:
-            terms = self.mode(i, j, mu, terms)
-            if not terms:
-                break
-        return terms
-
-    def _l_column(self, n, mono, top):
-        """(column, exact) of L(n) on one basis label."""
+    def _compile_l(self, n, mono, top):
+        self._check_l(n)
         spec = self.spec
         l = spec.l
         out = {}
@@ -308,13 +289,19 @@ def operators(spec, j_max):
     return Operators(spec, j_max)
 
 
+@lru_cache(maxsize=4)
+def _adjoint_spec(d, l):
+    """The adjoint module of level l, built once per command rather than per sweep."""
+    return ModuleSpec.adjoint(d, l)
+
+
 def vertex_mode(v, k, w, spec):
     """The coefficient of z^{-k-1} in Y_W(v, z) applied to w.
 
     Linear in v and in w; exact.  The adjoint module realizes the algebra's
     own operators Y(v, z).
     """
-    return State(operators(spec, 0).vertex(_vertex_labels(v), k, w.terms))
+    return State(operators(spec, 0).vertex(_vertex_labels(v, spec), k, w.terms))
 
 
 def l_apply(n, w, spec, tr=None):
@@ -372,8 +359,6 @@ class Report:
 
     @classmethod
     def from_json(cls, data):
-        from .exactmath import rat
-
         counterexample = data.get("counterexample")
         return cls(
             identity=data["identity"],
@@ -435,10 +420,12 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
     ops = operators(spec, tr.j_max)
 
     def defect_of(label):
-        w = {label: 1}
-        defect = _exact(ops.l(n, ops.mode(i, j, k, w)))
-        _axpy(defect, -1, ops.mode(i, j, k, _exact(ops.l(n, w))))
-        _axpy(defect, k, ops.mode(i, j, n + k, w))
+        defect = {}
+        for key, coeff in ops.mode_column(i, j, k, label).items():
+            _axpy(defect, coeff, _exact(ops.l_column(n, key)))
+        for key, coeff in _exact(ops.l_column(n, label)).items():
+            _axpy(defect, -coeff, ops.mode_column(i, j, k, key))
+        _axpy(defect, k, ops.mode_column(i, j, n + k, label))
         return defect
 
     params = {"n": n, "gen": [i, j], "k": k}
@@ -454,11 +441,13 @@ def check_virasoro(m, n, spec, tr):
     ops = operators(spec, tr.j_max)
 
     def defect_of(label):
-        w = {label: 1}
-        defect = _exact(ops.l(m, _exact(ops.l(n, w))))
-        _axpy(defect, -1, _exact(ops.l(n, _exact(ops.l(m, w)))))
+        defect = {}
+        for key, coeff in _exact(ops.l_column(n, label)).items():
+            _axpy(defect, coeff, _exact(ops.l_column(m, key)))
+        for key, coeff in _exact(ops.l_column(m, label)).items():
+            _axpy(defect, -coeff, _exact(ops.l_column(n, key)))
         if m != n:
-            _axpy(defect, n - m, _exact(ops.l(m + n, w)))
+            _axpy(defect, n - m, _exact(ops.l_column(m + n, label)))
         return defect
 
     params = {"m": m, "n": n}
@@ -471,21 +460,26 @@ def check_field_commutator(n, a_state, k, spec, tr):
     A must be doubly homogeneous; the right side runs over m = -1..n.
     """
     grading(a_state)
+    a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
-    adj = ops if spec.is_adjoint() else operators(ModuleSpec.adjoint(spec.d, spec.l), 0)
+    adj = ops if spec.is_adjoint() else operators(_adjoint_spec(spec.d, spec.l), 0)
+    # (monomial, mode, -coefficient) of each term of each (L(m)A)_{k+n-m} on the right
     rhs = []
     for m in range(-1, n + 1):
-        lma = _exact(adj.l(m, a_state.terms))
-        if lma:
-            rhs.append((k + n - m, math.comb(n + 1, m + 1), _vertex_labels(State(lma))))
-    a_labels = _vertex_labels(a_state)
+        lma = State(_exact(adj.l(m, a_state.terms)))
+        for vmono, vcoeff in _vertex_labels(lma, spec):
+            rhs.append((vmono, k + n - m, -math.comb(n + 1, m + 1) * vcoeff))
 
     def defect_of(label):
-        w = {label: 1}
-        defect = _exact(ops.l(n, ops.vertex(a_labels, k, w)))
-        _axpy(defect, -1, ops.vertex(a_labels, k, _exact(ops.l(n, w))))
-        for mode_k, binom, lma in rhs:
-            _axpy(defect, -binom, ops.vertex(lma, mode_k, w))
+        defect = {}
+        for vmono, vcoeff in a_labels:
+            for key, coeff in ops.vertex_column(vmono, k, label).items():
+                _axpy(defect, vcoeff * coeff, _exact(ops.l_column(n, key)))
+        for key, coeff in _exact(ops.l_column(n, label)).items():
+            for vmono, vcoeff in a_labels:
+                _axpy(defect, -vcoeff * coeff, ops.vertex_column(vmono, k, key))
+        for vmono, mode_k, scale in rhs:
+            _axpy(defect, scale, ops.vertex_column(vmono, mode_k, label))
         return defect
 
     params = {"n": n, "A": a_state.to_json(), "k": k}
@@ -505,14 +499,13 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
         nonlocal hit_truncation
         mono, _top = label
         wt_w, nwt_w = mono.weight(), mono.nwt()
-        w = {label: 1}
         if spec.is_adjoint():
-            mismatch, _ = ops.l(0, w)
-            _axpy(mismatch, -wt_w, w)
+            mismatch = {label: -wt_w} if wt_w else {}
+            _axpy(mismatch, 1, ops.l_column(0, label)[0])
             if mismatch:
                 return mismatch
         for j in j_values:
-            image, exact = ops.l(j, w)
+            image, exact = ops.l_column(j, label)
             if not exact:
                 if not allow_truncated:
                     raise ValueError(
@@ -539,8 +532,8 @@ def check_d_equals_lminus1(spec, tr):
     ops = operators(spec, tr.j_max)
 
     def defect_of(label):
-        defect, _ = ops.l(-1, {label: 1})
-        _axpy(defect, -1, _translate({label: 1}))
+        defect = _translate({label: 1})
+        _axpy(defect, -1, ops.l_column(-1, label)[0])
         return defect
 
     params = {"spec": spec.to_json()}
@@ -558,7 +551,7 @@ def check_strong_grading(spec, tr, sample):
     params = {"sample": []}
     for v, j in sample:
         wt_v, nwt_v = grading(v)
-        graded_sample.append((j, _vertex_labels(v), wt_v, nwt_v))
+        graded_sample.append((j, _vertex_labels(v, spec), wt_v, nwt_v))
         params["sample"].append([v.to_json(), j])
     ops = operators(spec, tr.j_max)
 
@@ -566,7 +559,10 @@ def check_strong_grading(spec, tr, sample):
         mono, _top = label
         wt_w, nwt_w = mono.weight(), mono.nwt()
         for j, labels, wt_v, nwt_v in graded_sample:
-            for key, coeff in ops.vertex(labels, j, {label: 1}).items():
+            image = {}
+            for vmono, vcoeff in labels:
+                _axpy(image, vcoeff, ops.vertex_column(vmono, j, label))
+            for key, coeff in image.items():
                 if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1:
                     return {key: coeff}
         return {}
@@ -593,16 +589,17 @@ def adjoint_mode_matrix(v, n, spec, tr):
                 "contragredient matrices need an integer L(0) spectrum: "
                 "use the adjoint module or an evaluation module with c = 0, lambda = 0"
             )
-    adj = operators(spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l), 0)
+    adj = operators(spec if spec.is_adjoint() else _adjoint_spec(spec.d, spec.l), 0)
 
-    # (mode k, coefficient, label) of each term L(1)^p v / p! of the expansion
+    # (monomial, mode k, coefficient) of each term of each L(1)^p v / p! of the expansion
     sign = (-1) ** wt_v
     expansion = []
     u = v.terms
     power = 0
     while u:
         scale = Fraction(sign, math.factorial(power))
-        expansion.append((2 * wt_v - n - power - 2, scale, _vertex_labels(State(u))))
+        for vmono, vcoeff in _vertex_labels(State(u), spec):
+            expansion.append((vmono, 2 * wt_v - n - power - 2, scale * vcoeff))
         u = _exact(adj.l(1, u))
         power += 1
         if power > wt_v + 1:
@@ -614,7 +611,7 @@ def adjoint_mode_matrix(v, n, spec, tr):
     rows = []
     for label in basis:
         image = {}
-        for k, scale, labels in expansion:
-            _axpy(image, scale, ops.vertex(labels, k, {label: 1}))
+        for vmono, k, scale in expansion:
+            _axpy(image, scale, ops.vertex_column(vmono, k, label))
         rows.append([image.get(key, zero) for key in basis])
     return RatMatrix(rows, cols=len(basis))

@@ -445,6 +445,10 @@ class TestModule:
         assert code == EXIT_USAGE
 
 
+# a vertex-operator label with color 2 on a d = 1 module
+BAD_COLOR_A = '[{"mono": [[2,0,1]], "coeff": "1"}]'
+
+
 class TestPlumbing:
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -469,9 +473,15 @@ class TestPlumbing:
              "--out", "/nonexistent/dir/x.json"),
             ("module", "logcheck", "--H", "[[[]]]", "--c", "0"),
             ("module", "logcheck", "--H", "[[1],[2]]", "--c", "0"),
+            ("verify", "field-commutator", "--kind", "evaluation", "--c", "0",
+             "--lambda", "1", "--a-state", BAD_COLOR_A, "--max-wt", "1",
+             "--max-nwt", "0", "--n", "0", "--k", "0"),
+            ("verify", "field-commutator", "--a-state", BAD_COLOR_A, "--max-wt", "0",
+             "--n", "0", "--k", "5"),
         ],
         ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
-             "out-no-dir", "H-no-columns", "H-not-square"],
+             "out-no-dir", "H-no-columns", "H-not-square", "a-state-color-evaluation",
+             "a-state-color-adjoint"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

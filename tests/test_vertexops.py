@@ -1,5 +1,6 @@
 """Vertex-operator modes, L(n), the translation operator and identity sweeps."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -473,44 +474,61 @@ def test_returned_states_do_not_alias_compiled_columns():
     spec = ModuleSpec.evaluation(1, Fraction(1, 2), Fraction(1, 3), (1,), H=[[[1, 1], [0, 1]]])
     w = State.term(mono((1, 0, 1), (1, 1, 2)), 1)
     v = State.term(mono((1, 0, 1), (1, 0, 1)))
+    ops = operators(spec, 2)
+    labels = [(mono((1, 0, 1), (1, 0, 1)), 1)]
     calls = [
-        lambda: l_apply(0, w, spec)[0],
-        lambda: l_apply(-1, w, spec, Truncation(3, 2, 2))[0],
-        lambda: vertex_mode(v, -1, w, spec),
-        lambda: vertex_mode(v, 2, w, spec),
-        lambda: apply_mode(mode(1, 0, 1), w, spec),
+        lambda: l_apply(0, w, spec)[0].terms,
+        lambda: l_apply(-1, w, spec, Truncation(3, 2, 2))[0].terms,
+        lambda: vertex_mode(v, -1, w, spec).terms,
+        lambda: vertex_mode(v, 2, w, spec).terms,
+        lambda: apply_mode(mode(1, 0, 1), w, spec).terms,
+        lambda: ops.l(0, w.terms)[0],
+        lambda: ops.l(-1, w.terms)[0],
+        lambda: ops.vertex(labels, -1, w.terms),
+        lambda: ops.vertex(labels, 2, w.terms),
     ]
     for call in calls:
         first = call()
-        expected = dict(first.terms)
+        expected = dict(first)
         assert expected
-        for key in first.terms:
-            first.terms[key] = 12345
-        first.terms[(EMPTY, 0)] = 7
-        assert call().terms == expected
+        for key in first:
+            first[key] = 12345
+        first[(EMPTY, 0)] = 7
+        assert call() == expected
 
 
 A_LABEL = State.term(mono((1, 0, 1), (1, 1, 1)))
-VERTEX_SWEEPS = {
+EVAL_C0 = ModuleSpec.evaluation(1, Fraction(5, 7), 0, (2,))
+SWEEPS = {
     # the module and the adjoint one (for L(m)A) share the registry without evicting
-    "field-commutator": lambda spec, tr: check_field_commutator(1, A_LABEL, -1, spec, tr),
-    "strong-grading": lambda spec, tr: check_strong_grading(
-        spec, tr, [(A_LABEL, -1), (State.term(mono((1, 0, 2))), 1)]
+    "field-commutator": (
+        EVAL_C0, lambda spec, tr: check_field_commutator(1, A_LABEL, -1, spec, tr)
     ),
+    "strong-grading": (
+        EVAL_C0,
+        lambda spec, tr: check_strong_grading(
+            spec, tr, [(A_LABEL, -1), (State.term(mono((1, 0, 2))), 1)]
+        ),
+    ),
+    "virasoro": (EVAL_C0, lambda spec, tr: check_virasoro(2, -1, spec, tr)),
+    "l-mode-commutator": (
+        EVAL_C0, lambda spec, tr: check_l_mode_commutator(1, (1, 0), -2, spec, tr)
+    ),
+    "l0-grading": (EVAL_C0, lambda spec, tr: check_l0_grading(spec, tr, [-1, 0, 1])),
+    "d-equals-lminus1": (ADJ2, lambda spec, tr: vertexops.check_d_equals_lminus1(spec, tr)),
 }
 
 
-@pytest.mark.parametrize("sweep", VERTEX_SWEEPS.values(), ids=VERTEX_SWEEPS.keys())
-def test_vertex_columns_are_compiled_once_per_command(sweep):
-    spec = ModuleSpec.evaluation(1, Fraction(5, 7), 0, (2,))
+@pytest.mark.parametrize("spec, sweep", SWEEPS.values(), ids=SWEEPS.keys())
+def test_vertex_columns_are_compiled_once_per_command(spec, sweep):
     tr = Truncation(3, 2, 0)
     assert sweep(spec, tr).defect_zero
     ops = operators(spec, 0)
-    compiled = dict(ops._vertex)
-    assert compiled
+    compiled = copy.deepcopy((ops._l, ops._modes, ops._vertex))
+    assert any(compiled)
     assert sweep(spec, tr).defect_zero
     assert operators(spec, 0) is ops
-    assert ops._vertex == compiled
+    assert (ops._l, ops._modes, ops._vertex) == compiled
 
 
 MODULES = [cli, dims, exactmath, fock, repcat, vertexops]
@@ -579,3 +597,144 @@ def test_adjoint_mode_matrix_matches_state_level_oracle(spec, tr):
         for n in (-2, 0, 1):
             got = adjoint_mode_matrix(v, n, spec, tr).to_json()
             assert got == adjoint_mode_matrix_oracle(v, n, spec, tr).to_json(), (v, n)
+
+
+def vertex_column_oracle(spec, vmono, k, label, modes):
+    """Y(v)_k on one label by enumerating every mode assignment of v's factors.
+
+    Each factor x(-n) of v contributes the modes x(mu) with coefficient
+    (-1)^r C(mu+r, r), r = n - 1; the modes of one assignment sum to
+    k + 1 - wt(v) and are applied in normal order, zero modes first, then
+    annihilation modes, then creation modes.  `modes` memoizes the
+    single-mode columns across calls.
+    """
+    wmono, _wtop = label
+    factors = tuple(vmono)
+    if not factors:
+        return {label: 1} if k == -1 else {}
+
+    def zero_ok(i, j):
+        if spec.is_adjoint() or spec.H[i - 1].is_zero():
+            return False
+        return j == 0 or spec.c != 0
+
+    pos = {}
+    for i, j, q in wmono:
+        pos.setdefault((i, j), set()).add(q)
+    max_mu = [
+        max(pos[(i, j)]) if (i, j) in pos else (0 if zero_ok(i, j) else -1)
+        for i, j, _nt in factors
+    ]
+    suffix_max = [sum(max_mu[t:]) for t in range(len(factors) + 1)]
+    out = {}
+
+    def apply_assignment(mus):
+        scalar = 1
+        for (_i, _j, nt), mu in zip(factors, mus):
+            scalar *= (-1) ** (nt - 1) * _gbinom(mu + nt - 1, nt - 1)
+        ordered = sorted(
+            zip(factors, mus),
+            key=lambda fm: (0 if fm[1] == 0 else (1 if fm[1] > 0 else 2), fm[1]),
+        )
+        terms = {label: scalar} if scalar else {}
+        for (i, j, _nt), mu in ordered:
+            if not terms:
+                return
+            image = {}
+            for (m, top), coeff in terms.items():
+                key = (i, j, mu, m, top)
+                if key not in modes:
+                    modes[key] = fock._mode_column(spec, i, j, mu, m, top)
+                exactmath._axpy(image, coeff, modes[key])
+            terms = image
+        exactmath._axpy(out, 1, terms)
+
+    def descend(t, remaining, mus):
+        if t == len(factors):
+            if remaining == 0:
+                apply_assignment(mus)
+            return
+        i, j, _nt = factors[t]
+        for mu in range(remaining - suffix_max[t + 1], max_mu[t] + 1):
+            if (mu > 0 and mu not in pos.get((i, j), ())) or (mu == 0 and not zero_ok(i, j)):
+                continue
+            descend(t + 1, remaining - mu, mus + [mu])
+
+    descend(0, k + 1 - vmono.weight(), [])
+    return {key: fock._int_first(c) for key, c in out.items()}
+
+
+ORACLE_SPECS = {
+    **{
+        "adj-d%d-l%s" % (d, l): (ModuleSpec.adjoint(d, l), 0)
+        for d in (1, 2)
+        for l in (1, Fraction(1, 2), -2)
+    },
+    "scalar-c0": (ModuleSpec.evaluation(1, 1, 0, (1,)), 0),
+    "jordan-d2-c1/3": (
+        ModuleSpec.evaluation(
+            2, 1, Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+        ),
+        2,
+    ),
+}
+ORACLE_V = [
+    (),
+    ((1, 0, 1),),
+    ((1, 1, 2),),
+    ((1, 0, 3),),
+    ((1, 0, 1), (1, 0, 1)),
+    ((1, 0, 1), (1, 1, 2)),
+    ((1, 0, 3), (1, 2, 1)),
+    ((1, 0, 1), (1, 0, 2), (1, 1, 3)),
+]
+ORACLE_V_D2 = [((1, 0, 1), (2, 0, 1)), ((1, 1, 2), (2, 0, 1), (2, 0, 3))]
+# four factors; left out on the Jordan top, where enumerating every mode
+# assignment (zero modes act at every power) takes seconds per label of v
+ORACLE_V_LONG = [
+    ((1, 0, 1), (1, 0, 1), (1, 0, 2), (1, 1, 1)),
+    ((1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 1, 3)),
+]
+ORACLE_V_LONG_D2 = [((1, 0, 1), (1, 0, 3), (2, 0, 2), (2, 1, 1))]
+
+
+@pytest.mark.parametrize("spec, j_max", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_vertex_columns_match_assignment_enumeration(spec, j_max):
+    ops = vertexops.Operators(spec, j_max)
+    vs = ORACLE_V + (ORACLE_V_D2 if spec.d == 2 else [])
+    if spec.r == 1:
+        vs += ORACLE_V_LONG + (ORACLE_V_LONG_D2 if spec.d == 2 else [])
+    nonzero = 0
+    modes = {}
+    for factors in vs:
+        vmono = mono(*factors)
+        for k in range(-4, 5):
+            for label in module_basis(spec, 3, 2):
+                got = ops.vertex_column(vmono, k, label)
+                expected = vertex_column_oracle(spec, vmono, k, label, modes)
+                assert got == expected, (vmono, k, label)
+                assert [type(c) for c in got.values()] == [
+                    type(expected[key]) for key in got
+                ], (vmono, k, label)
+                nonzero += bool(got)
+    assert nonzero > 100
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ADJ, ModuleSpec.evaluation(1, 1, 0, (0,), H=[[[0, 1], [0, 0]]])],
+    ids=["adj", "nilpotent-c0"],
+)
+def test_vertex_label_colors_are_checked_up_front(spec):
+    # the empty truncation leaves no column to compile, so only the label check can fail
+    v = State.term(mono((2, 0, 1)))
+    tr = Truncation(0, 0)
+    calls = [
+        lambda: vertex_mode(v, 5, State.vacuum(), spec),
+        lambda: check_field_commutator(0, v, 5, spec, tr),
+        lambda: check_strong_grading(spec, tr, [(v, 5)]),
+        lambda: adjoint_mode_matrix(v, 5, spec, tr),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="color index 2"):
+            call()
