@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .exactmath import RatMatrix, _axpy, rat, rat_str
 from .fock import (
@@ -68,6 +68,12 @@ def _gbinom(m, r):
     return num // math.factorial(r)
 
 
+def _compose(out, scale, column, column_of):
+    """Add scale * coeff * column_of(key) to out for each (key, coeff) of column."""
+    for key, coeff in column.items():
+        _axpy(out, scale * coeff, column_of(key))
+
+
 def _vertex_labels(v, spec):
     """The (monomial, coefficient) pairs of a label of Y(v, z) on spec, in canonical order."""
     out = []
@@ -90,8 +96,9 @@ class Operators:
     column: a dict {(monomial, top): coefficient} whose coefficients are
     int-first (an int wherever the rational is integral, else a Fraction).
     Columns are memoized here and handed out read-only to the checkers
-    through `l_column`, `mode_column` and `vertex_column`; a caller that
-    changed one would corrupt every later use.  `l` and `vertex` apply an
+    through `l_column`, `exact_l_column`, `mode_column` and `vertex_column`;
+    a caller that changed one would corrupt every later use; callers apply an
+    operator to a column with `_compose`.  `l` and `vertex` apply an
     operator to a term dict and return a fresh dict, and the public `State`
     API still returns fresh states.  Obtain one through
     `operators(spec, j_max)`, so that every sweep of one command reuses the
@@ -128,6 +135,10 @@ class Operators:
             entry = self._l[key] = self._compile_l(n, *label)
         return entry
 
+    def exact_l_column(self, n, label):
+        """The read-only column of L(n) on one label; ValueError if it is j-truncated."""
+        return _exact(self.l_column(n, label))
+
     def mode_column(self, i, j, k, label):
         """The read-only column of the single mode (u^(i) t^j)(k) on one basis label."""
         key = (i, j, k, label)
@@ -150,19 +161,14 @@ class Operators:
         """L(n) applied to a term dict: (fresh dict, exact); see `l_apply`."""
         self._check_l(n)
         out = {}
-        exact = True
-        for label, coeff in terms.items():
-            column, column_exact = self.l_column(n, label)
-            _axpy(out, coeff, column)
-            exact = exact and column_exact
-        return out, exact
+        _compose(out, 1, terms, lambda label: self.l_column(n, label)[0])
+        return out, all(self.l_column(n, label)[1] for label in terms)
 
     def vertex(self, labels, k, terms):
         """Y(v)_k applied to a term dict, v as (monomial, coefficient) pairs; a fresh dict."""
         out = {}
         for vmono, vcoeff in labels:
-            for label, coeff in terms.items():
-                _axpy(out, vcoeff * coeff, self.vertex_column(vmono, k, label))
+            _compose(out, vcoeff, terms, partial(self.vertex_column, vmono, k))
         return out
 
     def _check_l(self, n):
@@ -185,14 +191,13 @@ class Operators:
             return _EMPTY_COLUMN
         out = {}
         for mu in sorted({0} | {q for (a, b, q) in label[0] if (a, b) == (i, j)}):
-            scale = _gbinom(-mu - 1, r)
-            for key, coeff in self.mode_column(i, j, mu, label).items():
-                _axpy(out, scale * coeff, self.vertex_column(tail, k - mu - r - 1, key))
-        # x(-p) raises the weight by p, so u_{k+p-r-1} w has weight `weight - p`
+            u_of = partial(self.vertex_column, tail, k - mu - r - 1)
+            _compose(out, _gbinom(-mu - 1, r), self.mode_column(i, j, mu, label), u_of)
+        # x(-p) raises the weight by p, so u_{k+p-r-1} w (mostly empty) has weight `weight - p`
         for p in range(n, weight + 1):
-            scale = _gbinom(p - 1, r)
-            for key, coeff in self.vertex_column(tail, k + p - r - 1, label).items():
-                _axpy(out, scale * coeff, self.mode_column(i, j, -p, key))
+            u_k = self.vertex_column(tail, k + p - r - 1, label)
+            if u_k:
+                _compose(out, _gbinom(p - 1, r), u_k, partial(self.mode_column, i, j, -p))
         return _int_first_terms(out) if out else _EMPTY_COLUMN
 
     def _compile_l(self, n, mono, top):
@@ -287,12 +292,6 @@ def operators(spec, j_max):
     of the command's sweeps while the registry stays bounded.
     """
     return Operators(spec, j_max)
-
-
-@lru_cache(maxsize=4)
-def _adjoint_spec(d, l):
-    """The adjoint module of level l, built once per command rather than per sweep."""
-    return ModuleSpec.adjoint(d, l)
 
 
 def vertex_mode(v, k, w, spec):
@@ -418,13 +417,13 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
     """Verify [L(n), a(k)] = -k a(n+k) on every basis state within tr."""
     i, j = gen
     ops = operators(spec, tr.j_max)
+    l_n = partial(ops.exact_l_column, n)
+    a_k = partial(ops.mode_column, i, j, k)
 
     def defect_of(label):
         defect = {}
-        for key, coeff in ops.mode_column(i, j, k, label).items():
-            _axpy(defect, coeff, _exact(ops.l_column(n, key)))
-        for key, coeff in _exact(ops.l_column(n, label)).items():
-            _axpy(defect, -coeff, ops.mode_column(i, j, k, key))
+        _compose(defect, 1, a_k(label), l_n)
+        _compose(defect, -1, l_n(label), a_k)
         _axpy(defect, k, ops.mode_column(i, j, n + k, label))
         return defect
 
@@ -439,15 +438,15 @@ def check_virasoro(m, n, spec, tr):
     if m + n < -1 and m != n:
         raise ValueError("L(%d) is not defined; need m+n >= -1 or m = n" % (m + n))
     ops = operators(spec, tr.j_max)
+    l_m = partial(ops.exact_l_column, m)
+    l_n = partial(ops.exact_l_column, n)
 
     def defect_of(label):
         defect = {}
-        for key, coeff in _exact(ops.l_column(n, label)).items():
-            _axpy(defect, coeff, _exact(ops.l_column(m, key)))
-        for key, coeff in _exact(ops.l_column(m, label)).items():
-            _axpy(defect, -coeff, _exact(ops.l_column(n, key)))
+        _compose(defect, 1, l_n(label), l_m)
+        _compose(defect, -1, l_m(label), l_n)
         if m != n:
-            _axpy(defect, n - m, _exact(ops.l_column(m + n, label)))
+            _axpy(defect, n - m, ops.exact_l_column(m + n, label))
         return defect
 
     params = {"m": m, "n": n}
@@ -462,7 +461,7 @@ def check_field_commutator(n, a_state, k, spec, tr):
     grading(a_state)
     a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
-    adj = ops if spec.is_adjoint() else operators(_adjoint_spec(spec.d, spec.l), 0)
+    adj = ops if spec.is_adjoint() else operators(ModuleSpec.adjoint(spec.d, spec.l), 0)
     # (monomial, mode, -coefficient) of each term of each (L(m)A)_{k+n-m} on the right
     rhs = []
     for m in range(-1, n + 1):
@@ -470,14 +469,15 @@ def check_field_commutator(n, a_state, k, spec, tr):
         for vmono, vcoeff in _vertex_labels(lma, spec):
             rhs.append((vmono, k + n - m, -math.comb(n + 1, m + 1) * vcoeff))
 
+    l_n = partial(ops.exact_l_column, n)
+    a_k = [(vcoeff, partial(ops.vertex_column, vmono, k)) for vmono, vcoeff in a_labels]
+
     def defect_of(label):
         defect = {}
-        for vmono, vcoeff in a_labels:
-            for key, coeff in ops.vertex_column(vmono, k, label).items():
-                _axpy(defect, vcoeff * coeff, _exact(ops.l_column(n, key)))
-        for key, coeff in _exact(ops.l_column(n, label)).items():
-            for vmono, vcoeff in a_labels:
-                _axpy(defect, -vcoeff * coeff, ops.vertex_column(vmono, k, key))
+        l_column = l_n(label)
+        for vcoeff, y in a_k:
+            _compose(defect, vcoeff, y(label), l_n)
+            _compose(defect, -vcoeff, l_column, y)
         for vmono, mode_k, scale in rhs:
             _axpy(defect, scale, ops.vertex_column(vmono, mode_k, label))
         return defect
@@ -559,12 +559,14 @@ def check_strong_grading(spec, tr, sample):
         mono, _top = label
         wt_w, nwt_w = mono.weight(), mono.nwt()
         for j, labels, wt_v, nwt_v in graded_sample:
-            image = {}
-            for vmono, vcoeff in labels:
-                _axpy(image, vcoeff, ops.vertex_column(vmono, j, label))
-            for key, coeff in image.items():
-                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1:
-                    return {key: coeff}
+            # every offending term, so the reported defect does not hang on key order
+            offending = {
+                key: coeff
+                for key, coeff in ops.vertex(labels, j, {label: 1}).items()
+                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1
+            }
+            if offending:
+                return offending
         return {}
 
     if grading(State.vacuum()) != (0, 0):
@@ -589,7 +591,7 @@ def adjoint_mode_matrix(v, n, spec, tr):
                 "contragredient matrices need an integer L(0) spectrum: "
                 "use the adjoint module or an evaluation module with c = 0, lambda = 0"
             )
-    adj = operators(spec if spec.is_adjoint() else _adjoint_spec(spec.d, spec.l), 0)
+    adj = operators(spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l), 0)
 
     # (monomial, mode k, coefficient) of each term of each L(1)^p v / p! of the expansion
     sign = (-1) ** wt_v

@@ -499,36 +499,62 @@ def test_returned_states_do_not_alias_compiled_columns():
 
 A_LABEL = State.term(mono((1, 0, 1), (1, 1, 1)))
 EVAL_C0 = ModuleSpec.evaluation(1, Fraction(5, 7), 0, (2,))
+# each sweep, its module and the memo of `Operators` that it must fill
 SWEEPS = {
     # the module and the adjoint one (for L(m)A) share the registry without evicting
     "field-commutator": (
-        EVAL_C0, lambda spec, tr: check_field_commutator(1, A_LABEL, -1, spec, tr)
+        EVAL_C0, lambda spec, tr: check_field_commutator(1, A_LABEL, -1, spec, tr), "_vertex"
     ),
     "strong-grading": (
         EVAL_C0,
         lambda spec, tr: check_strong_grading(
             spec, tr, [(A_LABEL, -1), (State.term(mono((1, 0, 2))), 1)]
         ),
+        "_vertex",
     ),
-    "virasoro": (EVAL_C0, lambda spec, tr: check_virasoro(2, -1, spec, tr)),
+    "virasoro": (EVAL_C0, lambda spec, tr: check_virasoro(2, -1, spec, tr), "_l"),
     "l-mode-commutator": (
-        EVAL_C0, lambda spec, tr: check_l_mode_commutator(1, (1, 0), -2, spec, tr)
+        EVAL_C0, lambda spec, tr: check_l_mode_commutator(1, (1, 0), -2, spec, tr), "_modes"
     ),
-    "l0-grading": (EVAL_C0, lambda spec, tr: check_l0_grading(spec, tr, [-1, 0, 1])),
-    "d-equals-lminus1": (ADJ2, lambda spec, tr: vertexops.check_d_equals_lminus1(spec, tr)),
+    "l0-grading": (EVAL_C0, lambda spec, tr: check_l0_grading(spec, tr, [-1, 0, 1]), "_l"),
+    "d-equals-lminus1": (
+        ADJ2, lambda spec, tr: vertexops.check_d_equals_lminus1(spec, tr), "_l"
+    ),
 }
 
 
-@pytest.mark.parametrize("spec, sweep", SWEEPS.values(), ids=SWEEPS.keys())
-def test_vertex_columns_are_compiled_once_per_command(spec, sweep):
+@pytest.mark.parametrize("spec, sweep, memo", SWEEPS.values(), ids=SWEEPS.keys())
+def test_vertex_columns_are_compiled_once_per_command(spec, sweep, memo):
     tr = Truncation(3, 2, 0)
     assert sweep(spec, tr).defect_zero
     ops = operators(spec, 0)
+    assert getattr(ops, memo)
     compiled = copy.deepcopy((ops._l, ops._modes, ops._vertex))
-    assert any(compiled)
     assert sweep(spec, tr).defect_zero
     assert operators(spec, 0) is ops
     assert (ops._l, ops._modes, ops._vertex) == compiled
+
+
+class _OrderedVertexColumns(vertexops.Operators):
+    """Operators whose every Y column holds the same terms in a chosen key order."""
+
+    def __init__(self, spec, column):
+        super().__init__(spec, 0)
+        self.column = column
+
+    def vertex_column(self, vmono, k, label):
+        return self.column
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
+def test_strong_grading_defect_does_not_hang_on_key_order(monkeypatch, order):
+    # no valid module violates strong grading, so feed the sweep two offending terms
+    bad = [((mono((1, 2, 1)), 0), Fraction(1, 3)), ((mono((1, 3, 1)), 0), -5)]
+    ops = _OrderedVertexColumns(ADJ, dict(bad[::order]))
+    monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
+    rep = check_strong_grading(ADJ, Truncation(1, 0), [(State.vacuum(), -1)])
+    assert not rep.defect_zero and rep.max_defect == 5
+    assert rep.counterexample == State.vacuum()
 
 
 MODULES = [cli, dims, exactmath, fock, repcat, vertexops]
