@@ -224,7 +224,7 @@ def c1_quotient_dims(spec, tr):
         for n in range(tr.max_wt + 1):
             # the columns are read-only; `rank` copies its rows before eliminating
             images = [
-                ops.vertex_column(u, -1, label)
+                ops.vertex_columns(u, -1)[label]
                 for wt_u, u in gens
                 for label in labels_of_weight.get(n - wt_u, ())
             ]

@@ -15,14 +15,17 @@ zero-mode tail of L(-1), which for c != 0 is genuinely infinite and is
 truncated at j <= j_max with an explicit exactness flag.
 
 Every internal use of these operators reads columns, dicts
-{(monomial, top): coefficient}, memoized by `Operators`.  Columns are handed
-out read-only to the identity checkers (Virasoro, mode and field
-commutators, L(0) grading, d = L(-1), strong grading), the contragredient
-matrices here and the C1 quotients in `dims`, which accumulate into dicts of
-their own.  The public `State` API, `l_apply`, `vertex_mode`, `d_apply` and
-`fock.apply_mode`, still returns fresh states and is not called inside the
-package.  The vacuum spaces in `repcat` read each single-mode column
-`fock._mode_column` once, unmemoized.
+{(monomial, top): coefficient}, compiled by `Operators` into one memo per
+operator, a dict from basis label to column; a compiled column is served by
+a plain dict lookup.  Columns are handed out read-only to the identity
+checkers (Virasoro, mode and field commutators, L(0) grading, d = L(-1),
+strong grading), the contragredient matrices here and the C1 quotients in
+`dims`, which accumulate into dicts of their own.  What depends only on the
+module (its adjoint module, the zero-mode entries, the L(0) matrix of the
+top space) is computed once per `Operators`.  The public `State` API,
+`l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
+fresh states and is not called inside the package.  The vacuum spaces in
+`repcat` read each single-mode column `fock._mode_column` once, unmemoized.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .fock import (
     grading,
     module_basis,
 )
+from .repcat import l0_top_matrix
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,7 @@ class Truncation:
             raise ValueError("truncation bounds must be nonnegative")
 
 
+@lru_cache(maxsize=256)
 def _gbinom(m, r):
     """Binomial coefficient C(m, r) for integer m of any sign, r >= 0."""
     num = 1
@@ -70,8 +75,15 @@ def _gbinom(m, r):
 
 def _compose(out, scale, column, column_of):
     """Add scale * coeff * column_of(key) to out for each (key, coeff) of column."""
+    get = out.get
     for key, coeff in column.items():
-        _axpy(out, scale * coeff, column_of(key))
+        s = scale * coeff
+        for image_key, c in column_of(key).items():
+            v = get(image_key, 0) + s * c
+            if v:
+                out[image_key] = v
+            else:
+                out.pop(image_key, None)
 
 
 def _vertex_labels(v, spec):
@@ -88,6 +100,37 @@ def _vertex_labels(v, spec):
 
 _EMPTY_COLUMN = {}  # shared by every operator that kills a label; never changed
 
+_TRUNCATED = (
+    "identity check hit a truncated L(-1) tail; "
+    "restrict to exact configurations (c = 0 or trivial top action)"
+)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key on lookup with `compile(key)`.
+
+    Once the value exists, `memo[key]` and `memo.__getitem__` are plain dict
+    lookups.  If `compile` raises, nothing is stored.
+    """
+
+    __slots__ = ("compile",)
+
+    def __init__(self, compile):
+        super().__init__()
+        self.compile = compile
+
+    def __missing__(self, key):
+        value = self[key] = self.compile(key)
+        return value
+
+
+def _top_rows(matrix, r):
+    """The nonzero int-first entries (t, matrix[t, top]) of each column top of an r x r matrix."""
+    return tuple(
+        tuple((t, _int_first(matrix[t, top])) for t in range(r) if matrix[t, top])
+        for top in range(r)
+    )
+
 
 class Operators:
     """L(n), single modes a(k) and vertex-operator modes Y(v)_k on one module.
@@ -95,14 +138,24 @@ class Operators:
     Each operator is compiled on demand, one basis label at a time, into a
     column: a dict {(monomial, top): coefficient} whose coefficients are
     int-first (an int wherever the rational is integral, else a Fraction).
-    Columns are memoized here and handed out read-only to the checkers
-    through `l_column`, `exact_l_column`, `mode_column` and `vertex_column`;
-    a caller that changed one would corrupt every later use; callers apply an
-    operator to a column with `_compose`.  `l` and `vertex` apply an
-    operator to a term dict and return a fresh dict, and the public `State`
-    API still returns fresh states.  Obtain one through
-    `operators(spec, j_max)`, so that every sweep of one command reuses the
-    same columns.
+    Every operator has a memo of its own, a dict from basis label to column
+    that compiles a missing column on lookup: `l_columns(n)`,
+    `exact_l_columns(n)`, `mode_columns(i, j, k)` and `vertex_columns(v, k)`.
+    A checker looks a column up with `memo[label]`, or passes
+    `memo.__getitem__` to `_compose`, so a compiled column costs one dict
+    lookup.  Columns are handed out read-only; a caller that changed one
+    would corrupt every later use.  `l` and `vertex` apply an operator to a
+    term dict and return a fresh dict, and the public `State` API still
+    returns fresh states.  Obtain one through `operators(spec, j_max)`, so
+    that every sweep of one command reuses the same columns.
+
+    What depends only on the module is computed once per object: the
+    adjoint module `adjoint` (for the states L(m)A of a field commutator),
+    the int-first zero-mode entries c^j H_i per (i, j), and the L(0) matrix
+    of the top space, taken from `repcat.l0_top_matrix` when the first L(0)
+    column is compiled, after the c^2 != 1 check.  The memos of Y(v)_k for
+    one v share v's split into its first factor x and its tail u, and hold
+    the memos of x and u that the iterate formula reads.
 
     Y(v)_k is compiled by the iterate formula for a normal-ordered product.
     For v = x(-n) u, with x = u^(i) t^j and r = n - 1,
@@ -113,62 +166,60 @@ class Operators:
     and Y(1)_k = delta_{k,-1}.  x(mu) w vanishes for mu > 0 unless w holds
     the variable x_{i,j,mu}; C(-mu-1, r) vanishes for -n < mu < 0; and the
     sum over mu < 0 stops where u_{k-mu-r-1} w would have negative weight.
-    The columns of the tail u come from the same memo, so they are shared
+    The columns of the tail u come from the same memos, so they are shared
     across the labels v, the modes k and the depths n.
     """
 
     def __init__(self, spec, j_max):
         self.spec = spec
         self.j_max = j_max
-        self._level_ok = (
-            spec.is_adjoint() or spec.c**2 != 1 or all(m.is_zero() for m in spec.H)
-        )
-        self._l = {}
-        self._modes = {}
-        self._vertex = {}
+        self.adjoint = spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l)
+        top_acts = not spec.is_adjoint() and any(not m.is_zero() for m in spec.H)
+        self._top_acts = top_acts
+        self._level_ok = not top_acts or spec.c**2 != 1
+        # the creation * zero-mode tail of L(-1) is cut at j <= j_max
+        self._cuts_tail = top_acts and spec.c != 0
+        # n -> memo of L(n); (i, j) -> k -> memo of a(k); v -> k -> memo of Y(v)_k
+        self._l = _Memo(lambda n: _Memo(partial(self._compile_l, n)))
+        self._modes = _Memo(self._mode_memos)
+        self._vertex = _Memo(self._vertex_memos)
+        self._zero_modes = _Memo(self._zero_mode_rows)
+        self._l0_top = None
 
-    def l_column(self, n, label):
-        """The read-only (column, exact) of L(n) on one basis label; see `l_apply`."""
-        key = (n, label)
-        entry = self._l.get(key)
-        if entry is None:
-            entry = self._l[key] = self._compile_l(n, *label)
-        return entry
+    def l_columns(self, n):
+        """The memo of L(n): basis label -> read-only column; see `l_apply`."""
+        return self._l[n]
 
-    def exact_l_column(self, n, label):
-        """The read-only column of L(n) on one label; ValueError if it is j-truncated."""
-        return _exact(self.l_column(n, label))
+    def exact_l_columns(self, n):
+        """The memo of L(n), or, if L(n) is j-truncated here, one that raises ValueError."""
+        if self.l_truncated(n):
+            return _Memo(partial(self._refuse_truncated, n))
+        return self._l[n]
 
-    def mode_column(self, i, j, k, label):
-        """The read-only column of the single mode (u^(i) t^j)(k) on one basis label."""
-        key = (i, j, k, label)
-        column = self._modes.get(key)
-        if column is None:
-            _check_mode(self.spec, i, j)
-            column = _mode_column(self.spec, i, j, k, *label) or _EMPTY_COLUMN
-            self._modes[key] = column
-        return column
+    def l_truncated(self, n):
+        """Whether the columns of L(n) are cut at j <= j_max (L(-1) only)."""
+        return n == -1 and self._cuts_tail
 
-    def vertex_column(self, vmono, k, label):
-        """The read-only column of Y(v)_k on one basis label, v a monomial of M(l)."""
-        key = (vmono, k, label)
-        column = self._vertex.get(key)
-        if column is None:
-            column = self._vertex[key] = self._compile_vertex(vmono, k, label)
-        return column
+    def mode_columns(self, i, j, k):
+        """The memo of the single mode (u^(i) t^j)(k): basis label -> read-only column."""
+        return self._modes[(i, j)][k]
+
+    def vertex_columns(self, vmono, k):
+        """The memo of Y(v)_k, v a monomial of M(l): basis label -> read-only column."""
+        return self._vertex[vmono][k]
 
     def l(self, n, terms):
         """L(n) applied to a term dict: (fresh dict, exact); see `l_apply`."""
         self._check_l(n)
         out = {}
-        _compose(out, 1, terms, lambda label: self.l_column(n, label)[0])
-        return out, all(self.l_column(n, label)[1] for label in terms)
+        _compose(out, 1, terms, self._l[n].__getitem__)
+        return out, not (terms and self.l_truncated(n))
 
     def vertex(self, labels, k, terms):
         """Y(v)_k applied to a term dict, v as (monomial, coefficient) pairs; a fresh dict."""
         out = {}
         for vmono, vcoeff in labels:
-            _compose(out, vcoeff, terms, partial(self.vertex_column, vmono, k))
+            _compose(out, vcoeff, terms, self.vertex_columns(vmono, k).__getitem__)
         return out
 
     def _check_l(self, n):
@@ -179,33 +230,71 @@ class Operators:
                 "L(n) on an evaluation module with nontrivial top action needs c^2 != 1"
             )
 
-    def _compile_vertex(self, vmono, k, label):
+    def _refuse_truncated(self, n, label):
+        self._l[n][label]  # a level error comes first
+        raise ValueError(_TRUNCATED)
+
+    def _mode_memos(self, gen):
+        i, j = gen
+        _check_mode(self.spec, i, j)
+
+        def memo_of(k):
+            if k == 0:
+                return _Memo(partial(self._compile_zero_mode, self._zero_modes[gen]))
+            return _Memo(partial(self._compile_mode, self.spec, i, j, k))
+
+        return _Memo(memo_of)
+
+    def _zero_mode_rows(self, gen):
+        """The nonzero entries (t, c^j H_i[t, top]) of (u^(i) t^j)(0), per top index."""
+        return _top_rows(self.spec.zero_mode_matrix(*gen), self.spec.r)
+
+    def _vertex_memos(self, vmono):
         if not vmono:
             # Y(1, z) is the identity field.
-            return {label: 1} if k == -1 else _EMPTY_COLUMN
-        (i, j, n), tail = vmono[0], Monomial(vmono[1:])
+            return _Memo(lambda k: _Memo(_identity_column if k == -1 else _no_column))
+        first = vmono[0]
+        x = self._modes[first[:2]]
+        u = self._vertex[Monomial(vmono[1:])]
+        weight = vmono.weight()
+        # every term of a column of Y(v)_k has the label's weight plus weight - k - 1
+        return _Memo(lambda k: _Memo(partial(self._compile_vertex, first, x, u, k, weight - k - 1)))
+
+    @staticmethod
+    def _compile_zero_mode(rows, label):
+        mono, top = label
+        return {(mono, t): entry for t, entry in rows[top]} or _EMPTY_COLUMN
+
+    @staticmethod
+    def _compile_mode(spec, i, j, k, label):
+        return _mode_column(spec, i, j, k, *label) or _EMPTY_COLUMN
+
+    @staticmethod
+    def _compile_vertex(first, x, u, k, shift, label):
+        i, j, n = first
         r = n - 1
-        # every term of the column has this weight
-        weight = label[0].weight() + vmono.weight() - k - 1
+        mono = label[0]
+        weight = mono.weight() + shift
         if weight < 0:
             return _EMPTY_COLUMN
         out = {}
-        for mu in sorted({0} | {q for (a, b, q) in label[0] if (a, b) == (i, j)}):
-            u_of = partial(self.vertex_column, tail, k - mu - r - 1)
-            _compose(out, _gbinom(-mu - 1, r), self.mode_column(i, j, mu, label), u_of)
+        for mu in sorted({0} | {q for (a, b, q) in mono if (a, b) == (i, j)}):
+            x_w = x[mu][label]
+            if x_w:
+                _compose(out, _gbinom(-mu - 1, r), x_w, u[k - mu - r - 1].__getitem__)
         # x(-p) raises the weight by p, so u_{k+p-r-1} w (mostly empty) has weight `weight - p`
         for p in range(n, weight + 1):
-            u_k = self.vertex_column(tail, k + p - r - 1, label)
-            if u_k:
-                _compose(out, _gbinom(p - 1, r), u_k, partial(self.mode_column, i, j, -p))
+            u_w = u[k + p - r - 1][label]
+            if u_w:
+                _compose(out, _gbinom(p - 1, r), u_w, x[-p].__getitem__)
         return _int_first_terms(out) if out else _EMPTY_COLUMN
 
-    def _compile_l(self, n, mono, top):
+    def _compile_l(self, n, label):
         self._check_l(n)
+        mono, top = label
         spec = self.spec
         l = spec.l
         out = {}
-        exact = True
 
         def add(key, coeff):
             v = out.get(key, 0) + coeff
@@ -236,51 +325,43 @@ class Operators:
                         coeff = p * q * l * mp * mq
                         add((mono.without(i, j, p).without(i, j, q), top), coeff)
 
-        if spec.is_adjoint():
-            return _int_first_terms(out), exact
+        if not self._top_acts:
+            return _int_first_terms(out)
 
         # zero mode * annihilation: a(n) kills all but finitely many variables
         if n >= 1:
             for (i, j, q), mult in mono.distinct():
                 if q == n:
-                    matrix = spec.zero_mode_matrix(i, j)
-                    if matrix.is_zero():
-                        continue
-                    base = mono.without(i, j, n)
-                    for t in range(spec.r):
-                        entry = matrix[t, top]
-                        if entry:
+                    entries = self._zero_modes[(i, j)][top]
+                    if entries:
+                        base = mono.without(i, j, n)
+                        for t, entry in entries:
                             add((base, t), n * mult * entry)
 
         # doubly-zero-mode part of L(0): geometric series summed in closed form
         if n == 0:
-            total = spec.h_square_sum()
-            if not total.is_zero():
-                scale = 1 / (2 * l * (1 - spec.c**2))
-                for t in range(spec.r):
-                    entry = total[t, top]
-                    if entry:
-                        add((mono, t), scale * entry)
+            if self._l0_top is None:
+                self._l0_top = _top_rows(l0_top_matrix(spec), spec.r)
+            for t, entry in self._l0_top[top]:
+                add((mono, t), entry)
 
         # creation * zero-mode tail of L(-1): infinite in j unless c = 0
         if n == -1:
+            powers = range(self.j_max + 1) if self._cuts_tail else (0,)
             for i in range(1, spec.d + 1):
-                H = spec.H[i - 1]
-                if H.is_zero():
-                    continue
-                if spec.c == 0:
-                    powers = [0]
-                else:
-                    powers = range(self.j_max + 1)
-                    exact = False
                 for j in powers:
-                    cj = spec.c**j
-                    for t in range(spec.r):
-                        entry = H[t, top]
-                        if entry:
-                            add((mono.times(i, j, 1), t), cj * entry / l)
+                    for t, entry in self._zero_modes[(i, j)][top]:
+                        add((mono.times(i, j, 1), t), entry / l)
 
-        return _int_first_terms(out), exact
+        return _int_first_terms(out)
+
+
+def _identity_column(label):
+    return {label: 1}
+
+
+def _no_column(label):
+    return _EMPTY_COLUMN
 
 
 @lru_cache(maxsize=4)
@@ -406,10 +487,7 @@ def _sweep(identity, params, spec, tr, defect_of):
 def _exact(pair):
     terms, exact = pair
     if not exact:
-        raise ValueError(
-            "identity check hit a truncated L(-1) tail; "
-            "restrict to exact configurations (c = 0 or trivial top action)"
-        )
+        raise ValueError(_TRUNCATED)
     return terms
 
 
@@ -417,14 +495,15 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
     """Verify [L(n), a(k)] = -k a(n+k) on every basis state within tr."""
     i, j = gen
     ops = operators(spec, tr.j_max)
-    l_n = partial(ops.exact_l_column, n)
-    a_k = partial(ops.mode_column, i, j, k)
+    a_k = ops.mode_columns(i, j, k).__getitem__
+    a_nk = ops.mode_columns(i, j, n + k).__getitem__
+    l_n = ops.exact_l_columns(n).__getitem__
 
     def defect_of(label):
         defect = {}
         _compose(defect, 1, a_k(label), l_n)
         _compose(defect, -1, l_n(label), a_k)
-        _axpy(defect, k, ops.mode_column(i, j, n + k, label))
+        _axpy(defect, k, a_nk(label))
         return defect
 
     params = {"n": n, "gen": [i, j], "k": k}
@@ -438,15 +517,16 @@ def check_virasoro(m, n, spec, tr):
     if m + n < -1 and m != n:
         raise ValueError("L(%d) is not defined; need m+n >= -1 or m = n" % (m + n))
     ops = operators(spec, tr.j_max)
-    l_m = partial(ops.exact_l_column, m)
-    l_n = partial(ops.exact_l_column, n)
+    l_m = ops.exact_l_columns(m).__getitem__
+    l_n = ops.exact_l_columns(n).__getitem__
+    l_mn = ops.exact_l_columns(m + n).__getitem__ if m != n else None
 
     def defect_of(label):
         defect = {}
         _compose(defect, 1, l_n(label), l_m)
         _compose(defect, -1, l_m(label), l_n)
         if m != n:
-            _axpy(defect, n - m, ops.exact_l_column(m + n, label))
+            _axpy(defect, n - m, l_mn(label))
         return defect
 
     params = {"m": m, "n": n}
@@ -461,16 +541,17 @@ def check_field_commutator(n, a_state, k, spec, tr):
     grading(a_state)
     a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
-    adj = ops if spec.is_adjoint() else operators(ModuleSpec.adjoint(spec.d, spec.l), 0)
-    # (monomial, mode, -coefficient) of each term of each (L(m)A)_{k+n-m} on the right
+    adj = ops if spec.is_adjoint() else operators(ops.adjoint, 0)
+    # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right
     rhs = []
     for m in range(-1, n + 1):
         lma = State(_exact(adj.l(m, a_state.terms)))
         for vmono, vcoeff in _vertex_labels(lma, spec):
-            rhs.append((vmono, k + n - m, -math.comb(n + 1, m + 1) * vcoeff))
+            y = ops.vertex_columns(vmono, k + n - m).__getitem__
+            rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
 
-    l_n = partial(ops.exact_l_column, n)
-    a_k = [(vcoeff, partial(ops.vertex_column, vmono, k)) for vmono, vcoeff in a_labels]
+    l_n = ops.exact_l_columns(n).__getitem__
+    a_k = [(vcoeff, ops.vertex_columns(vmono, k).__getitem__) for vmono, vcoeff in a_labels]
 
     def defect_of(label):
         defect = {}
@@ -478,8 +559,8 @@ def check_field_commutator(n, a_state, k, spec, tr):
         for vcoeff, y in a_k:
             _compose(defect, vcoeff, y(label), l_n)
             _compose(defect, -vcoeff, l_column, y)
-        for vmono, mode_k, scale in rhs:
-            _axpy(defect, scale, ops.vertex_column(vmono, mode_k, label))
+        for scale, y in rhs:
+            _axpy(defect, scale, y(label))
         return defect
 
     params = {"n": n, "A": a_state.to_json(), "k": k}
@@ -494,6 +575,8 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
     """
     hit_truncation = False
     ops = operators(spec, tr.j_max)
+    l_0 = ops.l_columns(0)
+    l_j = [(j, ops.l_columns(j), ops.l_truncated(j)) for j in j_values]
 
     def defect_of(label):
         nonlocal hit_truncation
@@ -501,21 +584,26 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
         wt_w, nwt_w = mono.weight(), mono.nwt()
         if spec.is_adjoint():
             mismatch = {label: -wt_w} if wt_w else {}
-            _axpy(mismatch, 1, ops.l_column(0, label)[0])
+            _axpy(mismatch, 1, l_0[label])
             if mismatch:
                 return mismatch
-        for j in j_values:
-            image, exact = ops.l_column(j, label)
-            if not exact:
+        for j, memo, truncated in l_j:
+            image = memo[label]
+            if truncated:
                 if not allow_truncated:
                     raise ValueError(
                         "l0-grading hit a truncated L(-1) tail; pass --j-max N "
                         "to run the truncated computation"
                     )
                 hit_truncation = True
-            for key, coeff in image.items():
-                if key[0].nwt() != nwt_w or key[0].weight() != wt_w - j:
-                    return {key: coeff}
+            # every offending term, so the reported defect does not hang on key order
+            offending = {
+                key: coeff
+                for key, coeff in image.items()
+                if key[0].nwt() != nwt_w or key[0].weight() != wt_w - j
+            }
+            if offending:
+                return offending
         return {}
 
     params = {"j_values": j_values, "spec": spec.to_json()}
@@ -529,11 +617,11 @@ def check_d_equals_lminus1(spec, tr):
     """L(-1) agrees with the translation derivation on the adjoint module."""
     if not spec.is_adjoint():
         raise ValueError("d-equals-lminus1 is an adjoint-module identity")
-    ops = operators(spec, tr.j_max)
+    l_minus1 = operators(spec, tr.j_max).l_columns(-1)
 
     def defect_of(label):
         defect = _translate({label: 1})
-        _axpy(defect, -1, ops.l_column(-1, label)[0])
+        _axpy(defect, -1, l_minus1[label])
         return defect
 
     params = {"spec": spec.to_json()}
@@ -591,9 +679,10 @@ def adjoint_mode_matrix(v, n, spec, tr):
                 "contragredient matrices need an integer L(0) spectrum: "
                 "use the adjoint module or an evaluation module with c = 0, lambda = 0"
             )
-    adj = operators(spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l), 0)
+    ops = operators(spec, tr.j_max)
+    adj = operators(ops.adjoint, 0)
 
-    # (monomial, mode k, coefficient) of each term of each L(1)^p v / p! of the expansion
+    # (coefficient, Y column of one term) of each L(1)^p v / p! of the expansion
     sign = (-1) ** wt_v
     expansion = []
     u = v.terms
@@ -601,19 +690,19 @@ def adjoint_mode_matrix(v, n, spec, tr):
     while u:
         scale = Fraction(sign, math.factorial(power))
         for vmono, vcoeff in _vertex_labels(State(u), spec):
-            expansion.append((vmono, 2 * wt_v - n - power - 2, scale * vcoeff))
+            y = ops.vertex_columns(vmono, 2 * wt_v - n - power - 2)
+            expansion.append((scale * vcoeff, y))
         u = _exact(adj.l(1, u))
         power += 1
         if power > wt_v + 1:
             raise AssertionError("L(1) expansion failed to terminate")
 
-    ops = operators(spec, tr.j_max)
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
     zero = Fraction(0)  # shared, so RatMatrix need not build one per cell
     rows = []
     for label in basis:
         image = {}
-        for vmono, k, scale in expansion:
-            _axpy(image, scale, ops.vertex_column(vmono, k, label))
+        for scale, y in expansion:
+            _axpy(image, scale, y[label])
         rows.append([image.get(key, zero) for key in basis])
     return RatMatrix(rows, cols=len(basis))

@@ -497,64 +497,161 @@ def test_returned_states_do_not_alias_compiled_columns():
         assert call() == expected
 
 
-A_LABEL = State.term(mono((1, 0, 1), (1, 1, 1)))
+A_MONO = mono((1, 0, 1), (1, 1, 1))
+A_LABEL = State.term(A_MONO)
 EVAL_C0 = ModuleSpec.evaluation(1, Fraction(5, 7), 0, (2,))
-# each sweep, its module and the memo of `Operators` that it must fill
+# each sweep, its module, and the memo of `Operators` and the operator in it
+# (its first key there) whose columns the sweep must leave compiled
 SWEEPS = {
     # the module and the adjoint one (for L(m)A) share the registry without evicting
     "field-commutator": (
-        EVAL_C0, lambda spec, tr: check_field_commutator(1, A_LABEL, -1, spec, tr), "_vertex"
+        EVAL_C0,
+        lambda spec, tr: check_field_commutator(1, A_LABEL, -1, spec, tr),
+        ("_vertex", A_MONO),
     ),
     "strong-grading": (
         EVAL_C0,
         lambda spec, tr: check_strong_grading(
             spec, tr, [(A_LABEL, -1), (State.term(mono((1, 0, 2))), 1)]
         ),
-        "_vertex",
+        ("_vertex", mono((1, 0, 2))),
     ),
-    "virasoro": (EVAL_C0, lambda spec, tr: check_virasoro(2, -1, spec, tr), "_l"),
+    "virasoro": (EVAL_C0, lambda spec, tr: check_virasoro(2, -1, spec, tr), ("_l", 2)),
     "l-mode-commutator": (
-        EVAL_C0, lambda spec, tr: check_l_mode_commutator(1, (1, 0), -2, spec, tr), "_modes"
+        EVAL_C0,
+        lambda spec, tr: check_l_mode_commutator(1, (1, 0), -2, spec, tr),
+        ("_modes", (1, 0)),
     ),
-    "l0-grading": (EVAL_C0, lambda spec, tr: check_l0_grading(spec, tr, [-1, 0, 1]), "_l"),
+    "l0-grading": (EVAL_C0, lambda spec, tr: check_l0_grading(spec, tr, [-1, 0, 1]), ("_l", 1)),
     "d-equals-lminus1": (
-        ADJ2, lambda spec, tr: vertexops.check_d_equals_lminus1(spec, tr), "_l"
+        ADJ2, lambda spec, tr: vertexops.check_d_equals_lminus1(spec, tr), ("_l", -1)
     ),
 }
 
 
+def memoized_columns(memo, path=()):
+    """Every column of a (nested) memo of `Operators`, as (path of keys, column) pairs."""
+    for key, value in memo.items():
+        if isinstance(value, vertexops._Memo):
+            yield from memoized_columns(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def compiled_columns(ops):
+    """Every memoized column of ops, as plain dicts {memo name: {path: column}}."""
+    names = ("_l", "_modes", "_vertex")
+    return {name: dict(memoized_columns(getattr(ops, name))) for name in names}
+
+
 @pytest.mark.parametrize("spec, sweep, memo", SWEEPS.values(), ids=SWEEPS.keys())
 def test_vertex_columns_are_compiled_once_per_command(spec, sweep, memo):
+    name, operator = memo
     tr = Truncation(3, 2, 0)
     assert sweep(spec, tr).defect_zero
     ops = operators(spec, 0)
-    assert getattr(ops, memo)
-    compiled = copy.deepcopy((ops._l, ops._modes, ops._vertex))
+    compiled = copy.deepcopy(compiled_columns(ops))
+    assert any(path[0] == operator for path in compiled[name])
     assert sweep(spec, tr).defect_zero
     assert operators(spec, 0) is ops
-    assert (ops._l, ops._modes, ops._vertex) == compiled
+    assert compiled_columns(ops) == compiled
 
 
-class _OrderedVertexColumns(vertexops.Operators):
-    """Operators whose every Y column holds the same terms in a chosen key order."""
+class _OrderedColumns(vertexops.Operators):
+    """Operators whose every L and Y column holds the same terms in a chosen key order."""
 
     def __init__(self, spec, column):
         super().__init__(spec, 0)
         self.column = column
 
-    def vertex_column(self, vmono, k, label):
-        return self.column
+    def l_columns(self, n):
+        return vertexops._Memo(lambda label: self.column)
+
+    def vertex_columns(self, vmono, k):
+        return vertexops._Memo(lambda label: self.column)
+
+
+# two terms that leave every bigrade, in either key order
+OFFENDING = [((mono((1, 2, 1)), 0), Fraction(1, 3)), ((mono((1, 3, 1)), 0), -5)]
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
 def test_strong_grading_defect_does_not_hang_on_key_order(monkeypatch, order):
     # no valid module violates strong grading, so feed the sweep two offending terms
-    bad = [((mono((1, 2, 1)), 0), Fraction(1, 3)), ((mono((1, 3, 1)), 0), -5)]
-    ops = _OrderedVertexColumns(ADJ, dict(bad[::order]))
+    ops = _OrderedColumns(ADJ, dict(OFFENDING[::order]))
     monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
     rep = check_strong_grading(ADJ, Truncation(1, 0), [(State.vacuum(), -1)])
     assert not rep.defect_zero and rep.max_defect == 5
     assert rep.counterexample == State.vacuum()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
+def test_l0_grading_defect_does_not_hang_on_key_order(monkeypatch, order):
+    # an evaluation module skips the adjoint L(0) eigenvalue check, so L(1) is read first
+    ops = _OrderedColumns(EVAL_C0, dict(OFFENDING[::order]))
+    monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
+    rep = check_l0_grading(EVAL_C0, Truncation(0, 0), [1])
+    assert not rep.defect_zero and rep.max_defect == 5
+    assert rep.counterexample == State.vacuum()
+
+
+@pytest.mark.parametrize("c", [1, -1])
+def test_module_constants_wait_for_the_level_check(c):
+    # at c^2 = 1 the L(0) top matrix has no closed form, but modes and Y still exist
+    spec = ModuleSpec.evaluation(1, 1, c, (2,), H=[[[2, 1], [0, 2]]])
+    ops = vertexops.Operators(spec, 2)
+    labels = module_basis(spec, 2, 1)
+    v = mono((1, 0, 1), (1, 1, 2))
+    for label in labels:
+        for j in range(3):
+            for k in (-1, 0, 1):
+                ops.mode_columns(1, j, k)[label]
+        for k in range(-3, 3):
+            ops.vertex_columns(v, k)[label]
+    assert ops.mode_columns(1, 1, 0)[(EMPTY, 1)] == {(EMPTY, 0): c, (EMPTY, 1): 2 * c}
+    for n in range(-1, 3):
+        for memo in (ops.l_columns(n), ops.exact_l_columns(n)):
+            with pytest.raises(ValueError, match="c\\^2 != 1"):
+                memo[labels[0]]
+        with pytest.raises(ValueError, match="c\\^2 != 1"):
+            l_apply(n, State.vacuum(), spec, Truncation(0, 0, 2))
+
+
+JORDAN_TOPS = {
+    "c%s" % c: ModuleSpec.evaluation(
+        2, Fraction(1, 2), c, (1, -2), H=[[[1, 1], [0, 1]], [[-2, 3], [0, -2]]]
+    )
+    for c in (Fraction(1, 3), Fraction(-2))
+}
+
+
+@pytest.mark.parametrize("spec", JORDAN_TOPS.values(), ids=JORDAN_TOPS.keys())
+def test_module_constants_match_the_matrices_they_replace(spec):
+    ops = vertexops.Operators(spec, 3)
+    top_l0 = repcat.l0_top_matrix(spec)
+    for label in module_basis(spec, 2, 2):
+        w = State.term(*label)
+        for i in (1, 2):
+            for j in range(4):
+                # apply_mode builds c^j H_i afresh through ModuleSpec.zero_mode_matrix
+                expected = apply_mode(mode(i, j, 0), w, spec).terms
+                assert ops.mode_columns(i, j, 0)[label] == expected, (label, i, j)
+        # L(0) acts as the weight plus the top-space matrix
+        m, top = label
+        expected = {(m, t): top_l0[t, top] for t in range(spec.r) if top_l0[t, top]}
+        exactmath._axpy(expected, m.weight(), {label: 1})
+        assert ops.l_columns(0)[label] == expected, label
+
+
+def test_truncated_l_minus1_is_refused_by_its_exact_memo():
+    spec = JORDAN_TOPS["c1/3"]
+    ops = vertexops.Operators(spec, 2)
+    label = (EMPTY, 1)
+    assert ops.l_truncated(-1) and not ops.l_truncated(0)
+    assert ops.l_columns(-1)[label]
+    with pytest.raises(ValueError, match="truncated L\\(-1\\) tail"):
+        ops.exact_l_columns(-1)[label]
+    assert ops.exact_l_columns(0) is ops.l_columns(0)
 
 
 MODULES = [cli, dims, exactmath, fock, repcat, vertexops]
@@ -736,7 +833,7 @@ def test_vertex_columns_match_assignment_enumeration(spec, j_max):
         vmono = mono(*factors)
         for k in range(-4, 5):
             for label in module_basis(spec, 3, 2):
-                got = ops.vertex_column(vmono, k, label)
+                got = ops.vertex_columns(vmono, k)[label]
                 expected = vertex_column_oracle(spec, vmono, k, label, modes)
                 assert got == expected, (vmono, k, label)
                 assert [type(c) for c in got.values()] == [
