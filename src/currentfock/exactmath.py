@@ -5,11 +5,13 @@ Scalars are exact rationals: a Python `int` where a value is integral and a
 point enters the package at any point; every computation downstream of this
 module is an exact identity over the rationals.
 
-Every exact rank and kernel goes through `_echelon`, a forward elimination
-over sparse rows {column: coefficient} whose columns may be any mutually
-ordered keys, so callers hand their term dicts straight in.  `rank` counts
-its pivots; `rank_nullspace` reads a canonical basis off the reduced row
-echelon form `_rref` builds from it.
+Every exact rank and kernel is sparse.  It goes through `_echelon`, a
+forward elimination over sparse rows {column: coefficient} whose columns may
+be any mutually ordered keys, so callers hand their term dicts straight in.
+`rank` counts its pivots; `_nullspace` reads a canonical kernel basis, as
+sparse vectors, off the reduced row echelon form `_rref` builds from it.
+`RatMatrix` is kept for top-space matrices and public outputs:
+`rank_nullspace` is `_nullspace` with dense rows in and dense tuples out.
 
 Serialization convention: a rational renders as ``"num/den"`` with the
 denominator omitted when it is 1 (``"-3/4"``, ``"7"``).  This is exactly what
@@ -22,13 +24,16 @@ from fractions import Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, a "num/den" string or a Fraction to an exact rational."""
+    """Coerce an int (not a bool), a "num/den" string or a Fraction to a rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % x) from None
     raise TypeError("cannot build an exact rational from %r" % (x,))
 
 
@@ -222,24 +227,41 @@ def _echelon(rows):
     return pivots
 
 
-def _rref(entries, cols):
-    """Reduced row echelon form of dense rows: (rows, pivot column indices).
+def _rref(rows):
+    """Reduced row echelon form of sparse rows {column: coefficient}.
 
     `_echelon`, then each pivot column is cleared above its pivot, last
-    pivot first.  The pivot rows come first, in pivot order, then one zero
-    row for each dependent input row.
+    pivot first.  Returns {pivot column: row}, each row 1 at its own pivot
+    and absent at every other pivot.  The input rows are not changed.
     """
-    echelon = _echelon(_sparse_rows(entries))
-    pivots = sorted(echelon)
+    reduced = _echelon(rows)
+    pivots = sorted(reduced)
     for k in range(len(pivots) - 1, 0, -1):
-        below = echelon[pivots[k]]
+        below = reduced[pivots[k]]
         for col in pivots[:k]:
-            above = echelon[col]
+            above = reduced[col]
             if pivots[k] in above:
                 _axpy(above, -above[pivots[k]], below)
-    rows = [[echelon[p].get(col, 0) for col in range(cols)] for p in pivots]
-    rows.extend([0] * cols for _ in range(len(entries) - len(pivots)))
-    return rows, pivots
+    return reduced
+
+
+def _nullspace(rows, columns):
+    """The canonical kernel basis of sparse rows, as sparse vectors {column: coeff}.
+
+    One vector per free column f, in the order of `columns`: 1 at f and
+    ``-row[f]`` at the pivot of each reduced row that holds f.
+    """
+    reduced = _rref(rows)
+    basis = []
+    for free in columns:
+        if free in reduced:
+            continue
+        vec = {free: 1}
+        for pivot, row in reduced.items():
+            if free in row:
+                vec[pivot] = -row[free]
+        basis.append(vec)
+    return basis
 
 
 def rank_nullspace(m):
@@ -247,22 +269,13 @@ def rank_nullspace(m):
 
     Returns ``(rank, basis)`` with rank + len(basis) == m.cols and
     m.apply(v) == 0 for every basis vector v.  The basis is the canonical
-    one read off the reduced row echelon form: one vector per free column f,
-    with entry 1 at f and ``-rref[r][f]`` at the pivot column of row r.
+    one of `_nullspace`, each vector made a dense tuple of Fractions.
     """
-    reduced, pivots = _rref(m.entries, m.cols)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][free]
-        basis.append(tuple(vec))
-    return rank, basis
+    basis = [
+        tuple(Fraction(vec.get(col, 0)) for col in range(m.cols))
+        for vec in _nullspace(_sparse_rows(m.entries), range(m.cols))
+    ]
+    return m.cols - len(basis), basis
 
 
 def rank(m):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactmath import RatMatrix, jordan_structure, rank, rank_nullspace, rat
+from .exactmath import RatMatrix, _nullspace, jordan_structure, rank, rat
 from .fock import State, _check_top, _mode_column, enumerate_basis
 
 
@@ -154,28 +154,21 @@ def vacuum_space(spec, tr):
     states = []
     for wt, nwt in product(range(tr.max_wt + 1), range(tr.max_nwt + 1)):
         monos = enumerate_basis(spec.d, nwt, wt)
-        if not monos:
-            continue
-        size = len(monos)
         rows = []
         for i in range(1, spec.d + 1):
             for j in range(nwt + 1):
                 for n in range(1, wt + 1):
-                    # one row per output label of this mode, filled sparsely; each
-                    # column is read once, so none is memoized
-                    block = {}
-                    for col, mono in enumerate(monos):
-                        column = _mode_column(spec, i, j, n, mono, 0)
-                        for key, coeff in column.items():
-                            block.setdefault(key, [Fraction(0)] * size)[col] = coeff
+                    # one sparse row {mono: coeff} per output label of this mode;
+                    # each column is read once, so none is memoized
+                    block = defaultdict(dict)
+                    for mono in monos:
+                        for key, coeff in _mode_column(spec, i, j, n, mono, 0).items():
+                            block[key][mono] = coeff
                     rows.extend(block.values())
-        matrix = RatMatrix(rows, cols=size) if rows else RatMatrix.zero(0, size)
-        _rank, kernel = rank_nullspace(matrix)
         # annihilation modes keep the top index and ignore it: r copies of one kernel
-        for vec in kernel:
+        for vec in _nullspace(rows, monos):
             for top in range(spec.r):
-                terms = {(monos[pos], top): c for pos, c in enumerate(vec) if c != 0}
-                states.append(State(terms))
+                states.append(State({(mono, top): c for mono, c in vec.items()}))
     return states
 
 

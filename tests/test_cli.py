@@ -447,6 +447,7 @@ class TestModule:
 
 # a vertex-operator label with color 2 on a d = 1 module
 BAD_COLOR_A = '[{"mono": [[2,0,1]], "coeff": "1"}]'
+ZERO_DENOMINATOR_A = '[{"mono": [[1,0,1]], "coeff": "1/0"}]'
 
 
 class TestPlumbing:
@@ -478,10 +479,20 @@ class TestPlumbing:
              "--max-nwt", "0", "--n", "0", "--k", "0"),
             ("verify", "field-commutator", "--a-state", BAD_COLOR_A, "--max-wt", "0",
              "--n", "0", "--k", "5"),
+            ("verify", "virasoro", "--l=1/0"),
+            ("module", "casimir", "--lambda=1", "--c=1/0"),
+            ("module", "vacuum", "--kind", "evaluation", "--c=0", "--lambda=1/0"),
+            ("module", "homdim", "--tops", "r1:1@1/0", "r1:1@1", "r1:1@1"),
+            ("module", "logcheck", "--H", '[["1/0"]]', "--c", "0"),
+            ("verify", "field-commutator", "--a-state", ZERO_DENOMINATOR_A,
+             "--max-wt", "1", "--max-nwt", "0", "--n", "0", "--k", "0"),
+            ("module", "logcheck", "--H", "[[true]]", "--c", "0"),
         ],
         ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
              "out-no-dir", "H-no-columns", "H-not-square", "a-state-color-evaluation",
-             "a-state-color-adjoint"],
+             "a-state-color-adjoint", "l-zero-denominator", "c-zero-denominator",
+             "lambda-zero-denominator", "tops-zero-denominator", "H-zero-denominator",
+             "a-state-zero-denominator", "H-bool"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -543,8 +554,8 @@ class TestPlumbing:
 # construction; a later flag overrides an earlier one, so it always takes effect.
 RATS = ["1", "-1", "2", "1/2", "-1/3", "3/2", "0"]
 NONZERO = [x for x in RATS if x != "0"]
-SPEC_BAD = [["--l=0"], ["--d=0"], ["--max-nwt=-1"], ["--max-wt=x"], ["--format=xml"],
-            ["--kind=evaluation", "--c=0", "--H=[1]"]]
+SPEC_BAD = [["--l=0"], ["--l=1/0"], ["--d=0"], ["--max-nwt=-1"], ["--max-wt=x"],
+            ["--format=xml"], ["--kind=evaluation", "--c=0", "--H=[1]"]]
 VERIFY_FLAGS = {
     "virasoro": {"--m-range": ["-1..1", "0..2", "2", "-1"],
                  "--n-range": ["-1..1", "0..2", "-1"]},
@@ -560,7 +571,7 @@ VERIFY_FLAGS = {
 }
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
 MODULE_BAD = {
-    "casimir": [["--c=1"], ["--lambda=x"]],
+    "casimir": [["--c=1"], ["--c=1/0"], ["--lambda=x"]],
     "vacuum": SPEC_BAD,
     "logcheck": [["--H=[[[]]]"], ["--H=[[1],[2]]"], ["--H=[[1.5]]"], ["--l=0"]],
     "homdim": [["--tops", "r1:1@1"], ["--tops", "r1:1@1", "r1:1@1", "bogus"]],

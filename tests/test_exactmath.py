@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from currentfock.exactmath import (
     RatMatrix,
+    _nullspace,
     _rref,
     jordan_structure,
     rank,
@@ -17,6 +18,7 @@ from currentfock.exactmath import (
     rat,
     rat_str,
 )
+from currentfock.fock import Monomial
 
 
 def det(matrix):
@@ -60,6 +62,10 @@ def test_rat_parsing_roundtrip():
     assert rat(Fraction(2, 6)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(TypeError):
+        rat(True)
+    with pytest.raises(ValueError):
+        rat("1/0")
 
 
 def test_rank_nullspace_identity():
@@ -109,11 +115,27 @@ def test_rank_nullspace_random_properties(seed):
         assert all(x == 0 for x in m.apply(vec))
 
 
+def sparse_rref_as_dense(entries, cols):
+    """`_rref` of dense rows, written out as `dense_rref` writes it.
+
+    The pivot rows come first, in pivot order, then one zero row for each
+    dependent input row.
+    """
+    reduced = _rref([dict(enumerate(row)) for row in entries])
+    pivots = sorted(reduced)
+    rows = [[reduced[p].get(col, 0) for col in range(cols)] for p in pivots]
+    rows.extend([0] * cols for _ in range(len(entries) - len(pivots)))
+    return rows, pivots
+
+
+def has_float(reduced):
+    return any(isinstance(a, float) for row in reduced.values() for a in row.values())
+
+
 def test_rref_of_int_rows_stays_exact():
     # an int pivot once inverted to a float: [[1.0, 0.0], [0.0, 1.0]]
-    reduced, pivots = _rref([(2, 1), (1, 3)], 2)
-    assert (reduced, pivots) == ([[1, 0], [0, 1]], [0, 1])
-    assert not any(isinstance(a, float) for row in reduced for a in row)
+    assert not has_float(_rref([{0: 2, 1: 1}, {0: 1, 1: 3}]))
+    assert sparse_rref_as_dense([(2, 1), (1, 3)], 2) == ([[1, 0], [0, 1]], [0, 1])
 
 
 SCALARS = st.one_of(
@@ -131,8 +153,7 @@ INT_OR_FRACTION_ROWS = st.integers(0, 4).flatmap(
 @given(INT_OR_FRACTION_ROWS)
 def test_rank_nullspace_is_exact_on_int_and_fraction_entries(case):
     rows, cols = case
-    reduced, _pivots = _rref(rows, cols)
-    assert not any(isinstance(a, float) for row in reduced for a in row)
+    assert not has_float(_rref([dict(enumerate(row)) for row in rows]))
     m = RatMatrix(rows, cols=cols)
     r, ns = rank_nullspace(m)
     assert r + len(ns) == cols
@@ -256,6 +277,23 @@ def dense_rref(entries, cols):
     return rows, pivots
 
 
+def dense_kernel(entries, cols):
+    """The canonical kernel basis read off `dense_rref`, as {column: coeff} dicts.
+
+    One vector per free column f, in increasing order: 1 at f and
+    ``-rref[r][f]`` at the pivot column of each row r where that is nonzero.
+    """
+    reduced, pivots = dense_rref(entries, cols)
+    kernel = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        vec = {free: 1}
+        for r, pc in enumerate(pivots):
+            if reduced[r][free]:
+                vec[pc] = -reduced[r][free]
+        kernel.append(vec)
+    return kernel
+
+
 # rows drawn from a small pool, so repeated rows and zero rows are common
 ROW_POOLS = st.integers(0, 5).flatmap(
     lambda cols: st.tuples(
@@ -277,7 +315,7 @@ ROW_POOLS = st.integers(0, 5).flatmap(
 def test_rref_matches_dense_gauss_jordan(case, data):
     pool, cols = case
     rows = data.draw(st.lists(st.sampled_from(pool), max_size=6))
-    assert _rref(rows, cols) == dense_rref(rows, cols)
+    assert sparse_rref_as_dense(rows, cols) == dense_rref(rows, cols)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -290,3 +328,32 @@ def test_rank_of_sparse_rows_with_tuple_columns_matches_dense(case, rng):
     rng.shuffle(order)
     dense = RatMatrix([[row[col] for col in order] for row in rows], cols=cols)
     assert rank(sparse) == rank(dense) == rank_by_minors(dense)
+
+
+# column labels of two kinds: basis monomials, as `repcat.vacuum_space` uses,
+# and nested tuples like the (monomial, top) keys of a term dict
+LABELS = st.sampled_from([
+    [Monomial.make(f) for f in ([], [(1, 0, 1)], [(1, 0, 2)], [(1, 0, 1), (1, 0, 1)],
+                                [(1, 1, 1)], [(2, 0, 1), (1, 0, 1)])],
+    [(("x", (col * 7) % 5), col % 2) for col in range(6)],
+])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(LABELS, st.integers(0, 6), st.data())
+def test_nullspace_of_sparse_rows_with_label_columns_matches_dense(labels, cols, data):
+    labels = data.draw(st.permutations(labels))[:cols]
+    entries = st.dictionaries(st.sampled_from(labels), SCALARS) if labels else st.just({})
+    rows = data.draw(st.lists(entries, max_size=4))
+    order = sorted(labels)
+    basis = _nullspace(rows, order)
+    dense = RatMatrix([[row.get(label, 0) for label in order] for row in rows], cols=cols)
+    assert [tuple(vec.get(label, 0) for label in order) for vec in basis] == (
+        rank_nullspace(dense)[1]
+    )
+    assert basis == [
+        {order[col]: a for col, a in vec.items()} for vec in dense_kernel(dense.entries, cols)
+    ]
+    for vec in basis:
+        for row in rows:
+            assert sum(a * vec.get(label, 0) for label, a in row.items()) == 0

@@ -27,6 +27,7 @@ from currentfock import (
     rank_nullspace,
     vacuum_space,
 )
+from test_exactmath import dense_kernel
 
 
 class TestEvalAction:
@@ -131,8 +132,9 @@ def whole_matrix_vacuum(spec, tr):
 
     Every annihilation mode within tr is applied to every basis state; the
     images fill one dense matrix (one row per mode and output label, one
-    column per basis label) whose canonical nullspace is read off at once,
-    with no use of the bigrading.
+    column per basis label).  Its canonical nullspace is read at once off the
+    dense Gauss-Jordan form of the test-only `dense_rref`, with no use of the
+    bigrading and none of the package's elimination.
     """
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
     index = {label: pos for pos, label in enumerate(basis)}
@@ -147,11 +149,9 @@ def whole_matrix_vacuum(spec, tr):
                     for key, coeff in image.terms.items():
                         block.setdefault(index[key], [Fraction(0)] * size)[col] = coeff
                 rows.extend(block[pos] for pos in sorted(block))
-    matrix = RatMatrix(rows, cols=size) if rows else RatMatrix.zero(0, size)
-    _rank, kernel = rank_nullspace(matrix)
     return [
-        State({basis[pos]: coeff for pos, coeff in enumerate(vec) if coeff != 0})
-        for vec in kernel
+        State({basis[pos]: coeff for pos, coeff in vec.items()})
+        for vec in dense_kernel(rows, size)
     ]
 
 
