@@ -302,6 +302,8 @@ def _parse_top(token):
 
 def _cmd_module(args):
     action = args.action
+    if args.format != "json":
+        raise ConfigError("module %s writes JSON only, not --format %s" % (action, args.format))
     if action == "casimir":
         if args.lam is None or args.c is None:
             raise ConfigError("casimir needs --lambda and --c")

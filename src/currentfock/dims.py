@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .exactmath import rank
 from .fock import enumerate_basis, module_basis
-from .vertexops import operators
+from .vertexops import _level_ratio, _rescale, operators
 
 
 @dataclass
@@ -209,6 +209,7 @@ def c1_quotient_dims(spec, tr):
     dim W^(m)_(n) minus that intersection.
     """
     ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
     labels_of_weight = {}
     for label in module_basis(spec, tr.max_wt, tr.max_nwt):
         labels_of_weight.setdefault(label[0].weight(), []).append(label)
@@ -224,7 +225,7 @@ def c1_quotient_dims(spec, tr):
         for n in range(tr.max_wt + 1):
             # the columns are read-only; `rank` copies its rows before eliminating
             images = [
-                ops.vertex_columns(u, -1)[label]
+                _rescale(ops.vertex_columns(u, -1)[label], ratio, len(u) + len(label[0]))
                 for wt_u, u in gens
                 for label in labels_of_weight.get(n - wt_u, ())
             ]

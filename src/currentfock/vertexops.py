@@ -26,6 +26,18 @@ top space) is computed once per `Operators`.  The public `State` API,
 `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
 fresh states and is not called inside the package.  The vacuum spaces in
 `repcat` read each single-mode column `fock._mode_column` once, unmemoized.
+
+The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
+modes vanish, so a term w -> w' of a column is the l = 1 term times
+l^((deg w - deg w')/2) under L(n), and l^((p + deg w - deg w')/2) under
+Y(v)_k, v with p factors; deg counts the variables of a monomial.  So the
+registry `operators` keys adjoint objects by (d, j_max) and serves every
+level the one l = 1 object, compiled in ints.  `_rescale` carries each
+value that leaves the engine (sweep defects, `State` results, the states
+L(m)A, contragredient rows, C1 images) to the level asked for, one group
+of input degrees or factor counts at a time; an odd power raises
+AssertionError.  Evaluation modules keep their own level: their zero modes
+carry no l.
 """
 
 from __future__ import annotations
@@ -132,6 +144,27 @@ def _top_rows(matrix, r):
     )
 
 
+class _Module:
+    """What the columns of one module read besides the label; holds no `Operators`.
+
+    The L(0) matrix of the top space is taken from `repcat.l0_top_matrix`
+    when the first L(0) column is compiled, after the c^2 != 1 check.
+    """
+
+    __slots__ = ("spec", "j_max", "l", "top_acts", "level_ok", "cuts_tail", "zero_modes", "l0_top")
+
+    def __init__(self, spec, j_max):
+        self.spec = spec
+        self.j_max = j_max
+        self.l = _int_first(spec.l)
+        self.top_acts = not spec.is_adjoint() and any(not m.is_zero() for m in spec.H)
+        self.level_ok = not self.top_acts or spec.c**2 != 1
+        # the creation * zero-mode tail of L(-1) is cut at j <= j_max
+        self.cuts_tail = self.top_acts and spec.c != 0
+        self.zero_modes = _Memo(partial(_zero_mode_rows, spec))
+        self.l0_top = None
+
+
 class Operators:
     """L(n), single modes a(k) and vertex-operator modes Y(v)_k on one module.
 
@@ -149,13 +182,16 @@ class Operators:
     returns fresh states.  Obtain one through `operators(spec, j_max)`, so
     that every sweep of one command reuses the same columns.
 
-    What depends only on the module is computed once per object: the
-    adjoint module `adjoint` (for the states L(m)A of a field commutator),
-    the int-first zero-mode entries c^j H_i per (i, j), and the L(0) matrix
-    of the top space, taken from `repcat.l0_top_matrix` when the first L(0)
-    column is compiled, after the c^2 != 1 check.  The memos of Y(v)_k for
-    one v share v's split into its first factor x and its tail u, and hold
-    the memos of x and u that the iterate formula reads.
+    The columns are those of `spec` at its own level; the registry serves
+    an adjoint spec at any level the level-1 object (the level law above).
+
+    What depends only on the module (`_Module`, and the adjoint module
+    `adjoint` for the states L(m)A of a field commutator) is computed once
+    per object.  The compile callables of the memos hold it and other memos,
+    never the object, so no reference cycle keeps a dropped object alive.
+    The memos of Y(v)_k for one v share v's split into its first factor x
+    and its tail u, and hold the memos of x and u that the iterate formula
+    reads.
 
     Y(v)_k is compiled by the iterate formula for a normal-ordered product.
     For v = x(-n) u, with x = u^(i) t^j and r = n - 1,
@@ -174,17 +210,11 @@ class Operators:
         self.spec = spec
         self.j_max = j_max
         self.adjoint = spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l)
-        top_acts = not spec.is_adjoint() and any(not m.is_zero() for m in spec.H)
-        self._top_acts = top_acts
-        self._level_ok = not top_acts or spec.c**2 != 1
-        # the creation * zero-mode tail of L(-1) is cut at j <= j_max
-        self._cuts_tail = top_acts and spec.c != 0
+        module = self._module = _Module(spec, j_max)
         # n -> memo of L(n); (i, j) -> k -> memo of a(k); v -> k -> memo of Y(v)_k
-        self._l = _Memo(lambda n: _Memo(partial(self._compile_l, n)))
-        self._modes = _Memo(self._mode_memos)
-        self._vertex = _Memo(self._vertex_memos)
-        self._zero_modes = _Memo(self._zero_mode_rows)
-        self._l0_top = None
+        self._l = _Memo(partial(_l_memo, module))
+        self._modes = _Memo(partial(_mode_memos, module))
+        self._vertex = {}
 
     def l_columns(self, n):
         """The memo of L(n): basis label -> read-only column; see `l_apply`."""
@@ -193,12 +223,12 @@ class Operators:
     def exact_l_columns(self, n):
         """The memo of L(n), or, if L(n) is j-truncated here, one that raises ValueError."""
         if self.l_truncated(n):
-            return _Memo(partial(self._refuse_truncated, n))
+            return _Memo(partial(_refuse_truncated, self._l[n]))
         return self._l[n]
 
     def l_truncated(self, n):
         """Whether the columns of L(n) are cut at j <= j_max (L(-1) only)."""
-        return n == -1 and self._cuts_tail
+        return n == -1 and self._module.cuts_tail
 
     def mode_columns(self, i, j, k):
         """The memo of the single mode (u^(i) t^j)(k): basis label -> read-only column."""
@@ -206,11 +236,11 @@ class Operators:
 
     def vertex_columns(self, vmono, k):
         """The memo of Y(v)_k, v a monomial of M(l): basis label -> read-only column."""
-        return self._vertex[vmono][k]
+        return self._vertex_memos(vmono)[k]
 
     def l(self, n, terms):
         """L(n) applied to a term dict: (fresh dict, exact); see `l_apply`."""
-        self._check_l(n)
+        _check_l(self._module, n)
         out = {}
         _compose(out, 1, terms, self._l[n].__getitem__)
         return out, not (terms and self.l_truncated(n))
@@ -222,138 +252,61 @@ class Operators:
             _compose(out, vcoeff, terms, self.vertex_columns(vmono, k).__getitem__)
         return out
 
-    def _check_l(self, n):
-        if n < -1:
-            raise ValueError("only the operators L(n) with n >= -1 exist here")
-        if not self._level_ok:
-            raise ValueError(
-                "L(n) on an evaluation module with nontrivial top action needs c^2 != 1"
-            )
-
-    def _refuse_truncated(self, n, label):
-        self._l[n][label]  # a level error comes first
-        raise ValueError(_TRUNCATED)
-
-    def _mode_memos(self, gen):
-        i, j = gen
-        _check_mode(self.spec, i, j)
-
-        def memo_of(k):
-            if k == 0:
-                return _Memo(partial(self._compile_zero_mode, self._zero_modes[gen]))
-            return _Memo(partial(self._compile_mode, self.spec, i, j, k))
-
-        return _Memo(memo_of)
-
-    def _zero_mode_rows(self, gen):
-        """The nonzero entries (t, c^j H_i[t, top]) of (u^(i) t^j)(0), per top index."""
-        return _top_rows(self.spec.zero_mode_matrix(*gen), self.spec.r)
-
     def _vertex_memos(self, vmono):
-        if not vmono:
-            # Y(1, z) is the identity field.
-            return _Memo(lambda k: _Memo(_identity_column if k == -1 else _no_column))
-        first = vmono[0]
-        x = self._modes[first[:2]]
-        u = self._vertex[Monomial(vmono[1:])]
-        weight = vmono.weight()
-        # every term of a column of Y(v)_k has the label's weight plus weight - k - 1
-        return _Memo(lambda k: _Memo(partial(self._compile_vertex, first, x, u, k, weight - k - 1)))
-
-    @staticmethod
-    def _compile_zero_mode(rows, label):
-        mono, top = label
-        return {(mono, t): entry for t, entry in rows[top]} or _EMPTY_COLUMN
-
-    @staticmethod
-    def _compile_mode(spec, i, j, k, label):
-        return _mode_column(spec, i, j, k, *label) or _EMPTY_COLUMN
-
-    @staticmethod
-    def _compile_vertex(first, x, u, k, shift, label):
-        i, j, n = first
-        r = n - 1
-        mono = label[0]
-        weight = mono.weight() + shift
-        if weight < 0:
-            return _EMPTY_COLUMN
-        out = {}
-        for mu in sorted({0} | {q for (a, b, q) in mono if (a, b) == (i, j)}):
-            x_w = x[mu][label]
-            if x_w:
-                _compose(out, _gbinom(-mu - 1, r), x_w, u[k - mu - r - 1].__getitem__)
-        # x(-p) raises the weight by p, so u_{k+p-r-1} w (mostly empty) has weight `weight - p`
-        for p in range(n, weight + 1):
-            u_w = u[k + p - r - 1][label]
-            if u_w:
-                _compose(out, _gbinom(p - 1, r), u_w, x[-p].__getitem__)
-        return _int_first_terms(out) if out else _EMPTY_COLUMN
-
-    def _compile_l(self, n, label):
-        self._check_l(n)
-        mono, top = label
-        spec = self.spec
-        l = spec.l
-        out = {}
-
-        def add(key, coeff):
-            v = out.get(key, 0) + coeff
-            if v:
-                out[key] = v
+        """The memo k -> memo of Y(v)_k, made after the memos of v's tail."""
+        memos = self._vertex.get(vmono)
+        if memos is None:
+            if vmono:
+                first = vmono[0]
+                x = self._modes[first[:2]]
+                u = self._vertex_memos(Monomial(vmono[1:]))
+                memos = _Memo(partial(_vertex_memo, first, x, u, vmono.weight()))
             else:
-                out.pop(key, None)
+                memos = _Memo(_identity_memo)  # Y(1, z) is the identity field
+            self._vertex[vmono] = memos
+        return memos
 
-        # creation * annihilation pairings (for n = 0 this is the weight count)
-        floor = max(0, n)
-        for (i, j, q), mult in mono.distinct():
-            if q > floor:
-                add((mono.without(i, j, q).times(i, j, q - n), top), q * mult)
 
-        # annihilation * annihilation, both factors acting on variables of w
-        if n >= 2:
-            seen = {(i, j) for (i, j, _q) in mono}
-            for p in range(1, n // 2 + 1):
-                q = n - p
-                for i, j in sorted(seen):
-                    mp = mono.multiplicity(i, j, p)
-                    mq = mono.multiplicity(i, j, q)
-                    if p == q:
-                        if mq >= 2:
-                            coeff = p * q * mq * (mq - 1) // 2 * l
-                            add((mono.without(i, j, p).without(i, j, q), top), coeff)
-                    elif mp >= 1 and mq >= 1:
-                        coeff = p * q * l * mp * mq
-                        add((mono.without(i, j, p).without(i, j, q), top), coeff)
+def _check_l(module, n):
+    if n < -1:
+        raise ValueError("only the operators L(n) with n >= -1 exist here")
+    if not module.level_ok:
+        raise ValueError("L(n) on an evaluation module with nontrivial top action needs c^2 != 1")
 
-        if not self._top_acts:
-            return _int_first_terms(out)
 
-        # zero mode * annihilation: a(n) kills all but finitely many variables
-        if n >= 1:
-            for (i, j, q), mult in mono.distinct():
-                if q == n:
-                    entries = self._zero_modes[(i, j)][top]
-                    if entries:
-                        base = mono.without(i, j, n)
-                        for t, entry in entries:
-                            add((base, t), n * mult * entry)
+def _refuse_truncated(memo, label):
+    memo[label]  # a level error comes first
+    raise ValueError(_TRUNCATED)
 
-        # doubly-zero-mode part of L(0): geometric series summed in closed form
-        if n == 0:
-            if self._l0_top is None:
-                self._l0_top = _top_rows(l0_top_matrix(spec), spec.r)
-            for t, entry in self._l0_top[top]:
-                add((mono, t), entry)
 
-        # creation * zero-mode tail of L(-1): infinite in j unless c = 0
-        if n == -1:
-            powers = range(self.j_max + 1) if self._cuts_tail else (0,)
-            for i in range(1, spec.d + 1):
-                for j in powers:
-                    for t, entry in self._zero_modes[(i, j)][top]:
-                        add((mono.times(i, j, 1), t), entry / l)
+def _l_memo(module, n):
+    return _Memo(partial(_compile_l, module, n))
 
-        return _int_first_terms(out)
+
+def _mode_memos(module, gen):
+    i, j = gen
+    _check_mode(module.spec, i, j)
+    return _Memo(partial(_mode_memo, module, i, j))
+
+
+def _mode_memo(module, i, j, k):
+    if k == 0:
+        return _Memo(partial(_compile_zero_mode, module.zero_modes[(i, j)]))
+    return _Memo(partial(_compile_mode, module.spec, i, j, k))
+
+
+def _zero_mode_rows(spec, gen):
+    """The nonzero entries (t, c^j H_i[t, top]) of (u^(i) t^j)(0), per top index."""
+    return _top_rows(spec.zero_mode_matrix(*gen), spec.r)
+
+
+def _vertex_memo(first, x, u, weight, k):
+    # every term of a column of Y(v)_k has the label's weight plus weight - k - 1
+    return _Memo(partial(_compile_vertex, first, x, u, k, weight - k - 1))
+
+
+def _identity_memo(k):
+    return _Memo(_identity_column if k == -1 else _no_column)
 
 
 def _identity_column(label):
@@ -364,15 +317,180 @@ def _no_column(label):
     return _EMPTY_COLUMN
 
 
+def _compile_zero_mode(rows, label):
+    mono, top = label
+    return {(mono, t): entry for t, entry in rows[top]} or _EMPTY_COLUMN
+
+
+def _compile_mode(spec, i, j, k, label):
+    return _mode_column(spec, i, j, k, *label) or _EMPTY_COLUMN
+
+
+def _compile_vertex(first, x, u, k, shift, label):
+    i, j, n = first
+    r = n - 1
+    mono = label[0]
+    weight = mono.weight() + shift
+    if weight < 0:
+        return _EMPTY_COLUMN
+    out = {}
+    for mu in sorted({0} | {q for (a, b, q) in mono if (a, b) == (i, j)}):
+        x_w = x[mu][label]
+        if x_w:
+            _compose(out, _gbinom(-mu - 1, r), x_w, u[k - mu - r - 1].__getitem__)
+    # x(-p) raises the weight by p, so u_{k+p-r-1} w (mostly empty) has weight `weight - p`
+    for p in range(n, weight + 1):
+        u_w = u[k + p - r - 1][label]
+        if u_w:
+            _compose(out, _gbinom(p - 1, r), u_w, x[-p].__getitem__)
+    return _int_first_terms(out) if out else _EMPTY_COLUMN
+
+
+def _compile_l(module, n, label):
+    _check_l(module, n)
+    mono, top = label
+    l = module.l
+    out = {}
+
+    def add(key, coeff):
+        v = out.get(key, 0) + coeff
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+    # one scan of the label: each variable's multiplicity, and the label without it
+    counts = {}
+    without = {}
+    for pos, var in enumerate(mono):
+        if var in counts:
+            counts[var] += 1
+        else:
+            counts[var] = 1
+            without[var] = Monomial(mono[:pos] + mono[pos + 1 :])
+
+    # creation * annihilation pairings; for n = 0 each gives back w, so they sum to its weight
+    if n == 0:
+        if mono:
+            out[label] = mono.weight()
+    else:
+        floor = max(0, n)
+        for (i, j, q), mult in counts.items():
+            if q > floor:
+                add((without[(i, j, q)].times(i, j, q - n), top), q * mult)
+
+    # annihilation * annihilation, both factors acting on variables of w
+    if n >= 2:
+        for (i, j, p), mp in counts.items():
+            q = n - p
+            if p < q:
+                mq = counts.get((i, j, q))
+                if mq:
+                    add((without[(i, j, p)].without(i, j, q), top), p * q * l * mp * mq)
+            elif p == q and mp >= 2:
+                add((without[(i, j, p)].without(i, j, q), top), p * q * mp * (mp - 1) // 2 * l)
+
+    if not module.top_acts:
+        # at an int level every coefficient so far is an int
+        return out if type(l) is int else _int_first_terms(out)
+
+    # zero mode * annihilation: a(n) kills all but finitely many variables
+    if n >= 1:
+        for (i, j, q), mult in counts.items():
+            if q == n:
+                entries = module.zero_modes[(i, j)][top]
+                for t, entry in entries:
+                    add((without[(i, j, q)], t), n * mult * entry)
+
+    spec = module.spec
+    # doubly-zero-mode part of L(0): geometric series summed in closed form
+    if n == 0:
+        if module.l0_top is None:
+            module.l0_top = _top_rows(l0_top_matrix(spec), spec.r)
+        for t, entry in module.l0_top[top]:
+            add((mono, t), entry)
+
+    # creation * zero-mode tail of L(-1): infinite in j unless c = 0
+    if n == -1:
+        powers = range(module.j_max + 1) if module.cuts_tail else (0,)
+        for i in range(1, spec.d + 1):
+            for j in powers:
+                for t, entry in module.zero_modes[(i, j)][top]:
+                    add((mono.times(i, j, 1), t), entry / spec.l)
+
+    return _int_first_terms(out)
+
+
 @lru_cache(maxsize=4)
+def _registry(key, j_max):
+    """One `Operators` per key: a spec, or the color count d of the level-1 adjoint module."""
+    spec = ModuleSpec.adjoint(key, 1) if isinstance(key, int) else key
+    return Operators(spec, j_max)
+
+
 def operators(spec, j_max):
     """The shared `Operators` of (spec, j_max), from a small bounded registry.
 
     One command keeps using the same few modules (a field-commutator sweep
     needs its module and the adjoint one), so their columns live across all
-    of the command's sweeps while the registry stays bounded.
+    of the command's sweeps while the registry stays bounded.  An adjoint
+    spec is keyed by (d, j_max) alone: see the level law above.
     """
-    return Operators(spec, j_max)
+    return _registry(spec.d if spec.is_adjoint() else spec, j_max)
+
+
+def _level_ratio(spec, ops):
+    """spec's level over the level of ops, int-first."""
+    return _int_first(spec.l / ops.spec.l)
+
+
+def _rescale(terms, ratio, shift):
+    """Adjoint terms of one level at `ratio` times that level, by the level law.
+
+    `shift` is deg w under L(n) and p + deg w under Y(v)_k, the same for
+    every term: callers split sums over mixed degrees or factor counts.
+    Returns `terms` itself when there is nothing to scale.
+    """
+    if not terms or ratio == 1:
+        return terms
+    out = {}
+    for key, coeff in terms.items():
+        half, odd = divmod(shift - len(key[0]), 2)
+        if odd:
+            raise AssertionError("an odd power of the level: the level law is broken")
+        out[key] = _int_first(coeff * ratio**half)
+    return out
+
+
+def _by_degree(terms):
+    """The terms split by the number of variables of their monomial: (deg, terms) pairs."""
+    parts = {}
+    for key, coeff in terms.items():
+        parts.setdefault(len(key[0]), {})[key] = coeff
+    return parts.items()
+
+
+def _apply_l(ops, ratio, n, terms):
+    """L(n) at `ratio` times the level of ops applied to a term dict: (fresh dict, exact)."""
+    if ratio == 1 or not terms:
+        return ops.l(n, terms)
+    out = {}
+    for deg, part in _by_degree(terms):
+        _axpy(out, 1, _rescale(ops.l(n, part)[0], ratio, deg))
+    return out, True  # only the adjoint L(n), never truncated, is rescaled
+
+
+def _apply_vertex(ops, ratio, labels, k, terms):
+    """Y(v)_k at `ratio` times the level of ops applied to a term dict; a fresh dict."""
+    if ratio == 1:
+        return ops.vertex(labels, k, terms)
+    out = {}
+    parts = _by_degree(terms)
+    for pair in labels:
+        for deg, part in parts:
+            image = ops.vertex((pair,), k, part)
+            _axpy(out, 1, _rescale(image, ratio, len(pair[0]) + deg))
+    return out
 
 
 def vertex_mode(v, k, w, spec):
@@ -381,7 +499,9 @@ def vertex_mode(v, k, w, spec):
     Linear in v and in w; exact.  The adjoint module realizes the algebra's
     own operators Y(v, z).
     """
-    return State(operators(spec, 0).vertex(_vertex_labels(v, spec), k, w.terms))
+    ops = operators(spec, 0)
+    ratio = _level_ratio(spec, ops)
+    return State(_apply_vertex(ops, ratio, _vertex_labels(v, spec), k, w.terms))
 
 
 def l_apply(n, w, spec, tr=None):
@@ -391,8 +511,8 @@ def l_apply(n, w, spec, tr=None):
     on evaluation modules with c != 0 and a nontrivial top action; the tail
     is cut at j <= tr.j_max.  Everything else is a finite exact sum.
     """
-    j_max = tr.j_max if tr is not None else 0
-    out, exact = operators(spec, j_max).l(n, w.terms)
+    ops = operators(spec, tr.j_max if tr is not None else 0)
+    out, exact = _apply_l(ops, _level_ratio(spec, ops), n, w.terms)
     return State(out), exact
 
 
@@ -488,6 +608,7 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
     """Verify [L(n), a(k)] = -k a(n+k) on every basis state within tr."""
     i, j = gen
     ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
     a_k = ops.mode_columns(i, j, k).__getitem__
     a_nk = ops.mode_columns(i, j, n + k).__getitem__
     l_n = ops.exact_l_columns(n).__getitem__
@@ -497,7 +618,8 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
         _compose(defect, 1, a_k(label), l_n)
         _compose(defect, -1, l_n(label), a_k)
         _axpy(defect, k, a_nk(label))
-        return defect
+        # a single mode is Y(x)_k for x with one factor
+        return _rescale(defect, ratio, len(label[0]) + 1)
 
     params = {"n": n, "gen": [i, j], "k": k}
     return _sweep("l-mode-commutator", params, spec, tr, defect_of)
@@ -510,6 +632,7 @@ def check_virasoro(m, n, spec, tr):
     if m + n < -1 and m != n:
         raise ValueError("L(%d) is not defined; need m+n >= -1 or m = n" % (m + n))
     ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
     l_m = ops.exact_l_columns(m).__getitem__
     l_n = ops.exact_l_columns(n).__getitem__
     l_mn = ops.exact_l_columns(m + n).__getitem__ if m != n else None
@@ -520,7 +643,7 @@ def check_virasoro(m, n, spec, tr):
         _compose(defect, -1, l_m(label), l_n)
         if m != n:
             _axpy(defect, n - m, l_mn(label))
-        return defect
+        return _rescale(defect, ratio, len(label[0]))
 
     params = {"m": m, "n": n}
     return _sweep("virasoro", params, spec, tr, defect_of)
@@ -534,26 +657,39 @@ def check_field_commutator(n, a_state, k, spec, tr):
     grading(a_state)
     a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
     adj = ops if spec.is_adjoint() else operators(ops.adjoint, 0)  # its L(n) is never truncated
-    # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right
-    rhs = []
-    for m in range(-1, n + 1):
-        lma = State(adj.l(m, a_state.terms)[0])
-        for vmono, vcoeff in _vertex_labels(lma, spec):
-            y = ops.vertex_columns(vmono, k + n - m).__getitem__
-            rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
-
+    adj_ratio = _level_ratio(ops.spec, adj)
+    # A split by the factor count p of its terms: the check is linear in A,
+    # and the defect of each part carries its own power of the level
+    parts = []
+    for p in sorted({len(vmono) for vmono, _vcoeff in a_labels}):
+        labels = [(vmono, vcoeff) for vmono, vcoeff in a_labels if len(vmono) == p]
+        a_part = {(vmono, 0): vcoeff for vmono, vcoeff in labels}
+        a_k = [(vcoeff, ops.vertex_columns(vmono, k).__getitem__) for vmono, vcoeff in labels]
+        # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right
+        rhs = []
+        for m in range(-1, n + 1):
+            lma = State(_apply_l(adj, adj_ratio, m, a_part)[0])
+            for vmono, vcoeff in _vertex_labels(lma, spec):
+                y = ops.vertex_columns(vmono, k + n - m).__getitem__
+                rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
+        parts.append((p, a_k, rhs))
     l_n = ops.exact_l_columns(n).__getitem__
-    a_k = [(vcoeff, ops.vertex_columns(vmono, k).__getitem__) for vmono, vcoeff in a_labels]
 
     def defect_of(label):
         defect = {}
         l_column = l_n(label)
-        for vcoeff, y in a_k:
-            _compose(defect, vcoeff, y(label), l_n)
-            _compose(defect, -vcoeff, l_column, y)
-        for scale, y in rhs:
-            _axpy(defect, scale, y(label))
+        deg = len(label[0])
+        for p, a_k, rhs in parts:
+            part = {}
+            for vcoeff, y in a_k:
+                _compose(part, vcoeff, y(label), l_n)
+                _compose(part, -vcoeff, l_column, y)
+            for scale, y in rhs:
+                _axpy(part, scale, y(label))
+            if part:
+                _axpy(defect, 1, _rescale(part, ratio, p + deg))
         return defect
 
     params = {"n": n, "A": a_state.to_json(), "k": k}
@@ -568,6 +704,7 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
     """
     hit_truncation = False
     ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
     l_0 = ops.l_columns(0)
     l_j = [(j, ops.l_columns(j), ops.l_truncated(j)) for j in j_values]
 
@@ -579,7 +716,7 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
             mismatch = {label: -wt_w} if wt_w else {}
             _axpy(mismatch, 1, l_0[label])
             if mismatch:
-                return mismatch
+                return _rescale(mismatch, ratio, len(mono))
         for j, memo, truncated in l_j:
             image = memo[label]
             if truncated:
@@ -596,7 +733,7 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
                 if key[0].nwt() != nwt_w or key[0].weight() != wt_w - j
             }
             if offending:
-                return offending
+                return _rescale(offending, ratio, len(mono))
         return {}
 
     params = {"j_values": j_values, "spec": spec.to_json()}
@@ -610,12 +747,14 @@ def check_d_equals_lminus1(spec, tr):
     """L(-1) agrees with the translation derivation on the adjoint module."""
     if not spec.is_adjoint():
         raise ValueError("d-equals-lminus1 is an adjoint-module identity")
-    l_minus1 = operators(spec, tr.j_max).l_columns(-1)
+    ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
+    l_minus1 = ops.l_columns(-1)
 
     def defect_of(label):
         defect = _translate({label: 1})
         _axpy(defect, -1, l_minus1[label])
-        return defect
+        return _rescale(defect, ratio, len(label[0]))
 
     params = {"spec": spec.to_json()}
     return _sweep("d-equals-lminus1", params, spec, tr, defect_of)
@@ -635,6 +774,7 @@ def check_strong_grading(spec, tr, sample):
         graded_sample.append((j, _vertex_labels(v, spec), wt_v, nwt_v))
         params["sample"].append([v.to_json(), j])
     ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
 
     def defect_of(label):
         mono, _top = label
@@ -643,7 +783,7 @@ def check_strong_grading(spec, tr, sample):
             # every offending term, so the reported defect does not hang on key order
             offending = {
                 key: coeff
-                for key, coeff in ops.vertex(labels, j, {label: 1}).items()
+                for key, coeff in _apply_vertex(ops, ratio, labels, j, {label: 1}).items()
                 if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1
             }
             if offending:
@@ -673,29 +813,34 @@ def adjoint_mode_matrix(v, n, spec, tr):
                 "use the adjoint module or an evaluation module with c = 0, lambda = 0"
             )
     ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
     adj = operators(ops.adjoint, 0)  # its L(n) is never truncated
+    adj_ratio = _level_ratio(ops.spec, adj)
 
-    # (coefficient, Y column of one term) of each L(1)^p v / p! of the expansion
+    # (coefficient, factor count p of the term of v it comes from, Y column of
+    # one term) of each L(1)^power v / power! of the expansion; the parts of v
+    # with p factors are expanded apart, since each carries its own power of l
     sign = (-1) ** wt_v
     expansion = []
-    u = v.terms
-    power = 0
-    while u:
-        scale = Fraction(sign, math.factorial(power))
-        for vmono, vcoeff in _vertex_labels(State(u), spec):
-            y = ops.vertex_columns(vmono, 2 * wt_v - n - power - 2)
-            expansion.append((scale * vcoeff, y))
-        u = adj.l(1, u)[0]
-        power += 1
-        if power > wt_v + 1:
-            raise AssertionError("L(1) expansion failed to terminate")
+    for p, u in _by_degree(v.terms):
+        power = 0
+        while u:
+            scale = Fraction(sign, math.factorial(power))
+            for vmono, vcoeff in _vertex_labels(State(u), spec):
+                y = ops.vertex_columns(vmono, 2 * wt_v - n - power - 2)
+                expansion.append((scale * vcoeff, p, y))
+            u = _apply_l(adj, adj_ratio, 1, u)[0]
+            power += 1
+            if power > wt_v + 1:
+                raise AssertionError("L(1) expansion failed to terminate")
 
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
     zero = Fraction(0)  # shared, so RatMatrix need not build one per cell
     rows = []
     for label in basis:
         image = {}
-        for scale, y in expansion:
-            _axpy(image, scale, y[label])
+        deg = len(label[0])
+        for scale, p, y in expansion:
+            _axpy(image, scale, _rescale(y[label], ratio, p + deg))
         rows.append([image.get(key, zero) for key in basis])
     return RatMatrix(rows, cols=len(basis))

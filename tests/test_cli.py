@@ -389,6 +389,23 @@ class TestModule:
         assert code == EXIT_OK
         assert out.strip() == '"8/3"'
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("casimir", "--lambda", "2", "--c", "0"),
+            ("vacuum", "--max-wt", "1", "--max-nwt", "0"),
+            ("logcheck", "--H", "[[1,1],[0,1]]", "--c", "0"),
+            ("homdim", "--tops", "r1:1@1", "r1:1@1", "r1:1@2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_module_actions_write_json_only(self, capsys, argv, fmt):
+        code, out, err = run(capsys, "module", *argv, "--format", fmt)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: module %s writes JSON only, not --format %s\n" % (argv[0], fmt)
+        assert run(capsys, "module", *argv, "--format", "json")[0] == EXIT_OK
+
     def test_casimir_rejects_c_squared_one(self, capsys):
         code, _, err = run(capsys, "module", "casimir", "--lambda", "1", "--c", "-1")
         assert code == EXIT_USAGE
@@ -627,7 +644,8 @@ def small_argv(draw):
     argv.append("--format=" + fmt)
     if draw(st.integers(0, 3)) == 0:
         return argv + draw(st.sampled_from(bad)), fmt, True
-    return argv, fmt, False
+    # module actions write JSON only
+    return argv, fmt, command == "module" and fmt != "json"
 
 
 def counterexample_shown(command, fmt, out):

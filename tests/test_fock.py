@@ -19,7 +19,7 @@ from currentfock import (
     mode,
     module_basis,
 )
-from currentfock.vertexops import operators
+from currentfock.vertexops import _registry, operators
 
 
 def mono(*factors):
@@ -229,7 +229,7 @@ class TestModuleSpec:
         assert first is not second
         assert first == second and hash(first) == hash(second)
         assert operators(first, 0) is operators(second, 0)
-        assert operators.cache_info().maxsize is not None
+        assert _registry.cache_info().maxsize is not None
 
     @pytest.mark.parametrize(
         "spec",

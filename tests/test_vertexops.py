@@ -1,8 +1,10 @@
 """Vertex-operator modes, L(n), the translation operator and identity sweeps."""
 
 import copy
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -861,3 +863,145 @@ def test_vertex_label_colors_are_checked_up_front(spec):
     for call in calls:
         with pytest.raises(ValueError, match="color index 2"):
             call()
+
+
+LAW_LEVELS = [Fraction(1, 2), Fraction(-2), Fraction(3, 7)]
+
+
+def at_level(column, l, shift):
+    """A level-1 adjoint column at level l: a term (mono, top) gets l^((shift - deg mono)/2)."""
+    out = {}
+    for key, coeff in column.items():
+        twice = shift - len(key[0])
+        assert twice % 2 == 0, (key, shift)
+        out[key] = coeff * l ** (twice // 2)
+    return out
+
+
+@pytest.mark.parametrize("l", LAW_LEVELS, ids=str)
+@pytest.mark.parametrize("d", [1, 2])
+def test_adjoint_columns_obey_the_level_law(d, l):
+    # the oracle is the same class built directly at level l, not the level-1 object rescaled
+    direct = vertexops.Operators(ModuleSpec.adjoint(d, l), 0)
+    one = vertexops.Operators(ModuleSpec.adjoint(d, 1), 0)
+    labels = module_basis(direct.spec, 3, 1)
+    for n in range(-1, 4):
+        for label in labels:
+            expected = at_level(one.l_columns(n)[label], l, len(label[0]))
+            assert direct.l_columns(n)[label] == expected, (n, label)
+    vs = [v for wt in range(4) for nwt in range(3) for v in enumerate_basis(d, nwt, wt)]
+    nonzero = 0
+    for v in vs:
+        for k in range(-4, 4):
+            for label in labels:
+                got = direct.vertex_columns(v, k)[label]
+                assert got == at_level(one.vertex_columns(v, k)[label], l, len(v) + len(label[0]))
+                nonzero += bool(got)
+    assert nonzero > 100
+    # every level of one d is served by the one level-1 object
+    assert operators(direct.spec, 0) is operators(one.spec, 0)
+    assert operators(direct.spec, 0).spec.l == 1
+
+
+def test_an_evicted_operators_object_is_freed_without_the_cycle_collector():
+    spec = ModuleSpec.evaluation(1, Fraction(3, 11), Fraction(1, 5), (1,), H=[[[1, 1], [0, 1]]])
+    tr = Truncation(2, 1, 1)
+    gc.disable()
+    try:
+        ops = operators(spec, tr.j_max)
+        # fill every memo: L(n) (L(0) reads the top matrix), modes, zero modes, Y with a tail
+        assert check_field_commutator(1, A_LABEL, -1, spec, tr).defect_zero
+        assert check_l_mode_commutator(1, (1, 0), 0, spec, tr).defect_zero
+        check_l0_grading(spec, tr, [0, -1], allow_truncated=True)  # the cut tail leaves nwt
+        assert set(ops._l) == {-1, 0, 1} and all(ops._l.values()) and ops._modes and ops._vertex
+        assert ops._module.l0_top is not None
+        freed = weakref.ref(ops)
+        del ops
+        for d in range(1, 5):  # four other keys evict it from the registry
+            operators(ModuleSpec.adjoint(d, 1), 9)
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+class _BadColumns(vertexops.Operators):
+    """Operators whose column of one label under one L(n) or Y(v)_k has one term more.
+
+    The extra term w -> key obeys the level law by hand: `coeff` is its
+    coefficient at l = 1, and `power` the power of l it carries.
+    """
+
+    def __init__(self, spec, operator, label, key, coeff, power):
+        super().__init__(spec, 0)
+        self.bad = (operator, label, key, coeff * spec.l**power)
+
+    def _with_extra(self, operator, memo):
+        op, label, key, coeff = self.bad
+        if operator != op:
+            return memo
+
+        def column(w):
+            if w != label:
+                return memo[w]
+            out = dict(memo[w])
+            exactmath._axpy(out, coeff, {key: 1})
+            return out
+
+        return vertexops._Memo(column)
+
+    def exact_l_columns(self, n):
+        return self._with_extra(("L", n), super().exact_l_columns(n))
+
+    def vertex_columns(self, vmono, k):
+        return self._with_extra(("Y", vmono, k), super().vertex_columns(vmono, k))
+
+
+ADJ2_ONE = ModuleSpec.adjoint(2, 1)
+W = (mono((1, 0, 1), (1, 0, 2), (2, 0, 1)), 0)
+# A with a one-factor and a two-factor term, both of bigrade (2, 0)
+A_MIXED = State({(mono((1, 0, 2)), 0): Fraction(2, 3), (mono((1, 0, 1), (2, 0, 1)), 0): -1})
+FRACTIONAL_COUNTEREXAMPLES = {
+    # L(2) w -> x_{2,0,1} drops two variables: one power of l
+    "virasoro": (
+        ("L", 2), (mono((2, 0, 1)), 0), 7, 1,
+        lambda spec, tr: check_virasoro(2, 0, spec, tr),
+    ),
+    # Y(x_{1,0,1} x_{2,0,1})_{-1} w -> a term with as many variables: (2 + 0)/2
+    "field-commutator": (
+        ("Y", mono((1, 0, 1), (2, 0, 1)), -1), (mono((1, 0, 1), (1, 0, 3), (2, 0, 1)), 0), 3, 1,
+        lambda spec, tr: check_field_commutator(1, A_MIXED, -1, spec, tr),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "operator, key, coeff, power, sweep",
+    FRACTIONAL_COUNTEREXAMPLES.values(),
+    ids=FRACTIONAL_COUNTEREXAMPLES.keys(),
+)
+def test_counterexamples_at_a_fractional_level_match_the_direct_path(
+    monkeypatch, operator, key, coeff, power, sweep
+):
+    tr = Truncation(4, 0)
+    reports = {}
+    for name, spec in (("direct", ADJ2), ("served", ADJ2_ONE), ("level-1", ADJ2_ONE)):
+        ops = _BadColumns(spec, operator, W, key, coeff, power)
+        monkeypatch.setattr(vertexops, "operators", lambda spec, j_max, ops=ops: ops)
+        # the level-1 object at level 1/2 is what the registry serves for ADJ2
+        reports[name] = sweep(ADJ2 if name != "level-1" else ADJ2_ONE, tr)
+    direct, served, level_one = reports["direct"], reports["served"], reports["level-1"]
+    assert not direct.defect_zero and direct.max_defect != level_one.max_defect
+    assert served.to_json() == direct.to_json()
+
+
+def test_virasoro_at_three_levels_shares_one_compile(capsys):
+    argv = ["verify", "virasoro", "--d", "1", "--max-wt", "3", "--max-nwt", "1",
+            "--m-range=-1..2", "--n-range=-1..2", "--j-max", "5"]
+    sizes = []
+    for level in ("1/3", "-2", "5/3"):
+        assert cli.main(argv + ["--l=" + level]) == 0
+        ops = operators(ModuleSpec.adjoint(1, 1), 5)
+        assert operators(ModuleSpec.adjoint(1, Fraction(level)), 5) is ops
+        sizes.append(len(dict(memoized_columns(ops._l))))
+    capsys.readouterr()
+    assert sizes[0] > 0 and sizes == [sizes[0]] * 3
