@@ -17,6 +17,9 @@ reported as a diagnostic with a diff column rather than silently dropped.
 
 The C1 quotient applies the modes u_{-1} through the shared column maps of
 `vertexops.operators` and reads each intersection dimension off two ranks.
+On the adjoint module at any level these are the level-1 columns, unscaled:
+the level law scales each image row and column by a nonzero factor, which
+changes no rank.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from .exactmath import rank
 from .fock import enumerate_basis, module_basis
-from .vertexops import _level_ratio, _rescale, operators
+from .vertexops import operators
 
 
 @dataclass
@@ -208,8 +211,8 @@ def c1_quotient_dims(spec, tr):
     of U deleted), the images themselves being the sparse rows.  Entries are
     dim W^(m)_(n) minus that intersection.
     """
+    # level-1 columns on M(l): the level law scales rows and columns by nonzero factors, not ranks
     ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
     labels_of_weight = {}
     for label in module_basis(spec, tr.max_wt, tr.max_nwt):
         labels_of_weight.setdefault(label[0].weight(), []).append(label)
@@ -225,7 +228,7 @@ def c1_quotient_dims(spec, tr):
         for n in range(tr.max_wt + 1):
             # the columns are read-only; `rank` copies its rows before eliminating
             images = [
-                _rescale(ops.vertex_columns(u, -1)[label], ratio, len(u) + len(label[0]))
+                ops.vertex_columns(u, -1)[label]
                 for wt_u, u in gens
                 for label in labels_of_weight.get(n - wt_u, ())
             ]

@@ -20,24 +20,28 @@ operator, a dict from basis label to column; a compiled column is served by
 a plain dict lookup.  Columns are handed out read-only to the identity
 checkers (Virasoro, mode and field commutators, L(0) grading, d = L(-1),
 strong grading), the contragredient matrices here and the C1 quotients in
-`dims`, which accumulate into dicts of their own.  What depends only on the
-module (its adjoint module, the zero-mode entries, the L(0) matrix of the
-top space) is computed once per `Operators`.  The public `State` API,
-`l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
-fresh states and is not called inside the package.  The vacuum spaces in
-`repcat` read each single-mode column `fock._mode_column` once, unmemoized.
+`dims`, which accumulate into dicts of their own.  An operator is applied
+to a term dict by `_compose`, through the column lookup of `_at_level`.
+What depends only on the module (the zero-mode entries, the L(0) matrix
+of the top space) is computed once per `Operators`.  The public `State`
+API, `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still
+returns fresh states and is not called inside the package.  The vacuum
+spaces in `repcat` read each single-mode column `fock._mode_column` once,
+unmemoized.
 
 The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
 modes vanish, so a term w -> w' of a column is the l = 1 term times
 l^((deg w - deg w')/2) under L(n), and l^((p + deg w - deg w')/2) under
 Y(v)_k, v with p factors; deg counts the variables of a monomial.  So the
-registry `operators` keys adjoint objects by (d, j_max) and serves every
-level the one l = 1 object, compiled in ints.  `_rescale` carries each
-value that leaves the engine (sweep defects, `State` results, the states
-L(m)A, contragredient rows, C1 images) to the level asked for, one group
-of input degrees or factor counts at a time; an odd power raises
-AssertionError.  Evaluation modules keep their own level: their zero modes
-carry no l.
+registry `operators` keys the adjoint module by d alone and serves every
+level the one l = 1 object, compiled in ints.  `_at_level` looks a column
+up at the level asked for, and the sweeps rescale each defect once per
+label with `_rescale`; so sweep defects, `State` results, the states L(m)A
+and contragredient rows come out at that level, and an odd power raises
+AssertionError.  The C1 quotients read the level-1 columns as they are:
+the law scales each image row and column by a nonzero factor, which
+changes no rank.  Evaluation modules keep their own level: their zero
+modes carry no l.
 """
 
 from __future__ import annotations
@@ -175,20 +179,20 @@ class Operators:
     that compiles a missing column on lookup: `l_columns(n)`,
     `exact_l_columns(n)`, `mode_columns(i, j, k)` and `vertex_columns(v, k)`.
     A checker looks a column up with `memo[label]`, or passes
-    `memo.__getitem__` to `_compose`, so a compiled column costs one dict
-    lookup.  Columns are handed out read-only; a caller that changed one
-    would corrupt every later use.  `l` and `vertex` apply an operator to a
-    term dict and return a fresh dict, and the public `State` API still
-    returns fresh states.  Obtain one through `operators(spec, j_max)`, so
-    that every sweep of one command reuses the same columns.
+    `_at_level(memo, ratio, p)` to `_compose`, so at the object's own level
+    a compiled column costs one dict lookup.  Columns are handed out
+    read-only; a caller that changed one would corrupt every later use.  The
+    public `State` API returns fresh states.  Obtain one through
+    `operators(spec, j_max)`, so that every sweep of one command reuses the
+    same columns.
 
     The columns are those of `spec` at its own level; the registry serves
-    an adjoint spec at any level the level-1 object (the level law above).
+    an adjoint spec at any level the level-1 object, and `_at_level`
+    rescales its columns (the level law above).
 
-    What depends only on the module (`_Module`, and the adjoint module
-    `adjoint` for the states L(m)A of a field commutator) is computed once
-    per object.  The compile callables of the memos hold it and other memos,
-    never the object, so no reference cycle keeps a dropped object alive.
+    What depends only on the module (`_Module`) is computed once per object.
+    The compile callables of the memos hold it and other memos, never the
+    object, so no reference cycle keeps a dropped object alive.
     The memos of Y(v)_k for one v share v's split into its first factor x
     and its tail u, and hold the memos of x and u that the iterate formula
     reads.
@@ -208,8 +212,6 @@ class Operators:
 
     def __init__(self, spec, j_max):
         self.spec = spec
-        self.j_max = j_max
-        self.adjoint = spec if spec.is_adjoint() else ModuleSpec.adjoint(spec.d, spec.l)
         module = self._module = _Module(spec, j_max)
         # n -> memo of L(n); (i, j) -> k -> memo of a(k); v -> k -> memo of Y(v)_k
         self._l = _Memo(partial(_l_memo, module))
@@ -237,20 +239,6 @@ class Operators:
     def vertex_columns(self, vmono, k):
         """The memo of Y(v)_k, v a monomial of M(l): basis label -> read-only column."""
         return self._vertex_memos(vmono)[k]
-
-    def l(self, n, terms):
-        """L(n) applied to a term dict: (fresh dict, exact); see `l_apply`."""
-        _check_l(self._module, n)
-        out = {}
-        _compose(out, 1, terms, self._l[n].__getitem__)
-        return out, not (terms and self.l_truncated(n))
-
-    def vertex(self, labels, k, terms):
-        """Y(v)_k applied to a term dict, v as (monomial, coefficient) pairs; a fresh dict."""
-        out = {}
-        for vmono, vcoeff in labels:
-            _compose(out, vcoeff, terms, self.vertex_columns(vmono, k).__getitem__)
-        return out
 
     def _vertex_memos(self, vmono):
         """The memo k -> memo of Y(v)_k, made after the memos of v's tail."""
@@ -422,10 +410,11 @@ def _compile_l(module, n, label):
 
 
 @lru_cache(maxsize=4)
-def _registry(key, j_max):
-    """One `Operators` per key: a spec, or the color count d of the level-1 adjoint module."""
-    spec = ModuleSpec.adjoint(key, 1) if isinstance(key, int) else key
-    return Operators(spec, j_max)
+def _registry(key):
+    """One `Operators` per key: (spec, j_max), or the color count d of the level-1 adjoint module."""
+    if isinstance(key, int):
+        return Operators(ModuleSpec.adjoint(key, 1), 0)
+    return Operators(*key)
 
 
 def operators(spec, j_max):
@@ -434,9 +423,10 @@ def operators(spec, j_max):
     One command keeps using the same few modules (a field-commutator sweep
     needs its module and the adjoint one), so their columns live across all
     of the command's sweeps while the registry stays bounded.  An adjoint
-    spec is keyed by (d, j_max) alone: see the level law above.
+    spec is keyed by d alone: see the level law above; `j_max` cuts no
+    adjoint column.
     """
-    return _registry(spec.d if spec.is_adjoint() else spec, j_max)
+    return _registry(spec.d if spec.is_adjoint() else (spec, j_max))
 
 
 def _level_ratio(spec, ops):
@@ -462,35 +452,15 @@ def _rescale(terms, ratio, shift):
     return out
 
 
-def _by_degree(terms):
-    """The terms split by the number of variables of their monomial: (deg, terms) pairs."""
-    parts = {}
-    for key, coeff in terms.items():
-        parts.setdefault(len(key[0]), {})[key] = coeff
-    return parts.items()
+def _at_level(memo, ratio, p):
+    """The lookup of memo at `ratio` times the level of its columns, for `_compose`.
 
-
-def _apply_l(ops, ratio, n, terms):
-    """L(n) at `ratio` times the level of ops applied to a term dict: (fresh dict, exact)."""
-    if ratio == 1 or not terms:
-        return ops.l(n, terms)
-    out = {}
-    for deg, part in _by_degree(terms):
-        _axpy(out, 1, _rescale(ops.l(n, part)[0], ratio, deg))
-    return out, True  # only the adjoint L(n), never truncated, is rescaled
-
-
-def _apply_vertex(ops, ratio, labels, k, terms):
-    """Y(v)_k at `ratio` times the level of ops applied to a term dict; a fresh dict."""
+    p is 0 for a memo of L(n) and the factor count of v for one of Y(v)_k.
+    At ratio 1 it is `memo.__getitem__`; otherwise each column is rescaled.
+    """
     if ratio == 1:
-        return ops.vertex(labels, k, terms)
-    out = {}
-    parts = _by_degree(terms)
-    for pair in labels:
-        for deg, part in parts:
-            image = ops.vertex((pair,), k, part)
-            _axpy(out, 1, _rescale(image, ratio, len(pair[0]) + deg))
-    return out
+        return memo.__getitem__
+    return lambda label: _rescale(memo[label], ratio, p + len(label[0]))
 
 
 def vertex_mode(v, k, w, spec):
@@ -501,7 +471,10 @@ def vertex_mode(v, k, w, spec):
     """
     ops = operators(spec, 0)
     ratio = _level_ratio(spec, ops)
-    return State(_apply_vertex(ops, ratio, _vertex_labels(v, spec), k, w.terms))
+    out = {}
+    for vmono, vcoeff in _vertex_labels(v, spec):
+        _compose(out, vcoeff, w.terms, _at_level(ops.vertex_columns(vmono, k), ratio, len(vmono)))
+    return State(out)
 
 
 def l_apply(n, w, spec, tr=None):
@@ -512,8 +485,10 @@ def l_apply(n, w, spec, tr=None):
     is cut at j <= tr.j_max.  Everything else is a finite exact sum.
     """
     ops = operators(spec, tr.j_max if tr is not None else 0)
-    out, exact = _apply_l(ops, _level_ratio(spec, ops), n, w.terms)
-    return State(out), exact
+    _check_l(ops._module, n)
+    out = {}
+    _compose(out, 1, w.terms, _at_level(ops.l_columns(n), _level_ratio(spec, ops), 0))
+    return State(out), not (w.terms and ops.l_truncated(n))
 
 
 def d_apply(v):
@@ -658,7 +633,7 @@ def check_field_commutator(n, a_state, k, spec, tr):
     a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
     ratio = _level_ratio(spec, ops)
-    adj = ops if spec.is_adjoint() else operators(ops.adjoint, 0)  # its L(n) is never truncated
+    adj = _registry(spec.d)  # the level-1 adjoint module; its L(n) is never truncated
     adj_ratio = _level_ratio(ops.spec, adj)
     # A split by the factor count p of its terms: the check is linear in A,
     # and the defect of each part carries its own power of the level
@@ -670,8 +645,9 @@ def check_field_commutator(n, a_state, k, spec, tr):
         # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right
         rhs = []
         for m in range(-1, n + 1):
-            lma = State(_apply_l(adj, adj_ratio, m, a_part)[0])
-            for vmono, vcoeff in _vertex_labels(lma, spec):
+            lma = {}
+            _compose(lma, 1, a_part, _at_level(adj.l_columns(m), adj_ratio, 0))
+            for vmono, vcoeff in _vertex_labels(State(lma), spec):
                 y = ops.vertex_columns(vmono, k + n - m).__getitem__
                 rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
         parts.append((p, a_k, rhs))
@@ -767,24 +743,31 @@ def check_strong_grading(spec, tr, sample):
     and every basis state w of bigrade (wt_w, k) within tr, every term of
     v_j w must have nwt <= m + k and weight exactly wt_w + wt_v - j - 1.
     """
+    ops = operators(spec, tr.j_max)
+    ratio = _level_ratio(spec, ops)
     graded_sample = []
     params = {"sample": []}
     for v, j in sample:
         wt_v, nwt_v = grading(v)
-        graded_sample.append((j, _vertex_labels(v, spec), wt_v, nwt_v))
+        ys = [
+            (vcoeff, _at_level(ops.vertex_columns(vmono, j), ratio, len(vmono)))
+            for vmono, vcoeff in _vertex_labels(v, spec)
+        ]
+        graded_sample.append((ys, wt_v - j - 1, nwt_v))
         params["sample"].append([v.to_json(), j])
-    ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
 
     def defect_of(label):
         mono, _top = label
         wt_w, nwt_w = mono.weight(), mono.nwt()
-        for j, labels, wt_v, nwt_v in graded_sample:
+        for ys, shift, nwt_v in graded_sample:
+            image = {}
+            for vcoeff, y in ys:
+                _axpy(image, vcoeff, y(label))
             # every offending term, so the reported defect does not hang on key order
             offending = {
                 key: coeff
-                for key, coeff in _apply_vertex(ops, ratio, labels, j, {label: 1}).items()
-                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + wt_v - j - 1
+                for key, coeff in image.items()
+                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + shift
             }
             if offending:
                 return offending
@@ -814,33 +797,32 @@ def adjoint_mode_matrix(v, n, spec, tr):
             )
     ops = operators(spec, tr.j_max)
     ratio = _level_ratio(spec, ops)
-    adj = operators(ops.adjoint, 0)  # its L(n) is never truncated
-    adj_ratio = _level_ratio(ops.spec, adj)
+    adj = _registry(spec.d)  # the level-1 adjoint module; its L(n) is never truncated
+    l_1 = _at_level(adj.l_columns(1), _level_ratio(spec, adj), 0)
 
-    # (coefficient, factor count p of the term of v it comes from, Y column of
-    # one term) of each L(1)^power v / power! of the expansion; the parts of v
-    # with p factors are expanded apart, since each carries its own power of l
+    # (coefficient, Y column lookup of one term) of each L(1)^power v / power!
     sign = (-1) ** wt_v
     expansion = []
-    for p, u in _by_degree(v.terms):
-        power = 0
-        while u:
-            scale = Fraction(sign, math.factorial(power))
-            for vmono, vcoeff in _vertex_labels(State(u), spec):
-                y = ops.vertex_columns(vmono, 2 * wt_v - n - power - 2)
-                expansion.append((scale * vcoeff, p, y))
-            u = _apply_l(adj, adj_ratio, 1, u)[0]
-            power += 1
-            if power > wt_v + 1:
-                raise AssertionError("L(1) expansion failed to terminate")
+    u = v.terms
+    power = 0
+    while u:
+        scale = Fraction(sign, math.factorial(power))
+        for vmono, vcoeff in _vertex_labels(State(u), spec):
+            y = ops.vertex_columns(vmono, 2 * wt_v - n - power - 2)
+            expansion.append((scale * vcoeff, _at_level(y, ratio, len(vmono))))
+        next_u = {}
+        _compose(next_u, 1, u, l_1)
+        u = next_u
+        power += 1
+        if power > wt_v + 1:
+            raise AssertionError("L(1) expansion failed to terminate")
 
     basis = module_basis(spec, tr.max_wt, tr.max_nwt)
     zero = Fraction(0)  # shared, so RatMatrix need not build one per cell
     rows = []
     for label in basis:
         image = {}
-        deg = len(label[0])
-        for scale, p, y in expansion:
-            _axpy(image, scale, _rescale(y[label], ratio, p + deg))
+        for scale, y in expansion:
+            _axpy(image, scale, y(label))
         rows.append([image.get(key, zero) for key in basis])
     return RatMatrix(rows, cols=len(basis))

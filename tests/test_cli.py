@@ -406,6 +406,14 @@ class TestModule:
         assert err == "error: module %s writes JSON only, not --format %s\n" % (argv[0], fmt)
         assert run(capsys, "module", *argv, "--format", "json")[0] == EXIT_OK
 
+    def test_dims_writes_json_or_csv_only(self, capsys):
+        argv = ("dims", "--d", "1", "--max-p", "1", "--max-q", "0")
+        code, out, err = run(capsys, *argv, "--format", "text")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: dims writes JSON or CSV, not --format text\n"
+        for fmt in ("json", "csv"):
+            assert run(capsys, *argv, "--format", fmt)[0] == EXIT_OK
+
     def test_casimir_rejects_c_squared_one(self, capsys):
         code, _, err = run(capsys, "module", "casimir", "--lambda", "1", "--c", "-1")
         assert code == EXIT_USAGE
@@ -644,8 +652,8 @@ def small_argv(draw):
     argv.append("--format=" + fmt)
     if draw(st.integers(0, 3)) == 0:
         return argv + draw(st.sampled_from(bad)), fmt, True
-    # module actions write JSON only
-    return argv, fmt, command == "module" and fmt != "json"
+    # module actions write JSON only, and dims JSON or CSV
+    return argv, fmt, (command == "module" and fmt != "json") or (command, fmt) == ("dims", "text")
 
 
 def counterexample_shown(command, fmt, out):

@@ -34,7 +34,7 @@ from currentfock import (
     vertex_mode,
 )
 from currentfock.fock import EMPTY
-from currentfock.vertexops import _gbinom, operators
+from currentfock.vertexops import _gbinom, _registry, operators
 
 
 def mono(*factors):
@@ -476,18 +476,12 @@ def test_returned_states_do_not_alias_compiled_columns():
     spec = ModuleSpec.evaluation(1, Fraction(1, 2), Fraction(1, 3), (1,), H=[[[1, 1], [0, 1]]])
     w = State.term(mono((1, 0, 1), (1, 1, 2)), 1)
     v = State.term(mono((1, 0, 1), (1, 0, 1)))
-    ops = operators(spec, 2)
-    labels = [(mono((1, 0, 1), (1, 0, 1)), 1)]
     calls = [
         lambda: l_apply(0, w, spec)[0].terms,
         lambda: l_apply(-1, w, spec, Truncation(3, 2, 2))[0].terms,
         lambda: vertex_mode(v, -1, w, spec).terms,
         lambda: vertex_mode(v, 2, w, spec).terms,
         lambda: apply_mode(mode(1, 0, 1), w, spec).terms,
-        lambda: ops.l(0, w.terms)[0],
-        lambda: ops.l(-1, w.terms)[0],
-        lambda: ops.vertex(labels, -1, w.terms),
-        lambda: ops.vertex(labels, 2, w.terms),
     ]
     for call in calls:
         first = call()
@@ -878,6 +872,15 @@ def at_level(column, l, shift):
     return out
 
 
+def by_hand(memos, w):
+    """The sum over (coefficient, memo) of coefficient times the memo's columns applied to w."""
+    out = State.zero()
+    for coeff, memo in memos:
+        for label, w_coeff in w.terms.items():
+            out += State(memo[label]).scale(coeff * w_coeff)
+    return out
+
+
 @pytest.mark.parametrize("l", LAW_LEVELS, ids=str)
 @pytest.mark.parametrize("d", [1, 2])
 def test_adjoint_columns_obey_the_level_law(d, l):
@@ -898,6 +901,18 @@ def test_adjoint_columns_obey_the_level_law(d, l):
                 assert got == at_level(one.vertex_columns(v, k)[label], l, len(v) + len(label[0]))
                 nonzero += bool(got)
     assert nonzero > 100
+    # the public State API at level l: w with 1- and 2-variable terms, v with 1- and 2-factor terms
+    w = State({(mono((1, 0, 1)), 0): Fraction(2, 3), (mono((d, 0, 1), (d, 0, 2)), 0): -1})
+    v = State({(mono((1, 0, 2)), 0): 3, (mono((1, 0, 1), (d, 0, 1)), 0): Fraction(-1, 2)})
+    images = []
+    for n in range(-1, 4):
+        images.append(l_apply(n, w, direct.spec))
+        assert images[-1] == (by_hand([(1, direct.l_columns(n))], w), True), n
+    for k in range(-4, 4):
+        memos = [(vc, direct.vertex_columns(vm, k)) for (vm, _top), vc in v.terms.items()]
+        images.append((vertex_mode(v, k, w, direct.spec), True))
+        assert images[-1][0] == by_hand(memos, w), k
+    assert sum(not image.is_zero() for image, _exact in images) >= 10
     # every level of one d is served by the one level-1 object
     assert operators(direct.spec, 0) is operators(one.spec, 0)
     assert operators(direct.spec, 0).spec.l == 1
@@ -917,8 +932,8 @@ def test_an_evicted_operators_object_is_freed_without_the_cycle_collector():
         assert ops._module.l0_top is not None
         freed = weakref.ref(ops)
         del ops
-        for d in range(1, 5):  # four other keys evict it from the registry
-            operators(ModuleSpec.adjoint(d, 1), 9)
+        for c in range(2, 6):  # four keys no other test builds evict it from the registry
+            operators(ModuleSpec.evaluation(1, Fraction(3, 11), Fraction(1, c), (0,)), 0)
         assert freed() is None
     finally:
         gc.enable()
@@ -995,13 +1010,22 @@ def test_counterexamples_at_a_fractional_level_match_the_direct_path(
 
 
 def test_virasoro_at_three_levels_shares_one_compile(capsys):
+    _registry.cache_clear()
     argv = ["verify", "virasoro", "--d", "1", "--max-wt", "3", "--max-nwt", "1",
-            "--m-range=-1..2", "--n-range=-1..2", "--j-max", "5"]
+            "--m-range=-1..2", "--n-range=-1..2"]
     sizes = []
     for level in ("1/3", "-2", "5/3"):
         assert cli.main(argv + ["--l=" + level]) == 0
-        ops = operators(ModuleSpec.adjoint(1, 1), 5)
-        assert operators(ModuleSpec.adjoint(1, Fraction(level)), 5) is ops
+        ops = operators(ModuleSpec.adjoint(1, 1), 0)
+        assert operators(ModuleSpec.adjoint(1, Fraction(level)), 0) is ops
         sizes.append(len(dict(memoized_columns(ops._l))))
     capsys.readouterr()
     assert sizes[0] > 0 and sizes == [sizes[0]] * 3
+
+
+def test_the_adjoint_module_is_keyed_by_d_alone():
+    # j_max cuts no adjoint column, and every level is served the level-1 object
+    _registry.cache_clear()
+    ops = operators(ModuleSpec.adjoint(2, Fraction(1, 3)), 5)
+    assert operators(ModuleSpec.adjoint(2, 1), 0) is ops
+    assert _registry.cache_info().currsize == 1
