@@ -193,6 +193,8 @@ def _verify_plan(args, spec, tr):
         if args.a_state:
             labels = [_decode_json("--a-state", args.a_state, State.from_json)]
         else:
+            if args.a_max_wt < 0 or args.a_max_nwt < 0:
+                raise ConfigError("--a-max-wt and --a-max-nwt must be nonnegative")
             labels = [
                 State.term(mono)
                 for wt_a in range(args.a_max_wt + 1)
@@ -210,12 +212,16 @@ def _verify_plan(args, spec, tr):
         }
         return identity, params, checks
     if identity == "strong-grading":
+        if args.v_max_wt < 0 or args.v_max_nwt < 0:
+            raise ConfigError("--v-max-wt and --v-max-nwt must be nonnegative")
+        if args.sample_size is not None and args.sample_size < 1:
+            raise ConfigError("--sample-size must be positive")
         sample = _sample_modes(spec, args, random.Random(args.seed))
         check = partial(vertexops.check_strong_grading, spec, tr, sample)
         return identity, None, [check]
     if identity == "l0-grading":
         j_values = _parse_range(args.j_range)
-        check = partial(vertexops.check_l0_grading, spec, tr, j_values, args.j_max > 0)
+        check = partial(vertexops.check_l0_grading, spec, tr, j_values)
         return identity, None, [check]
     if identity == "d-equals-lminus1":
         return identity, None, [partial(vertexops.check_d_equals_lminus1, spec, tr)]
@@ -470,7 +476,7 @@ def main(argv=None):
             if args.command == "module":
                 return _cmd_module(args)
             raise ConfigError("unknown command %r" % args.command)
-    except (ConfigError, ValueError, json.JSONDecodeError) as err:
+    except (ConfigError, ValueError) as err:
         sys.stderr.write("error: %s\n" % err)
         return EXIT_USAGE
 

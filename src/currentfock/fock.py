@@ -70,8 +70,9 @@ class Monomial(tuple):
     def make(cls, factors):
         factors = sorted(tuple(f) for f in factors)
         for i, j, n in factors:
-            if i < 1 or j < 0 or n < 1:
-                raise ValueError("invalid creation variable (%d, %d, %d)" % (i, j, n))
+            # an index is an int; bool is not, and a float would reach the coefficients
+            if not (type(i) is type(j) is type(n) is int) or i < 1 or j < 0 or n < 1:
+                raise ValueError("invalid creation variable %r" % ((i, j, n),))
         return cls(tuple(f) for f in factors)
 
     def weight(self):

@@ -16,18 +16,18 @@ truncated at j <= j_max with an explicit exactness flag.
 
 Every internal use of these operators reads columns, dicts
 {(monomial, top): coefficient}, compiled by `Operators` into one memo per
-operator, a dict from basis label to column; a compiled column is served by
-a plain dict lookup.  Columns are handed out read-only to the identity
-checkers (Virasoro, mode and field commutators, L(0) grading, d = L(-1),
-strong grading), the contragredient matrices here and the C1 quotients in
-`dims`, which accumulate into dicts of their own.  An operator is applied
-to a term dict by `_compose`, through the column lookup of `_at_level`.
-What depends only on the module (the zero-mode entries, the L(0) matrix
-of the top space) is computed once per `Operators`.  The public `State`
-API, `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still
-returns fresh states and is not called inside the package.  The vacuum
-spaces in `repcat` read each single-mode column `fock._mode_column` once,
-unmemoized.
+operator L(n) or Y(v)_k (a single mode a(k) is Y(x_{i,j,1})_k), a dict from
+basis label to column; a compiled column is served by a plain dict lookup.
+Columns are handed out read-only to the identity checkers (Virasoro, mode
+and field commutators, L(0) grading, d = L(-1), strong grading), the
+contragredient matrices here and the C1 quotients in `dims`, which
+accumulate into dicts of their own.  An operator is applied to a term dict
+by `_compose`, through the column lookup of `_at_level`.  What depends only
+on the module (the zero-mode entries, the L(0) matrix of the top space) is
+computed once per `Operators`.  The public `State` API, `l_apply`,
+`vertex_mode`, `d_apply` and `fock.apply_mode`, still returns fresh states
+and is not called inside the package.  The vacuum spaces in `repcat` read
+each single-mode column `fock._mode_column` once, unmemoized.
 
 The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
 modes vanish, so a term w -> w' of a column is the l = 1 term times
@@ -116,11 +116,6 @@ def _vertex_labels(v, spec):
 
 _EMPTY_COLUMN = {}  # shared by every operator that kills a label; never changed
 
-_TRUNCATED = (
-    "identity check hit a truncated L(-1) tail; "
-    "restrict to exact configurations (c = 0 or trivial top action)"
-)
-
 
 class _Memo(dict):
     """A dict that fills a missing key on lookup with `compile(key)`.
@@ -170,17 +165,18 @@ class _Module:
 
 
 class Operators:
-    """L(n), single modes a(k) and vertex-operator modes Y(v)_k on one module.
+    """L(n) and vertex-operator modes Y(v)_k, single modes among them, on one module.
 
     Each operator is compiled on demand, one basis label at a time, into a
     column: a dict {(monomial, top): coefficient} whose coefficients are
     int-first (an int wherever the rational is integral, else a Fraction).
-    Every operator has a memo of its own, a dict from basis label to column
-    that compiles a missing column on lookup: `l_columns(n)`,
-    `exact_l_columns(n)`, `mode_columns(i, j, k)` and `vertex_columns(v, k)`.
-    A checker looks a column up with `memo[label]`, or passes
-    `_at_level(memo, ratio, p)` to `_compose`, so at the object's own level
-    a compiled column costs one dict lookup.  Columns are handed out
+    Each operator has a memo, a dict from basis label to column that
+    compiles a missing column on lookup, in one of two families: `_l[n]`,
+    made once L(n) is checked to exist here, and `_vertex[v][k]`.  The
+    single mode (u^(i) t^j)(k) is Y(x_{i,j,1})_k, the base case of the
+    iterate formula below.  A checker looks a column up with `memo[label]`,
+    or passes `_at_level(memo, ratio, p)` to `_compose`, so at the object's
+    own level a compiled column costs one dict lookup.  Columns are handed out
     read-only; a caller that changed one would corrupt every later use.  The
     public `State` API returns fresh states.  Obtain one through
     `operators(spec, j_max)`, so that every sweep of one command reuses the
@@ -203,9 +199,10 @@ class Operators:
         (x(-n) u)_k w = sum_{mu >= 0} C(-mu-1, r) u_{k-mu-r-1} (x(mu) w)
                       + sum_{mu < 0}  C(-mu-1, r) x(mu) (u_{k-mu-r-1} w),
 
-    and Y(1)_k = delta_{k,-1}.  x(mu) w vanishes for mu > 0 unless w holds
-    the variable x_{i,j,mu}; C(-mu-1, r) vanishes for -n < mu < 0; and the
-    sum over mu < 0 stops where u_{k-mu-r-1} w would have negative weight.
+    Y(1)_k = delta_{k,-1} and Y(x_{i,j,1})_k = x(k).  x(mu) w vanishes for
+    mu > 0 unless w holds the variable x_{i,j,mu}; C(-mu-1, r) vanishes for
+    -n < mu < 0; and the sum over mu < 0 stops where u_{k-mu-r-1} w would
+    have negative weight.
     The columns of the tail u come from the same memos, so they are shared
     across the labels v, the modes k and the depths n.
     """
@@ -213,9 +210,8 @@ class Operators:
     def __init__(self, spec, j_max):
         self.spec = spec
         module = self._module = _Module(spec, j_max)
-        # n -> memo of L(n); (i, j) -> k -> memo of a(k); v -> k -> memo of Y(v)_k
+        # n -> memo of L(n); v -> k -> memo of Y(v)_k
         self._l = _Memo(partial(_l_memo, module))
-        self._modes = _Memo(partial(_mode_memos, module))
         self._vertex = {}
 
     def l_columns(self, n):
@@ -223,18 +219,22 @@ class Operators:
         return self._l[n]
 
     def exact_l_columns(self, n):
-        """The memo of L(n), or, if L(n) is j-truncated here, one that raises ValueError."""
+        """The memo of L(n); ValueError if L(n) is j-truncated here."""
+        memo = self._l[n]
         if self.l_truncated(n):
-            return _Memo(partial(_refuse_truncated, self._l[n]))
-        return self._l[n]
+            raise ValueError(
+                "identity check hit a truncated L(-1) tail; "
+                "restrict to exact configurations (c = 0 or trivial top action)"
+            )
+        return memo
 
     def l_truncated(self, n):
         """Whether the columns of L(n) are cut at j <= j_max (L(-1) only)."""
         return n == -1 and self._module.cuts_tail
 
     def mode_columns(self, i, j, k):
-        """The memo of the single mode (u^(i) t^j)(k): basis label -> read-only column."""
-        return self._modes[(i, j)][k]
+        """The memo of the single mode (u^(i) t^j)(k), which is Y(x_{i,j,1})_k."""
+        return self._vertex_memos(Monomial(((i, j, 1),)))[k]
 
     def vertex_columns(self, vmono, k):
         """The memo of Y(v)_k, v a monomial of M(l): basis label -> read-only column."""
@@ -244,9 +244,13 @@ class Operators:
         """The memo k -> memo of Y(v)_k, made after the memos of v's tail."""
         memos = self._vertex.get(vmono)
         if memos is None:
-            if vmono:
+            if len(vmono) == 1 and vmono[0][2] == 1:  # a single mode a(k)
+                i, j, _n = vmono[0]
+                _check_mode(self.spec, i, j)
+                memos = _Memo(partial(_mode_memo, self._module, i, j))
+            elif vmono:
                 first = vmono[0]
-                x = self._modes[first[:2]]
+                x = self._vertex_memos(Monomial((first[:2] + (1,),)))
                 u = self._vertex_memos(Monomial(vmono[1:]))
                 memos = _Memo(partial(_vertex_memo, first, x, u, vmono.weight()))
             else:
@@ -255,26 +259,12 @@ class Operators:
         return memos
 
 
-def _check_l(module, n):
+def _l_memo(module, n):
     if n < -1:
         raise ValueError("only the operators L(n) with n >= -1 exist here")
     if not module.level_ok:
         raise ValueError("L(n) on an evaluation module with nontrivial top action needs c^2 != 1")
-
-
-def _refuse_truncated(memo, label):
-    memo[label]  # a level error comes first
-    raise ValueError(_TRUNCATED)
-
-
-def _l_memo(module, n):
     return _Memo(partial(_compile_l, module, n))
-
-
-def _mode_memos(module, gen):
-    i, j = gen
-    _check_mode(module.spec, i, j)
-    return _Memo(partial(_mode_memo, module, i, j))
 
 
 def _mode_memo(module, i, j, k):
@@ -335,7 +325,6 @@ def _compile_vertex(first, x, u, k, shift, label):
 
 
 def _compile_l(module, n, label):
-    _check_l(module, n)
     mono, top = label
     l = module.l
     out = {}
@@ -485,7 +474,6 @@ def l_apply(n, w, spec, tr=None):
     is cut at j <= tr.j_max.  Everything else is a finite exact sum.
     """
     ops = operators(spec, tr.j_max if tr is not None else 0)
-    _check_l(ops._module, n)
     out = {}
     _compose(out, 1, w.terms, _at_level(ops.l_columns(n), _level_ratio(spec, ops), 0))
     return State(out), not (w.terms and ops.l_truncated(n))
@@ -672,17 +660,18 @@ def check_field_commutator(n, a_state, k, spec, tr):
     return _sweep("field-commutator", params, spec, tr, defect_of)
 
 
-def check_l0_grading(spec, tr, j_values, allow_truncated=False):
+def check_l0_grading(spec, tr, j_values):
     """L(0) eigenvalues match weights (adjoint) and every L(j) preserves the bigrade.
 
-    Truncated L(-1) tails are refused unless allow_truncated is set, in which
-    case the report is tagged "truncated": true.
+    A truncated L(-1) tail is refused at tr.j_max = 0; at tr.j_max > 0 it is
+    cut at j <= tr.j_max and the report is tagged "truncated": true.
     """
     hit_truncation = False
     ops = operators(spec, tr.j_max)
     ratio = _level_ratio(spec, ops)
-    l_0 = ops.l_columns(0)
+    # the L(j) first: an L(j) with j < -1 is reported before the c^2 != 1 check
     l_j = [(j, ops.l_columns(j), ops.l_truncated(j)) for j in j_values]
+    l_0 = ops.l_columns(0)
 
     def defect_of(label):
         nonlocal hit_truncation
@@ -696,7 +685,7 @@ def check_l0_grading(spec, tr, j_values, allow_truncated=False):
         for j, memo, truncated in l_j:
             image = memo[label]
             if truncated:
-                if not allow_truncated:
+                if not tr.j_max:
                     raise ValueError(
                         "l0-grading hit a truncated L(-1) tail; pass --j-max N "
                         "to run the truncated computation"

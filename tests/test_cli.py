@@ -473,6 +473,7 @@ class TestModule:
 # a vertex-operator label with color 2 on a d = 1 module
 BAD_COLOR_A = '[{"mono": [[2,0,1]], "coeff": "1"}]'
 ZERO_DENOMINATOR_A = '[{"mono": [[1,0,1]], "coeff": "1/0"}]'
+FLOAT_DEPTH_A = '[{"mono": [[1,0,2.0]], "coeff": "1"}]'
 
 
 class TestPlumbing:
@@ -512,12 +513,18 @@ class TestPlumbing:
             ("verify", "field-commutator", "--a-state", ZERO_DENOMINATOR_A,
              "--max-wt", "1", "--max-nwt", "0", "--n", "0", "--k", "0"),
             ("module", "logcheck", "--H", "[[true]]", "--c", "0"),
+            ("verify", "field-commutator", "--a-state", FLOAT_DEPTH_A, "--max-wt", "2",
+             "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"),
+            ("verify", "field-commutator", "--a-max-wt=-1"),
+            ("verify", "strong-grading", "--v-max-nwt=-1"),
+            ("verify", "strong-grading", "--sample-size=0"),
         ],
         ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
              "out-no-dir", "H-no-columns", "H-not-square", "a-state-color-evaluation",
              "a-state-color-adjoint", "l-zero-denominator", "c-zero-denominator",
              "lambda-zero-denominator", "tops-zero-denominator", "H-zero-denominator",
-             "a-state-zero-denominator", "H-bool"],
+             "a-state-zero-denominator", "H-bool", "a-state-float-depth",
+             "a-max-wt-negative", "v-max-nwt-negative", "sample-size-zero"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -594,6 +601,13 @@ VERIFY_FLAGS = {
     "l0-grading": {"--j-range": ["-1..1", "2", "0..2"], "--j-max": ["0", "1", "2"]},
     "d-equals-lminus1": {},
 }
+# per identity: bounds that would sample nothing, and a float depth in A's monomial
+VERIFY_BAD = {
+    "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
+                         ["--a-state=" + FLOAT_DEPTH_A]],
+    "strong-grading": [["--v-max-wt=-1"], ["--v-max-nwt=-1"], ["--sample-size=0"],
+                       ["--sample-size=-1"]],
+}
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
 MODULE_BAD = {
     "casimir": [["--c=1"], ["--c=1/0"], ["--lambda=x"]],
@@ -629,7 +643,7 @@ def small_argv(draw):
         for flag, values in sorted(VERIFY_FLAGS[identity].items()):
             if draw(st.booleans()):
                 argv.append("%s=%s" % (flag, draw(st.sampled_from(values))))
-        bad = SPEC_BAD
+        bad = SPEC_BAD + VERIFY_BAD.get(identity, [])
     elif command == "dims":
         argv = ["dims", "--d=%d" % draw(st.integers(1, 2)),
                 "--max-p=%d" % draw(st.integers(0, 4)), "--max-q=%d" % draw(st.integers(0, 3))]

@@ -293,3 +293,17 @@ def test_state_json_roundtrip():
     )
     assert State.from_json(s.to_json()) == s
     assert State.from_json(State.zero().to_json()).is_zero()
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [(1, 0, 1.5), (1, 0, 2.0), (1.0, 0, 1), (1, True, 1), (0, 0, 1), (1, -1, 1), (1, 0, 0)],
+    ids=str,
+)
+def test_monomial_indices_are_ints_in_range(factor):
+    # a float or bool index would be carried into the coefficients as a non-rational
+    with pytest.raises(ValueError, match="invalid creation variable") as err:
+        Monomial.make([factor])
+    assert str(err.value).endswith(repr(factor))  # so 1.5 is not shown as 1
+    with pytest.raises(ValueError, match="invalid creation variable"):
+        State.from_json([{"mono": [list(factor)], "coeff": "1"}])

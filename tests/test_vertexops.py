@@ -468,7 +468,7 @@ def test_coefficients_are_int_first(case):
     for state in repcat.vacuum_space(spec, Truncation(2, 1)):
         assert_int_first(state)
     # L(2) x_{1,1,1}^2 = l*vacuum leaves the bigrade, so this defect is nonzero
-    rep = check_l0_grading(spec, tr, [2], allow_truncated=True)
+    rep = check_l0_grading(spec, tr, [2])
     assert type(rep.max_defect) is Fraction and rep.max_defect > 0
 
 
@@ -516,7 +516,7 @@ SWEEPS = {
     "l-mode-commutator": (
         EVAL_C0,
         lambda spec, tr: check_l_mode_commutator(1, (1, 0), -2, spec, tr),
-        ("_modes", (1, 0)),
+        ("_vertex", mono((1, 0, 1))),
     ),
     "l0-grading": (EVAL_C0, lambda spec, tr: check_l0_grading(spec, tr, [-1, 0, 1]), ("_l", 1)),
     "d-equals-lminus1": (
@@ -536,7 +536,7 @@ def memoized_columns(memo, path=()):
 
 def compiled_columns(ops):
     """Every memoized column of ops, as plain dicts {memo name: {path: column}}."""
-    names = ("_l", "_modes", "_vertex")
+    names = ("_l", "_vertex")
     return {name: dict(memoized_columns(getattr(ops, name))) for name in names}
 
 
@@ -606,9 +606,11 @@ def test_module_constants_wait_for_the_level_check(c):
             ops.vertex_columns(v, k)[label]
     assert ops.mode_columns(1, 1, 0)[(EMPTY, 1)] == {(EMPTY, 0): c, (EMPTY, 1): 2 * c}
     for n in range(-1, 3):
-        for memo in (ops.l_columns(n), ops.exact_l_columns(n)):
+        # the memo of L(n) itself is refused, before any column is looked up
+        for memo_of in (ops.l_columns, ops.exact_l_columns):
             with pytest.raises(ValueError, match="c\\^2 != 1"):
-                memo[labels[0]]
+                memo_of(n)
+        assert not ops._l
         with pytest.raises(ValueError, match="c\\^2 != 1"):
             l_apply(n, State.vacuum(), spec, Truncation(0, 0, 2))
 
@@ -639,6 +641,24 @@ def test_module_constants_match_the_matrices_they_replace(spec):
         assert ops.l_columns(0)[label] == expected, label
 
 
+@pytest.mark.parametrize("spec", [ADJ2, JORDAN_TOPS["c1/3"]], ids=["adjoint", "jordan"])
+def test_a_single_mode_is_the_vertex_operator_of_its_variable(spec):
+    # a(k) = Y(x_{i,j,1})_k: one memo serves both, and its columns are the mode action
+    ops = vertexops.Operators(spec, 2)
+    labels = module_basis(spec, 2, 1)
+    zero_modes_act = False
+    for i in range(1, spec.d + 1):
+        for j in range(3):
+            for k in range(-2, 3):
+                memo = ops.mode_columns(i, j, k)
+                assert memo is ops.vertex_columns(mono((i, j, 1)), k), (i, j, k)
+                for label in labels:
+                    w = State.term(*label)
+                    assert memo[label] == apply_mode(mode(i, j, k), w, spec).terms, (i, j, k)
+                    zero_modes_act |= k == 0 and bool(memo[label])
+    assert zero_modes_act == (not spec.is_adjoint())
+
+
 def test_truncated_l_minus1_is_refused_by_its_exact_memo():
     spec = JORDAN_TOPS["c1/3"]
     ops = vertexops.Operators(spec, 2)
@@ -646,7 +666,7 @@ def test_truncated_l_minus1_is_refused_by_its_exact_memo():
     assert ops.l_truncated(-1) and not ops.l_truncated(0)
     assert ops.l_columns(-1)[label]
     with pytest.raises(ValueError, match="truncated L\\(-1\\) tail"):
-        ops.exact_l_columns(-1)[label]
+        ops.exact_l_columns(-1)
     assert ops.exact_l_columns(0) is ops.l_columns(0)
 
 
@@ -927,8 +947,8 @@ def test_an_evicted_operators_object_is_freed_without_the_cycle_collector():
         # fill every memo: L(n) (L(0) reads the top matrix), modes, zero modes, Y with a tail
         assert check_field_commutator(1, A_LABEL, -1, spec, tr).defect_zero
         assert check_l_mode_commutator(1, (1, 0), 0, spec, tr).defect_zero
-        check_l0_grading(spec, tr, [0, -1], allow_truncated=True)  # the cut tail leaves nwt
-        assert set(ops._l) == {-1, 0, 1} and all(ops._l.values()) and ops._modes and ops._vertex
+        check_l0_grading(spec, tr, [0, -1])  # the cut tail leaves nwt
+        assert set(ops._l) == {-1, 0, 1} and all(ops._l.values()) and ops._vertex
         assert ops._module.l0_top is not None
         freed = weakref.ref(ops)
         del ops
