@@ -163,8 +163,13 @@ def _sample_modes(spec, args, rng):
     return sample
 
 
+def _in_order(checks):
+    """Run checker calls serially, in order; their reports."""
+    return [check() for check in checks]
+
+
 def _verify_plan(args, spec, tr):
-    """The merged report's identity and params, and the ordered checker calls.
+    """The merged report's identity and params, and the call that returns the sub-reports.
 
     Sweeps over several combos name their merged params here; a single
     whole-basis check returns params None and its report names its own.
@@ -173,13 +178,14 @@ def _verify_plan(args, spec, tr):
     if args.j_range is None:
         args.j_range = "-1..1" if identity == "l0-grading" else "-2..2"
     if identity == "virasoro":
-        checks = [
-            partial(vertexops.check_virasoro, m, n, spec, tr)
+        pairs = [
+            (m, n)
             for m in _parse_range(args.m_range)
             for n in _parse_range(args.n_range)
             if m + n >= -1 or m == n
         ]
-        return identity, {"m_range": args.m_range, "n_range": args.n_range}, checks
+        params = {"m_range": args.m_range, "n_range": args.n_range}
+        return identity, params, partial(vertexops.check_virasoro_pairs, pairs, spec, tr)
     if identity == "e1":
         i, j = _parse_gen(args.gen)
         checks = [
@@ -188,7 +194,7 @@ def _verify_plan(args, spec, tr):
             for k in _parse_range(args.k_range)
         ]
         params = {"gen": [i, j], "n_range": args.n_range, "k_range": args.k_range}
-        return "l-mode-commutator", params, checks
+        return "l-mode-commutator", params, partial(_in_order, checks)
     if identity == "field-commutator":
         if args.a_state:
             labels = [_decode_json("--a-state", args.a_state, State.from_json)]
@@ -210,29 +216,32 @@ def _verify_plan(args, spec, tr):
         params = {
             "a_count": len(labels), "n_range": args.n_range, "k_range": args.k_range
         }
-        return identity, params, checks
+        return identity, params, partial(_in_order, checks)
     if identity == "strong-grading":
         if args.v_max_wt < 0 or args.v_max_nwt < 0:
             raise ConfigError("--v-max-wt and --v-max-nwt must be nonnegative")
+        if args.v_max_wt == 0:
+            raise ConfigError("--v-max-wt 0 samples no mode; every mode has weight >= 1")
         if args.sample_size is not None and args.sample_size < 1:
             raise ConfigError("--sample-size must be positive")
         sample = _sample_modes(spec, args, random.Random(args.seed))
         check = partial(vertexops.check_strong_grading, spec, tr, sample)
-        return identity, None, [check]
+        return identity, None, partial(_in_order, [check])
     if identity == "l0-grading":
         j_values = _parse_range(args.j_range)
         check = partial(vertexops.check_l0_grading, spec, tr, j_values)
-        return identity, None, [check]
+        return identity, None, partial(_in_order, [check])
     if identity == "d-equals-lminus1":
-        return identity, None, [partial(vertexops.check_d_equals_lminus1, spec, tr)]
+        check = partial(vertexops.check_d_equals_lminus1, spec, tr)
+        return identity, None, partial(_in_order, [check])
     raise ConfigError("unknown identity %r" % identity)
 
 
 def _cmd_verify(args):
-    """Run the planned checks serially, in order, and merge their reports."""
+    """Run the planned checks and merge their reports."""
     spec = _build_spec(args)
-    identity, params, checks = _verify_plan(args, spec, _truncation(args))
-    reports = [check() for check in checks]
+    identity, params, run = _verify_plan(args, spec, _truncation(args))
+    reports = run()
     if params is None:
         identity, params = reports[0].identity, dict(reports[0].params)
     params["spec"] = spec.to_json()

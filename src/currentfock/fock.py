@@ -199,7 +199,11 @@ class State:
     def from_json(cls, data):
         terms = {}
         for entry in data:
-            key = (Monomial.from_json(entry["mono"]), entry.get("top", 0))
+            top = entry.get("top", 0)
+            # as for a monomial's indices: bool is not an int, and a float is refused
+            if type(top) is not int or top < 0:
+                raise ValueError("invalid top index %r" % (top,))
+            key = (Monomial.from_json(entry["mono"]), top)
             terms[key] = terms.get(key, 0) + rat(entry["coeff"])
         return cls(terms)
 
@@ -366,21 +370,26 @@ def enumerate_basis(d, m, n):
     if n == 0:
         return [EMPTY] if m == 0 else []
     out = []
-
-    def extend(prefix, rem_m, rem_n, i0, j0, nu0):
-        # next factor (i, j, nu) >= (i0, j0, nu0), with j <= rem_m and nu <= rem_n
-        for i in range(i0, d + 1):
-            for j in range(j0 if i == i0 else 0, rem_m + 1):
-                lo = nu0 if i == i0 and j == j0 else 1
-                # at color d every later factor has power >= j as well
-                if i < d or 2 * j <= rem_m:
-                    for nu in range(lo, rem_n):
-                        extend(prefix + ((i, j, nu),), rem_m - j, rem_n - nu, i, j, nu)
-                if j == rem_m and lo <= rem_n:
-                    out.append(Monomial(prefix + ((i, j, rem_n),)))
-
-    extend((), m, n, 1, 0, 1)
+    _extend(out, d, (), m, n, 1, 0, 1)
     return out
+
+
+def _extend(out, d, prefix, rem_m, rem_n, i0, j0, nu0):
+    """Append to out every completion of prefix, in order; see `enumerate_basis`.
+
+    A module-level function, not a closure, so a returned list is freed by
+    reference counting alone.
+    """
+    # next factor (i, j, nu) >= (i0, j0, nu0), with j <= rem_m and nu <= rem_n
+    for i in range(i0, d + 1):
+        for j in range(j0 if i == i0 else 0, rem_m + 1):
+            lo = nu0 if i == i0 and j == j0 else 1
+            # at color d every later factor has power >= j as well
+            if i < d or 2 * j <= rem_m:
+                for nu in range(lo, rem_n):
+                    _extend(out, d, prefix + ((i, j, nu),), rem_m - j, rem_n - nu, i, j, nu)
+            if j == rem_m and lo <= rem_n:
+                out.append(Monomial(prefix + ((i, j, rem_n),)))
 
 
 @lru_cache(maxsize=8)

@@ -47,7 +47,7 @@ modes carry no l.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -598,18 +598,41 @@ def check_virasoro(m, n, spec, tr):
     ratio = _level_ratio(spec, ops)
     l_m = ops.exact_l_columns(m).__getitem__
     l_n = ops.exact_l_columns(n).__getitem__
-    l_mn = ops.exact_l_columns(m + n).__getitem__ if m != n else None
+    params = {"m": m, "n": n}
+    if m == n:
+        # L(m)L(m)w - L(m)L(m)w cancels term by term: nothing to compose
+        checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
+        return Report("virasoro", params, checked, True, Fraction(0), None)
+    l_mn = ops.exact_l_columns(m + n).__getitem__
 
     def defect_of(label):
         defect = {}
         _compose(defect, 1, l_n(label), l_m)
         _compose(defect, -1, l_m(label), l_n)
-        if m != n:
-            _axpy(defect, n - m, l_mn(label))
+        _axpy(defect, n - m, l_mn(label))
         return _rescale(defect, ratio, len(label[0]))
 
-    params = {"m": m, "n": n}
     return _sweep("virasoro", params, spec, tr, defect_of)
+
+
+def check_virasoro_pairs(pairs, spec, tr):
+    """The reports of `check_virasoro(m, n, spec, tr)` for each (m, n) of pairs, in order.
+
+    The defect of (n, m) is minus that of (m, n), term by term, for any
+    linear maps L; so a pair whose mirror has run takes the mirror's report,
+    with m and n swapped in its params, and only one sweep runs per
+    unordered pair.
+    """
+    swept = {}
+    reports = []
+    for m, n in pairs:
+        mirror = swept.get((n, m))
+        if mirror is None:
+            report = swept[(m, n)] = check_virasoro(m, n, spec, tr)
+        else:
+            report = replace(mirror, params={"m": m, "n": n})
+        reports.append(report)
+    return reports
 
 
 def check_field_commutator(n, a_state, k, spec, tr):

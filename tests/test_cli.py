@@ -168,6 +168,24 @@ PINNED_VERIFY = {
         '"max_defect": "0", "params": {"m_range": "-1..1", "n_range": "-1..1", '
         '"spec": %s}, "states_checked": 63}\n' % ADJ1,
     ),
+    # some mirrors absent: only (0, 1) and (1, 0) share a sweep off the diagonal
+    "virasoro-asymmetric-ranges": (
+        ("verify", "virasoro", "--max-wt", "2", "--max-nwt", "1",
+         "--m-range=0..3", "--n-range=-1..1"),
+        EXIT_OK,
+        '{"counterexample": null, "defect_zero": true, "identity": "virasoro", '
+        '"max_defect": "0", "params": {"m_range": "0..3", "n_range": "-1..1", '
+        '"spec": %s}, "states_checked": 84}\n' % ADJ1,
+    ),
+    "virasoro-evaluation-c0": (
+        ("verify", "virasoro", "--kind", "evaluation", "--c", "0", "--lambda=1",
+         "--max-wt", "2", "--max-nwt", "1"),
+        EXIT_OK,
+        '{"counterexample": null, "defect_zero": true, "identity": "virasoro", '
+        '"max_defect": "0", "params": {"m_range": "-1..3", "n_range": "-1..3", '
+        '"spec": {"H": [[["1"]]], "c": "0", "d": 1, "kind": "evaluation", "l": "1", '
+        '"lambda": ["1"]}}, "states_checked": 175}\n',
+    ),
     "e1": (
         ("verify", "e1", "--kind", "evaluation", "--c", "1/3", "--lambda", "1",
          "--gen", "1,1", "--n-range=0..1", "--k-range=-1..1",
@@ -474,6 +492,7 @@ class TestModule:
 BAD_COLOR_A = '[{"mono": [[2,0,1]], "coeff": "1"}]'
 ZERO_DENOMINATOR_A = '[{"mono": [[1,0,1]], "coeff": "1/0"}]'
 FLOAT_DEPTH_A = '[{"mono": [[1,0,2.0]], "coeff": "1"}]'
+BOOL_TOP_A = '[{"mono": [[1,0,1]], "top": false, "coeff": "1"}]'
 
 
 class TestPlumbing:
@@ -518,13 +537,17 @@ class TestPlumbing:
             ("verify", "field-commutator", "--a-max-wt=-1"),
             ("verify", "strong-grading", "--v-max-nwt=-1"),
             ("verify", "strong-grading", "--sample-size=0"),
+            ("verify", "strong-grading", "--v-max-wt=0", "--max-wt", "2", "--max-nwt", "1"),
+            ("verify", "field-commutator", "--a-state", BOOL_TOP_A, "--max-wt", "2",
+             "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"),
         ],
         ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
              "out-no-dir", "H-no-columns", "H-not-square", "a-state-color-evaluation",
              "a-state-color-adjoint", "l-zero-denominator", "c-zero-denominator",
              "lambda-zero-denominator", "tops-zero-denominator", "H-zero-denominator",
              "a-state-zero-denominator", "H-bool", "a-state-float-depth",
-             "a-max-wt-negative", "v-max-nwt-negative", "sample-size-zero"],
+             "a-max-wt-negative", "v-max-nwt-negative", "sample-size-zero",
+             "v-max-wt-zero", "a-state-bool-top"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -549,6 +572,19 @@ class TestPlumbing:
         code, out, err = run(capsys, *argv, "--out", "/nonexistent/dir/x.json")
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+    def test_the_first_planned_pair_reports_the_truncated_tail(self, capsys):
+        # (0, -1) runs first and meets the cut L(-1) of a Jordan top at c = 1/3
+        code, out, err = run(
+            capsys, "verify", "virasoro", "--kind", "evaluation", "--c", "1/3",
+            "--lambda", "1", "--H", "[[1,1],[0,1]]", "--m-range=0..1", "--n-range=-1..1",
+            "--max-wt", "2", "--max-nwt", "1",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: identity check hit a truncated L(-1) tail; "
+            "restrict to exact configurations (c = 0 or trivial top action)\n"
+        )
 
     @pytest.mark.parametrize("gen", ["1", "1,2,3", "a,b"])
     def test_malformed_gen_names_the_flag(self, capsys, gen):
@@ -605,8 +641,8 @@ VERIFY_FLAGS = {
 VERIFY_BAD = {
     "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
                          ["--a-state=" + FLOAT_DEPTH_A]],
-    "strong-grading": [["--v-max-wt=-1"], ["--v-max-nwt=-1"], ["--sample-size=0"],
-                       ["--sample-size=-1"]],
+    "strong-grading": [["--v-max-wt=-1"], ["--v-max-wt=0"], ["--v-max-nwt=-1"],
+                       ["--sample-size=0"], ["--sample-size=-1"]],
 }
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
 MODULE_BAD = {

@@ -1,5 +1,6 @@
 """Monomials, states, basis enumeration and single-mode actions."""
 
+import gc
 import itertools
 import pickle
 import random
@@ -109,6 +110,16 @@ class TestEnumerateBasis:
             first.reverse()
             first.append(None)
             assert fetch() == expected
+
+    def test_a_dropped_basis_is_freed_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for d, m, n in ((1, 2, 5), (2, 2, 4), (3, 1, 3)):
+                assert enumerate_basis(d, m, n)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGrading:
@@ -307,3 +318,13 @@ def test_monomial_indices_are_ints_in_range(factor):
     assert str(err.value).endswith(repr(factor))  # so 1.5 is not shown as 1
     with pytest.raises(ValueError, match="invalid creation variable"):
         State.from_json([{"mono": [list(factor)], "coeff": "1"}])
+
+
+@pytest.mark.parametrize("top", [False, True, 0.0, 1.0, -1, "0", None], ids=repr)
+def test_top_index_is_a_nonnegative_int(top):
+    # as for a monomial's indices: a bool or float top would pass `top != 0` checks
+    with pytest.raises(ValueError, match="invalid top index"):
+        State.from_json([{"mono": [[1, 0, 1]], "top": top, "coeff": "1"}])
+    assert State.from_json([{"mono": [[1, 0, 1]], "top": 2, "coeff": "1"}]).terms == {
+        (mono((1, 0, 1)), 2): 1
+    }

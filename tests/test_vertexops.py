@@ -250,10 +250,15 @@ class TestChecks:
         assert rep.defect_zero
 
     def test_virasoro_equal_indices(self):
+        _registry.cache_clear()
         rep = check_virasoro(0, 0, ADJ, TR)
         assert rep.defect_zero
         rep = check_virasoro(-1, -1, ADJ, TR)
         assert rep.defect_zero
+        assert rep.states_checked == len(module_basis(ADJ, TR.max_wt, TR.max_nwt))
+        # each L(m) memo was made, so L(m) was checked, but nothing was composed
+        ops = operators(ADJ, 0)
+        assert set(ops._l) == {0, -1} and not any(ops._l.values())
 
     def test_virasoro_on_evaluation_module(self):
         spec = ModuleSpec.evaluation(1, 1, Fraction(1, 3), (1,))
@@ -284,6 +289,9 @@ class TestChecks:
         spec = ModuleSpec.evaluation(1, 1, Fraction(1, 3), (1,))
         with pytest.raises(ValueError):
             check_virasoro(0, -1, spec, TR)
+        # a diagonal pair composes nothing but still refuses the cut tail
+        with pytest.raises(ValueError, match="truncated L\\(-1\\) tail"):
+            check_virasoro(-1, -1, spec, TR)
 
     def test_report_serialization(self):
         rep = check_virasoro(1, 0, ADJ, Truncation(2, 1, 0))
@@ -1049,3 +1057,39 @@ def test_the_adjoint_module_is_keyed_by_d_alone():
     ops = operators(ModuleSpec.adjoint(2, Fraction(1, 3)), 5)
     assert operators(ModuleSpec.adjoint(2, 1), 0) is ops
     assert _registry.cache_info().currsize == 1
+
+
+VIRASORO_PLANS = {
+    # every mirror present, and the diagonal
+    "square": [(m, n) for m in range(-1, 4) for n in range(-1, 4)],
+    # some mirrors absent: only (0, 1) and (1, 0) pair up off the diagonal
+    "asymmetric": [(m, n) for m in range(0, 4) for n in range(-1, 2)],
+}
+
+
+@pytest.mark.parametrize(
+    "spec", [ModuleSpec.adjoint(1, 1), ModuleSpec.evaluation(1, 1, 0, (1,))],
+    ids=["adjoint", "evaluation-c0"],
+)
+@pytest.mark.parametrize("plan", VIRASORO_PLANS.values(), ids=VIRASORO_PLANS.keys())
+def test_virasoro_pairs_match_the_per_pair_sweeps(monkeypatch, spec, plan):
+    # one corrupted L(2) column: the shared reports must still be those of full sweeps
+    label = (mono((1, 0, 1), (1, 0, 3)), 0)
+    ops = _BadColumns(spec, ("L", 2), label, (mono((1, 0, 1), (1, 0, 1)), 0), 3, 0)
+    monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
+    tr = Truncation(4, 1)
+    per_pair = [check_virasoro(m, n, spec, tr) for m, n in plan]
+    assert any(not report.defect_zero for report in per_pair)
+
+    swept = []
+    sweep = vertexops.check_virasoro
+    monkeypatch.setattr(
+        vertexops, "check_virasoro", lambda m, n, *rest: swept.append((m, n)) or sweep(m, n, *rest)
+    )
+    shared = vertexops.check_virasoro_pairs(plan, spec, tr)
+    assert [r.to_json() for r in shared] == [r.to_json() for r in per_pair]
+    assert shared == per_pair
+    merged = [vertexops.merge_reports(reports, "virasoro", {}) for reports in (shared, per_pair)]
+    assert merged[0].to_json() == merged[1].to_json() and not merged[0].defect_zero
+    # one sweep per unordered pair, the first of the two in plan order
+    assert swept == [(m, n) for k, (m, n) in enumerate(plan) if (n, m) not in plan[:k]]
