@@ -14,7 +14,6 @@ import random
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
 
 from . import dims as dims_mod
 from . import repcat, vertexops
@@ -31,16 +30,24 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_range(text):
-    """Parse "3" or "-1..4" into an inclusive list of integers."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError("empty range %r" % text)
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(flag, text):
+    """Parse the value of a range flag, "3" or "-1..4", into an inclusive list of integers."""
+    lo, dots, hi = text.strip().partition("..")
+    try:
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(lo)]
+    except ValueError:
+        raise ConfigError("%s must be an integer or a range lo..hi, got %r" % (flag, text))
+    if not values:
+        raise ConfigError("%s is an empty range: %r" % (flag, text))
+    return values
+
+
+def _index_range(args, name):
+    """The text and values of --{name}-range, or of the single --{name} that overrides it."""
+    flag, text = "--" + name, getattr(args, name)
+    if text is None:
+        flag, text = flag + "-range", getattr(args, name + "_range")
+    return text, _parse_range(flag, text)
 
 
 def _parse_lambda(text):
@@ -149,13 +156,13 @@ def _emit_report(report, args):
     return EXIT_OK if report.defect_zero else EXIT_COUNTEREXAMPLE
 
 
-def _sample_modes(spec, args, rng):
+def _sample_modes(spec, args, j_values, rng):
     """Doubly homogeneous mode labels (v, j) for the strong-grading sweep."""
     sample = []
     for wt_v in range(1, args.v_max_wt + 1):
         for nwt_v in range(args.v_max_nwt + 1):
             for mono in enumerate_basis(spec.d, nwt_v, wt_v):
-                for j in _parse_range(args.j_range):
+                for j in j_values:
                     sample.append((State.term(mono), j))
     if args.sample_size is not None and args.sample_size < len(sample):
         sample = rng.sample(sample, args.sample_size)
@@ -163,38 +170,31 @@ def _sample_modes(spec, args, rng):
     return sample
 
 
-def _in_order(checks):
-    """Run checker calls serially, in order; their reports."""
-    return [check() for check in checks]
-
-
 def _verify_plan(args, spec, tr):
-    """The merged report's identity and params, and the call that returns the sub-reports.
+    """Run the planned checks: the merged report's identity and params, and the sub-reports.
 
     Sweeps over several combos name their merged params here; a single
     whole-basis check returns params None and its report names its own.
+    Each range flag is parsed once, before any check runs.
     """
     identity = args.identity
-    if args.j_range is None:
-        args.j_range = "-1..1" if identity == "l0-grading" else "-2..2"
     if identity == "virasoro":
-        pairs = [
-            (m, n)
-            for m in _parse_range(args.m_range)
-            for n in _parse_range(args.n_range)
-            if m + n >= -1 or m == n
-        ]
-        params = {"m_range": args.m_range, "n_range": args.n_range}
-        return identity, params, partial(vertexops.check_virasoro_pairs, pairs, spec, tr)
+        m_values = _parse_range("--m-range", args.m_range)
+        n_text, n_values = _index_range(args, "n")
+        pairs = [(m, n) for m in m_values for n in n_values if m + n >= -1 or m == n]
+        params = {"m_range": args.m_range, "n_range": n_text}
+        return identity, params, vertexops.check_virasoro_pairs(pairs, spec, tr)
     if identity == "e1":
         i, j = _parse_gen(args.gen)
-        checks = [
-            partial(vertexops.check_l_mode_commutator, n, (i, j), k, spec, tr)
-            for n in _parse_range(args.n_range)
-            for k in _parse_range(args.k_range)
+        n_text, n_values = _index_range(args, "n")
+        k_text, k_values = _index_range(args, "k")
+        reports = [
+            vertexops.check_l_mode_commutator(n, (i, j), k, spec, tr)
+            for n in n_values
+            for k in k_values
         ]
-        params = {"gen": [i, j], "n_range": args.n_range, "k_range": args.k_range}
-        return "l-mode-commutator", params, partial(_in_order, checks)
+        params = {"gen": [i, j], "n_range": n_text, "k_range": k_text}
+        return "l-mode-commutator", params, reports
     if identity == "field-commutator":
         if args.a_state:
             labels = [_decode_json("--a-state", args.a_state, State.from_json)]
@@ -207,16 +207,16 @@ def _verify_plan(args, spec, tr):
                 for nwt_a in range(args.a_max_nwt + 1)
                 for mono in enumerate_basis(spec.d, nwt_a, wt_a)
             ]
-        checks = [
-            partial(vertexops.check_field_commutator, n, a, k, spec, tr)
+        n_text, n_values = _index_range(args, "n")
+        k_text, k_values = _index_range(args, "k")
+        reports = [
+            vertexops.check_field_commutator(n, a, k, spec, tr)
             for a in labels
-            for n in _parse_range(args.n_range)
-            for k in _parse_range(args.k_range)
+            for n in n_values
+            for k in k_values
         ]
-        params = {
-            "a_count": len(labels), "n_range": args.n_range, "k_range": args.k_range
-        }
-        return identity, params, partial(_in_order, checks)
+        params = {"a_count": len(labels), "n_range": n_text, "k_range": k_text}
+        return identity, params, reports
     if identity == "strong-grading":
         if args.v_max_wt < 0 or args.v_max_nwt < 0:
             raise ConfigError("--v-max-wt and --v-max-nwt must be nonnegative")
@@ -224,24 +224,21 @@ def _verify_plan(args, spec, tr):
             raise ConfigError("--v-max-wt 0 samples no mode; every mode has weight >= 1")
         if args.sample_size is not None and args.sample_size < 1:
             raise ConfigError("--sample-size must be positive")
-        sample = _sample_modes(spec, args, random.Random(args.seed))
-        check = partial(vertexops.check_strong_grading, spec, tr, sample)
-        return identity, None, partial(_in_order, [check])
+        j_values = _parse_range("--j-range", "-2..2" if args.j_range is None else args.j_range)
+        sample = _sample_modes(spec, args, j_values, random.Random(args.seed))
+        return identity, None, [vertexops.check_strong_grading(spec, tr, sample)]
     if identity == "l0-grading":
-        j_values = _parse_range(args.j_range)
-        check = partial(vertexops.check_l0_grading, spec, tr, j_values)
-        return identity, None, partial(_in_order, [check])
+        j_values = _parse_range("--j-range", "-1..1" if args.j_range is None else args.j_range)
+        return identity, None, [vertexops.check_l0_grading(spec, tr, j_values)]
     if identity == "d-equals-lminus1":
-        check = partial(vertexops.check_d_equals_lminus1, spec, tr)
-        return identity, None, partial(_in_order, [check])
+        return identity, None, [vertexops.check_d_equals_lminus1(spec, tr)]
     raise ConfigError("unknown identity %r" % identity)
 
 
 def _cmd_verify(args):
     """Run the planned checks and merge their reports."""
     spec = _build_spec(args)
-    identity, params, run = _verify_plan(args, spec, _truncation(args))
-    reports = run()
+    identity, params, reports = _verify_plan(args, spec, _truncation(args))
     if params is None:
         identity, params = reports[0].identity, dict(reports[0].params)
     params["spec"] = spec.to_json()
@@ -475,10 +472,6 @@ def main(argv=None):
     try:
         with _open_out(args.out) as args.stream:
             if args.command == "verify":
-                if args.k is not None:
-                    args.k_range = args.k
-                if args.n is not None:
-                    args.n_range = args.n
                 return _cmd_verify(args)
             if args.command == "dims":
                 return _cmd_dims(args)

@@ -199,6 +199,8 @@ class State:
     def from_json(cls, data):
         terms = {}
         for entry in data:
+            if not isinstance(entry, dict):
+                raise ValueError("a state term must be a JSON object, got %r" % (entry,))
             top = entry.get("top", 0)
             # as for a monomial's indices: bool is not an int, and a float is refused
             if type(top) is not int or top < 0:

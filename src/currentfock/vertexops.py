@@ -29,6 +29,13 @@ computed once per `Operators`.  The public `State` API, `l_apply`,
 and is not called inside the package.  The vacuum spaces in `repcat` read
 each single-mode column `fock._mode_column` once, unmemoized.
 
+The three commutator identities, Virasoro [L(m), L(n)] = (m-n) L(m+n),
+e1 [L(n), a(k)] = -k a(n+k) and the field commutator, are plans of one
+sweep, `_commutator_sweep`: each names X, the terms of [X, Y] and the
+right-side operators Z.  e1 keeps its closed form: it is the field
+commutator's sum at A = x_{i,j,1}, but that sum also compiles the columns
+of Y(x_{i,j,2}), which the closed form never reads.
+
 The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
 modes vanish, so a term w -> w' of a column is the l = 1 term times
 l^((deg w - deg w')/2) under L(n), and l^((p + deg w - deg w')/2) under
@@ -231,10 +238,6 @@ class Operators:
     def l_truncated(self, n):
         """Whether the columns of L(n) are cut at j <= j_max (L(-1) only)."""
         return n == -1 and self._module.cuts_tail
-
-    def mode_columns(self, i, j, k):
-        """The memo of the single mode (u^(i) t^j)(k), which is Y(x_{i,j,1})_k."""
-        return self._vertex_memos(Monomial(((i, j, 1),)))[k]
 
     def vertex_columns(self, vmono, k):
         """The memo of Y(v)_k, v a monomial of M(l): basis label -> read-only column."""
@@ -567,25 +570,46 @@ def _sweep(identity, params, spec, tr, defect_of):
     return Report(identity, params, checked, max_defect == 0, max_defect, counterexample)
 
 
+def _commutator_sweep(identity, params, spec, tr, ratio, x, parts):
+    """Sweep the defect sum_t c_t [X, Y_t] w + sum_s s Z_s w over the basis within tr.
+
+    x looks up the columns of X.  Each part (p, ys, zs) lists the (c, Y
+    lookup) and (s, Z lookup) pairs of one factor count p; its defect is
+    rescaled once by the level law, with shift p + deg w.
+    """
+
+    def defect_of(label):
+        defect = {}
+        x_column = x(label)
+        deg = len(label[0])
+        for p, ys, zs in parts:
+            part = {}
+            for c, y in ys:
+                _compose(part, c, y(label), x)
+                _compose(part, -c, x_column, y)
+            for s, z in zs:
+                _axpy(part, s, z(label))
+            if part:
+                _axpy(defect, 1, _rescale(part, ratio, p + deg))
+        return defect
+
+    return _sweep(identity, params, spec, tr, defect_of)
+
+
 def check_l_mode_commutator(n, gen, k, spec, tr):
     """Verify [L(n), a(k)] = -k a(n+k) on every basis state within tr."""
     i, j = gen
     ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
-    a_k = ops.mode_columns(i, j, k).__getitem__
-    a_nk = ops.mode_columns(i, j, n + k).__getitem__
+    # a single mode a(k) is Y(x_{i,j,1})_k, with one factor
+    a = Monomial(((i, j, 1),))
+    a_k = ops.vertex_columns(a, k).__getitem__
+    a_nk = ops.vertex_columns(a, n + k).__getitem__
     l_n = ops.exact_l_columns(n).__getitem__
-
-    def defect_of(label):
-        defect = {}
-        _compose(defect, 1, a_k(label), l_n)
-        _compose(defect, -1, l_n(label), a_k)
-        _axpy(defect, k, a_nk(label))
-        # a single mode is Y(x)_k for x with one factor
-        return _rescale(defect, ratio, len(label[0]) + 1)
-
     params = {"n": n, "gen": [i, j], "k": k}
-    return _sweep("l-mode-commutator", params, spec, tr, defect_of)
+    parts = [(1, [(1, a_k)], [(k, a_nk)])]
+    return _commutator_sweep(
+        "l-mode-commutator", params, spec, tr, _level_ratio(spec, ops), l_n, parts
+    )
 
 
 def check_virasoro(m, n, spec, tr):
@@ -595,7 +619,6 @@ def check_virasoro(m, n, spec, tr):
     if m + n < -1 and m != n:
         raise ValueError("L(%d) is not defined; need m+n >= -1 or m = n" % (m + n))
     ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
     l_m = ops.exact_l_columns(m).__getitem__
     l_n = ops.exact_l_columns(n).__getitem__
     params = {"m": m, "n": n}
@@ -604,15 +627,8 @@ def check_virasoro(m, n, spec, tr):
         checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
         return Report("virasoro", params, checked, True, Fraction(0), None)
     l_mn = ops.exact_l_columns(m + n).__getitem__
-
-    def defect_of(label):
-        defect = {}
-        _compose(defect, 1, l_n(label), l_m)
-        _compose(defect, -1, l_m(label), l_n)
-        _axpy(defect, n - m, l_mn(label))
-        return _rescale(defect, ratio, len(label[0]))
-
-    return _sweep("virasoro", params, spec, tr, defect_of)
+    parts = [(0, [(1, l_n)], [(n - m, l_mn)])]
+    return _commutator_sweep("virasoro", params, spec, tr, _level_ratio(spec, ops), l_m, parts)
 
 
 def check_virasoro_pairs(pairs, spec, tr):
@@ -663,24 +679,8 @@ def check_field_commutator(n, a_state, k, spec, tr):
                 rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
         parts.append((p, a_k, rhs))
     l_n = ops.exact_l_columns(n).__getitem__
-
-    def defect_of(label):
-        defect = {}
-        l_column = l_n(label)
-        deg = len(label[0])
-        for p, a_k, rhs in parts:
-            part = {}
-            for vcoeff, y in a_k:
-                _compose(part, vcoeff, y(label), l_n)
-                _compose(part, -vcoeff, l_column, y)
-            for scale, y in rhs:
-                _axpy(part, scale, y(label))
-            if part:
-                _axpy(defect, 1, _rescale(part, ratio, p + deg))
-        return defect
-
     params = {"n": n, "A": a_state.to_json(), "k": k}
-    return _sweep("field-commutator", params, spec, tr, defect_of)
+    return _commutator_sweep("field-commutator", params, spec, tr, ratio, l_n, parts)
 
 
 def check_l0_grading(spec, tr, j_values):

@@ -493,6 +493,19 @@ BAD_COLOR_A = '[{"mono": [[2,0,1]], "coeff": "1"}]'
 ZERO_DENOMINATOR_A = '[{"mono": [[1,0,1]], "coeff": "1/0"}]'
 FLOAT_DEPTH_A = '[{"mono": [[1,0,2.0]], "coeff": "1"}]'
 BOOL_TOP_A = '[{"mono": [[1,0,1]], "top": false, "coeff": "1"}]'
+# malformed input, and what its one error line must name
+NAMED_IN_ERROR = {
+    ("verify", "virasoro", "--m-range=1.."): "--m-range",
+    ("verify", "virasoro", "--n-range=x"): "--n-range",
+    ("verify", "e1", "--k-range=1..a"): "--k-range",
+    ("verify", "strong-grading", "--j-range=q"): "--j-range",
+    ("verify", "l0-grading", "--j-range=3..1"): "--j-range",
+    ("verify", "e1", "--k", "x"): "--k ",
+    ("verify", "field-commutator", "--n", "1..0"): "--n ",
+    ("verify", "field-commutator", "--a-state", "[1]"): "got 1",
+    ("verify", "field-commutator", "--a-state", '{"a":1}'): "got 'a'",
+    ("verify", "field-commutator", "--a-state", '"x"'): "got 'x'",
+}
 
 
 class TestPlumbing:
@@ -540,6 +553,7 @@ class TestPlumbing:
             ("verify", "strong-grading", "--v-max-wt=0", "--max-wt", "2", "--max-nwt", "1"),
             ("verify", "field-commutator", "--a-state", BOOL_TOP_A, "--max-wt", "2",
              "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"),
+            *NAMED_IN_ERROR,
         ],
         ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
              "out-no-dir", "H-no-columns", "H-not-square", "a-state-color-evaluation",
@@ -547,12 +561,15 @@ class TestPlumbing:
              "lambda-zero-denominator", "tops-zero-denominator", "H-zero-denominator",
              "a-state-zero-denominator", "H-bool", "a-state-float-depth",
              "a-max-wt-negative", "v-max-nwt-negative", "sample-size-zero",
-             "v-max-wt-zero", "a-state-bool-top"],
+             "v-max-wt-zero", "a-state-bool-top", "m-range-open", "n-range-word",
+             "k-range-letter", "j-range-word", "j-range-empty", "k-word", "n-empty",
+             "a-state-not-a-term", "a-state-object", "a-state-string"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert NAMED_IN_ERROR.get(argv, "") in err
 
     @pytest.mark.parametrize(
         "argv, workhorse",
@@ -637,12 +654,17 @@ VERIFY_FLAGS = {
     "l0-grading": {"--j-range": ["-1..1", "2", "0..2"], "--j-max": ["0", "1", "2"]},
     "d-equals-lminus1": {},
 }
-# per identity: bounds that would sample nothing, and a float depth in A's monomial
+# per identity: bounds that would sample nothing, a float depth in A's monomial,
+# a malformed range and an --a-state that is not a list of term objects
 VERIFY_BAD = {
+    "virasoro": [["--m-range=1.."]],
+    "e1": [["--k-range=1..a"]],
     "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
-                         ["--a-state=" + FLOAT_DEPTH_A]],
+                         ["--a-state=" + FLOAT_DEPTH_A], ["--k-range=1..a"],
+                         ["--a-state=[1]"], ['--a-state={"a":1}'], ['--a-state="x"']],
     "strong-grading": [["--v-max-wt=-1"], ["--v-max-wt=0"], ["--v-max-nwt=-1"],
-                       ["--sample-size=0"], ["--sample-size=-1"]],
+                       ["--sample-size=0"], ["--sample-size=-1"], ["--j-range=q"]],
+    "l0-grading": [["--j-range=q"]],
 }
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
 MODULE_BAD = {

@@ -306,6 +306,13 @@ def test_state_json_roundtrip():
     assert State.from_json(State.zero().to_json()).is_zero()
 
 
+@pytest.mark.parametrize("data", [[1], {"a": 1}, "x", [None]], ids=repr)
+def test_a_state_term_is_a_json_object(data):
+    # each item of the state's JSON list is a term object; anything else is bad input
+    with pytest.raises(ValueError, match="a state term must be a JSON object"):
+        State.from_json(data)
+
+
 @pytest.mark.parametrize(
     "factor",
     [(1, 0, 1.5), (1, 0, 2.0), (1.0, 0, 1), (1, True, 1), (0, 0, 1), (1, -1, 1), (1, 0, 0)],

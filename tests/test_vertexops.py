@@ -609,10 +609,12 @@ def test_module_constants_wait_for_the_level_check(c):
     for label in labels:
         for j in range(3):
             for k in (-1, 0, 1):
-                ops.mode_columns(1, j, k)[label]
+                ops.vertex_columns(mono((1, j, 1)), k)[label]
         for k in range(-3, 3):
             ops.vertex_columns(v, k)[label]
-    assert ops.mode_columns(1, 1, 0)[(EMPTY, 1)] == {(EMPTY, 0): c, (EMPTY, 1): 2 * c}
+    assert ops.vertex_columns(mono((1, 1, 1)), 0)[(EMPTY, 1)] == {
+        (EMPTY, 0): c, (EMPTY, 1): 2 * c
+    }
     for n in range(-1, 3):
         # the memo of L(n) itself is refused, before any column is looked up
         for memo_of in (ops.l_columns, ops.exact_l_columns):
@@ -641,7 +643,7 @@ def test_module_constants_match_the_matrices_they_replace(spec):
             for j in range(4):
                 # apply_mode builds c^j H_i afresh through ModuleSpec.zero_mode_matrix
                 expected = apply_mode(mode(i, j, 0), w, spec).terms
-                assert ops.mode_columns(i, j, 0)[label] == expected, (label, i, j)
+                assert ops.vertex_columns(mono((i, j, 1)), 0)[label] == expected, (label, i, j)
         # L(0) acts as the weight plus the top-space matrix
         m, top = label
         expected = {(m, t): top_l0[t, top] for t in range(spec.r) if top_l0[t, top]}
@@ -651,15 +653,14 @@ def test_module_constants_match_the_matrices_they_replace(spec):
 
 @pytest.mark.parametrize("spec", [ADJ2, JORDAN_TOPS["c1/3"]], ids=["adjoint", "jordan"])
 def test_a_single_mode_is_the_vertex_operator_of_its_variable(spec):
-    # a(k) = Y(x_{i,j,1})_k: one memo serves both, and its columns are the mode action
+    # a(k) = Y(x_{i,j,1})_k: the columns of that memo are the mode action
     ops = vertexops.Operators(spec, 2)
     labels = module_basis(spec, 2, 1)
     zero_modes_act = False
     for i in range(1, spec.d + 1):
         for j in range(3):
             for k in range(-2, 3):
-                memo = ops.mode_columns(i, j, k)
-                assert memo is ops.vertex_columns(mono((i, j, 1)), k), (i, j, k)
+                memo = ops.vertex_columns(mono((i, j, 1)), k)
                 for label in labels:
                     w = State.term(*label)
                     assert memo[label] == apply_mode(mode(i, j, k), w, spec).terms, (i, j, k)
@@ -1093,3 +1094,33 @@ def test_virasoro_pairs_match_the_per_pair_sweeps(monkeypatch, spec, plan):
     assert merged[0].to_json() == merged[1].to_json() and not merged[0].defect_zero
     # one sweep per unordered pair, the first of the two in plan order
     assert swept == [(m, n) for k, (m, n) in enumerate(plan) if (n, m) not in plan[:k]]
+
+
+@pytest.mark.parametrize("spec", [ADJ2, JORDAN_TOPS["c1/3"]], ids=["adjoint", "jordan"])
+@pytest.mark.parametrize(
+    "n, gen, k",
+    [(0, (1, 0), -1), (1, (2, 1), -2), (2, (1, 1), -1), (1, (2, 0), 1)],
+    ids=["n0-k-1", "n1-k-2", "n2-k-1", "n1-k1"],
+)
+def test_e1_is_the_field_commutator_of_a_single_mode(monkeypatch, spec, n, gen, k):
+    # -k a(n+k) is the Borcherds sum at A = x_{i,j,1}: with one L(n) column corrupted,
+    # both plans of the commutator sweep report the same nonzero defect
+    label = (mono((1, 0, 1)), 0)
+    ops = _BadColumns(spec, ("L", n), label, (mono((2, 0, 1)), 0), 3, 0)
+    monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
+    tr = Truncation(3, 1)
+    closed = check_l_mode_commutator(n, gen, k, spec, tr)
+    borcherds = check_field_commutator(n, State.term(mono(gen + (1,))), k, spec, tr)
+    assert not closed.defect_zero
+    for field in ("states_checked", "max_defect", "counterexample"):
+        assert getattr(closed, field) == getattr(borcherds, field), field
+
+
+def test_e1_compiles_only_its_single_mode(capsys):
+    # the closed form -k a(n+k) reads a(k) alone, never the columns of Y(x_{i,j,2})
+    _registry.cache_clear()
+    argv = ["verify", "e1", "--d", "2", "--l=1/2", "--gen", "2,1",
+            "--max-wt", "3", "--max-nwt", "1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert list(operators(ModuleSpec.adjoint(2, 1), 0)._vertex) == [mono((2, 1, 1))]
