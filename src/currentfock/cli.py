@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import dims as dims_mod
 from . import repcat, vertexops
 from .exactmath import RatMatrix, rat, rat_str
-from .fock import ModuleSpec, State, enumerate_basis
+from .fock import ModuleSpec, State, count_basis, enumerate_basis
 from .vertexops import Truncation
 
 EXIT_OK = 0
@@ -67,11 +67,13 @@ def _decode_json(flag, text, build):
     """Build an object from the JSON value of a flag.
 
     The builders index into the decoded data, so a value of the wrong shape
-    surfaces as KeyError, TypeError or IndexError; all are bad input.
+    surfaces as KeyError, TypeError or IndexError, and one they refuse as
+    ValueError (as does text that is not JSON); all are bad input, and the
+    error names the flag.  A ConfigError of the builder passes unchanged.
     """
     try:
         return build(json.loads(text))
-    except (KeyError, TypeError, IndexError) as err:
+    except (KeyError, TypeError, IndexError, ValueError) as err:
         raise ConfigError("malformed %s: %s: %s" % (flag, type(err).__name__, err))
 
 
@@ -258,7 +260,7 @@ def _cmd_dims(args):
     agree = True
     for m in range(Q + 1):
         for n in range(P + 1):
-            enum = len(enumerate_basis(d, m, n))
+            enum = count_basis(d, m, n)
             dp = parts.get(m, n)
             gf = product.get(m, n)
             if not (enum == dp == gf):

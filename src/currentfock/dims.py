@@ -3,8 +3,9 @@
 The dimension of the doubly homogeneous subspace with nwt m and weight n is
 the number of d-colored bipartite partitions (m, n) = sum_j (m_j, n_j) with
 m_j >= 0 and n_j >= 1.  Three independent computations are provided and
-cross-checked: explicit monomial enumeration, a dynamic program over parts,
-and the coefficient extraction from the Euler product
+cross-checked: explicit monomial enumeration (`fock.count_basis` walks every
+monomial of the cell and counts it, building none), a dynamic program over
+parts, and the coefficient extraction from the Euler product
 prod_{a>=0, b>=1} (1 - q^a p^b)^{-d}.
 
 A fourth column evaluates the constant-term expression
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactmath import rank
-from .fock import enumerate_basis, module_basis
+from .fock import count_basis, enumerate_basis, module_basis
 from .vertexops import operators
 
 
@@ -236,7 +237,7 @@ def c1_quotient_dims(spec, tr):
                 {key: c for key, c in image.items() if key[0].nwt() != target_m}
                 for image in images
             ]
-            dim_w = spec.r * len(enumerate_basis(spec.d, target_m, n))
+            dim_w = spec.r * count_basis(spec.d, target_m, n)
             intersection = rank(images) - rank(rest)
             table.entries[(target_m, n)] = dim_w - intersection
     return table

@@ -365,10 +365,9 @@ def enumerate_basis(d, m, n):
     one in increasing order; and since every factor has positive weight, no
     monomial of the cell is a prefix of another.  So the walk meets them in
     lexicographic order.  A fresh list is built on every call; nothing is
-    cached.
+    cached.  `count_basis` takes the same walk and builds no monomial.
     """
-    if d < 1 or m < 0 or n < 0:
-        raise ValueError("enumerate_basis needs d >= 1 and m, n >= 0")
+    _check_cell("enumerate_basis", d, m, n)
     if n == 0:
         return [EMPTY] if m == 0 else []
     out = []
@@ -376,12 +375,32 @@ def enumerate_basis(d, m, n):
     return out
 
 
-def _extend(out, d, prefix, rem_m, rem_n, i0, j0, nu0):
-    """Append to out every completion of prefix, in order; see `enumerate_basis`.
+def count_basis(d, m, n):
+    """len(enumerate_basis(d, m, n)), counted on the same walk with no monomial built.
 
+    Every basis monomial is still met one at a time, so the count stays an
+    explicit enumeration, independent of the partition-counting formulas.
+    """
+    _check_cell("count_basis", d, m, n)
+    if n == 0:
+        return 1 if m == 0 else 0
+    return _extend(None, d, (), m, n, 1, 0, 1)
+
+
+def _check_cell(name, d, m, n):
+    if d < 1 or m < 0 or n < 0:
+        raise ValueError("%s needs d >= 1 and m, n >= 0" % name)
+
+
+def _extend(out, d, prefix, rem_m, rem_n, i0, j0, nu0):
+    """Walk every completion of prefix, in order, and return how many there are.
+
+    Each completion is appended to out as a Monomial; with out None nothing
+    is built, not even the prefixes.  See `enumerate_basis` for the order.
     A module-level function, not a closure, so a returned list is freed by
     reference counting alone.
     """
+    count = 0
     # next factor (i, j, nu) >= (i0, j0, nu0), with j <= rem_m and nu <= rem_n
     for i in range(i0, d + 1):
         for j in range(j0 if i == i0 else 0, rem_m + 1):
@@ -389,9 +408,13 @@ def _extend(out, d, prefix, rem_m, rem_n, i0, j0, nu0):
             # at color d every later factor has power >= j as well
             if i < d or 2 * j <= rem_m:
                 for nu in range(lo, rem_n):
-                    _extend(out, d, prefix + ((i, j, nu),), rem_m - j, rem_n - nu, i, j, nu)
+                    longer = None if out is None else prefix + ((i, j, nu),)
+                    count += _extend(out, d, longer, rem_m - j, rem_n - nu, i, j, nu)
             if j == rem_m and lo <= rem_n:
-                out.append(Monomial(prefix + ((i, j, rem_n),)))
+                count += 1
+                if out is not None:
+                    out.append(Monomial(prefix + ((i, j, rem_n),)))
+    return count
 
 
 @lru_cache(maxsize=8)

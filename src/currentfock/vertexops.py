@@ -577,20 +577,21 @@ def _commutator_sweep(identity, params, spec, tr, ratio, x, parts):
     lookup) and (s, Z lookup) pairs of one factor count p; its defect is
     rescaled once by the level law, with shift p + deg w.
     """
+    # -c once per sweep, not once per label
+    parts = [(p, [(c, -c, y) for c, y in ys], zs) for p, ys, zs in parts]
 
     def defect_of(label):
         defect = {}
         x_column = x(label)
-        deg = len(label[0])
         for p, ys, zs in parts:
             part = {}
-            for c, y in ys:
+            for c, minus_c, y in ys:
                 _compose(part, c, y(label), x)
-                _compose(part, -c, x_column, y)
+                _compose(part, minus_c, x_column, y)
             for s, z in zs:
                 _axpy(part, s, z(label))
             if part:
-                _axpy(defect, 1, _rescale(part, ratio, p + deg))
+                _axpy(defect, 1, _rescale(part, ratio, p + len(label[0])))
         return defect
 
     return _sweep(identity, params, spec, tr, defect_of)

@@ -344,6 +344,15 @@ class TestPinnedOutput:
     def test_dims_stdout(self, capsys, argv, expected):
         assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
 
+    def test_dims_builds_no_monomial(self, capsys, monkeypatch):
+        # enum is read off the counting walk; no cell's basis is listed
+        def refuse(*args):
+            raise AssertionError("dims listed a basis")
+
+        monkeypatch.setattr("currentfock.cli.enumerate_basis", refuse)
+        assert run(capsys, *DIMS_D2)[:2] == (EXIT_OK, PINNED_DIMS_JSON)
+        assert run(capsys, *DIMS_D1)[:2] == (EXIT_OK, PINNED_DIMS_CSV)
+
 
 class TestDims:
     def test_csv_table(self, capsys):
@@ -493,6 +502,7 @@ BAD_COLOR_A = '[{"mono": [[2,0,1]], "coeff": "1"}]'
 ZERO_DENOMINATOR_A = '[{"mono": [[1,0,1]], "coeff": "1/0"}]'
 FLOAT_DEPTH_A = '[{"mono": [[1,0,2.0]], "coeff": "1"}]'
 BOOL_TOP_A = '[{"mono": [[1,0,1]], "top": false, "coeff": "1"}]'
+NOT_A_TERM = "--a-state: ValueError: a state term must be a JSON object, got "
 # malformed input, and what its one error line must name
 NAMED_IN_ERROR = {
     ("verify", "virasoro", "--m-range=1.."): "--m-range",
@@ -502,9 +512,13 @@ NAMED_IN_ERROR = {
     ("verify", "l0-grading", "--j-range=3..1"): "--j-range",
     ("verify", "e1", "--k", "x"): "--k ",
     ("verify", "field-commutator", "--n", "1..0"): "--n ",
-    ("verify", "field-commutator", "--a-state", "[1]"): "got 1",
-    ("verify", "field-commutator", "--a-state", '{"a":1}'): "got 'a'",
-    ("verify", "field-commutator", "--a-state", '"x"'): "got 'x'",
+    ("verify", "field-commutator", "--a-state", "[1]"): NOT_A_TERM + "1",
+    ("verify", "field-commutator", "--a-state", '{"a":1}'): NOT_A_TERM + "'a'",
+    ("verify", "field-commutator", "--a-state", '"x"'): NOT_A_TERM + "'x'",
+    ("verify", "field-commutator", "--a-state", FLOAT_DEPTH_A, "--max-wt", "2",
+     "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"): "--a-state",
+    ("verify", "field-commutator", "--a-state", BOOL_TOP_A, "--max-wt", "2",
+     "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"): "--a-state",
 }
 
 
@@ -545,25 +559,21 @@ class TestPlumbing:
             ("verify", "field-commutator", "--a-state", ZERO_DENOMINATOR_A,
              "--max-wt", "1", "--max-nwt", "0", "--n", "0", "--k", "0"),
             ("module", "logcheck", "--H", "[[true]]", "--c", "0"),
-            ("verify", "field-commutator", "--a-state", FLOAT_DEPTH_A, "--max-wt", "2",
-             "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"),
             ("verify", "field-commutator", "--a-max-wt=-1"),
             ("verify", "strong-grading", "--v-max-nwt=-1"),
             ("verify", "strong-grading", "--sample-size=0"),
             ("verify", "strong-grading", "--v-max-wt=0", "--max-wt", "2", "--max-nwt", "1"),
-            ("verify", "field-commutator", "--a-state", BOOL_TOP_A, "--max-wt", "2",
-             "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"),
             *NAMED_IN_ERROR,
         ],
         ids=["H-flat", "H-ragged", "H-float", "a-state-no-coeff", "tops-no-lambda",
              "out-no-dir", "H-no-columns", "H-not-square", "a-state-color-evaluation",
              "a-state-color-adjoint", "l-zero-denominator", "c-zero-denominator",
              "lambda-zero-denominator", "tops-zero-denominator", "H-zero-denominator",
-             "a-state-zero-denominator", "H-bool", "a-state-float-depth",
-             "a-max-wt-negative", "v-max-nwt-negative", "sample-size-zero",
-             "v-max-wt-zero", "a-state-bool-top", "m-range-open", "n-range-word",
-             "k-range-letter", "j-range-word", "j-range-empty", "k-word", "n-empty",
-             "a-state-not-a-term", "a-state-object", "a-state-string"],
+             "a-state-zero-denominator", "H-bool", "a-max-wt-negative",
+             "v-max-nwt-negative", "sample-size-zero", "v-max-wt-zero", "m-range-open",
+             "n-range-word", "k-range-letter", "j-range-word", "j-range-empty", "k-word",
+             "n-empty", "a-state-not-a-term", "a-state-object", "a-state-string",
+             "a-state-float-depth", "a-state-bool-top"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

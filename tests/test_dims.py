@@ -14,6 +14,7 @@ from currentfock import (
     bipartite_table,
     c1_quotient_dims,
     check_strong_grading,
+    count_basis,
     enumerate_basis,
     gf_paper_ct,
     gf_product_count,
@@ -55,6 +56,20 @@ class TestBipartiteCount:
             for m in range(5):
                 for n in range(6):
                     assert bipartite_count(d, m, n) == len(enumerate_basis(d, m, n))
+
+    def test_count_walk_matches_enumeration_and_dp(self):
+        # n = 0 is covered, with m > 0 there too
+        for d in (1, 2, 3):
+            for m in range(5):
+                for n in range(8):
+                    count = count_basis(d, m, n)
+                    assert count == len(enumerate_basis(d, m, n)) == bipartite_count(d, m, n)
+
+    @pytest.mark.parametrize("cell", [(0, 1, 1), (1, -1, 2), (1, 2, -1)])
+    def test_count_walk_refuses_what_enumeration_refuses(self, cell):
+        for walk in (enumerate_basis, count_basis):
+            with pytest.raises(ValueError, match="needs d >= 1 and m, n >= 0"):
+                walk(*cell)
 
     def test_monotone_in_colors(self):
         for m in range(4):
