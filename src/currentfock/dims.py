@@ -86,8 +86,6 @@ def bipartite_table(d, P, Q):
 
 def bipartite_count(d, m, n):
     """Number of multisets of colored parts (color, j >= 0, nu >= 1) summing to (m, n)."""
-    if d < 1 or m < 0 or n < 0:
-        raise ValueError("bipartite_count needs d >= 1 and m, n >= 0")
     return bipartite_table(d, n, m).get(m, n)
 
 

@@ -305,8 +305,6 @@ class ModuleSpec:
     @classmethod
     def evaluation(cls, d, l, c, lam, H=None):
         lam = tuple(rat(x) for x in lam)
-        if len(lam) != d:
-            raise ValueError("lambda must have d entries")
         if H is None:
             H = tuple(RatMatrix([[x]]) for x in lam)
             r = 1

@@ -42,6 +42,9 @@ class TopSpace:
         H = tuple(m if isinstance(m, RatMatrix) else RatMatrix(m) for m in self.H)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "H", H)
+        # as for a monomial's indices: bool is not an int, and a float is refused
+        if type(self.r) is not int:
+            raise ValueError("top-space dimension must be an int, got %r" % (self.r,))
         if self.r < 1:
             raise ValueError("top-space dimension must be at least 1")
         _check_top(self.r, lam, H)

@@ -29,10 +29,11 @@ computed once per `Operators`.  The public `State` API, `l_apply`,
 and is not called inside the package.  The vacuum spaces in `repcat` read
 each single-mode column `fock._mode_column` once, unmemoized.
 
-The three commutator identities, Virasoro [L(m), L(n)] = (m-n) L(m+n),
-e1 [L(n), a(k)] = -k a(n+k) and the field commutator, are plans of one
-sweep, `_commutator_sweep`: each names X, the terms of [X, Y] and the
-right-side operators Z.  e1 keeps its closed form: it is the field
+Four linear identities are plans of one sweep, `_commutator_sweep`: the
+commutators Virasoro [L(m), L(n)] = (m-n) L(m+n), e1 [L(n), a(k)] =
+-k a(n+k) and the field commutator, and d = L(-1).  Each plan names X, the
+terms of [X, Y] and the right-side operators Z; d = L(-1) has no [X, Y]
+terms, only Z = d and -L(-1).  e1 keeps its closed form: it is the field
 commutator's sum at A = x_{i,j,1}, but that sum also compiles the columns
 of Y(x_{i,j,2}), which the closed form never reads.
 
@@ -86,14 +87,12 @@ class Truncation:
             raise ValueError("truncation bounds must be nonnegative")
 
 
-@lru_cache(maxsize=256)
 def _gbinom(m, r):
     """Binomial coefficient C(m, r) for integer m of any sign, r >= 0."""
-    num = 1
-    for s in range(r):
-        num *= m - s
-    # a product of r consecutive integers is divisible by r!
-    return num // math.factorial(r)
+    if m >= 0:
+        return math.comb(m, r)
+    # C(m, r) = (-1)^r C(r - m - 1, r): negate each of the r factors m - s
+    return (-1) ** r * math.comb(r - m - 1, r)
 
 
 def _compose(out, scale, column, column_of):
@@ -575,7 +574,8 @@ def _commutator_sweep(identity, params, spec, tr, ratio, x, parts):
 
     x looks up the columns of X.  Each part (p, ys, zs) lists the (c, Y
     lookup) and (s, Z lookup) pairs of one factor count p; its defect is
-    rescaled once by the level law, with shift p + deg w.
+    rescaled once by the level law, with shift p + deg w.  A part with no
+    ys checks sum_s s Z_s w = 0 alone.
     """
     # -c once per sweep, not once per label
     parts = [(p, [(c, -c, y) for c, y in ys], zs) for p, ys, zs in parts]
@@ -614,11 +614,11 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
 
 
 def check_virasoro(m, n, spec, tr):
-    """Verify [L(m), L(n)] = (m-n) L(m+n) on every basis state within tr."""
-    if m < -1 or n < -1:
-        raise ValueError("Virasoro generators exist only for indices >= -1")
-    if m + n < -1 and m != n:
-        raise ValueError("L(%d) is not defined; need m+n >= -1 or m = n" % (m + n))
+    """Verify [L(m), L(n)] = (m-n) L(m+n) on every basis state within tr.
+
+    An index below -1 is refused where L(n) is made; m + n >= -1 then
+    holds except at the diagonal pair (-1, -1), which composes nothing.
+    """
     ops = operators(spec, tr.j_max)
     l_m = ops.exact_l_columns(m).__getitem__
     l_n = ops.exact_l_columns(n).__getitem__
@@ -690,15 +690,19 @@ def check_l0_grading(spec, tr, j_values):
     A truncated L(-1) tail is refused at tr.j_max = 0; at tr.j_max > 0 it is
     cut at j <= tr.j_max and the report is tagged "truncated": true.
     """
-    hit_truncation = False
     ops = operators(spec, tr.j_max)
     ratio = _level_ratio(spec, ops)
     # the L(j) first: an L(j) with j < -1 is reported before the c^2 != 1 check
-    l_j = [(j, ops.l_columns(j), ops.l_truncated(j)) for j in j_values]
+    l_j = [(j, ops.l_columns(j)) for j in j_values]
     l_0 = ops.l_columns(0)
+    truncated = any(ops.l_truncated(j) for j in j_values)
+    if truncated and not tr.j_max:
+        raise ValueError(
+            "l0-grading hit a truncated L(-1) tail; pass --j-max N "
+            "to run the truncated computation"
+        )
 
     def defect_of(label):
-        nonlocal hit_truncation
         mono, _top = label
         wt_w, nwt_w = mono.weight(), mono.nwt()
         if spec.is_adjoint():
@@ -706,19 +710,11 @@ def check_l0_grading(spec, tr, j_values):
             _axpy(mismatch, 1, l_0[label])
             if mismatch:
                 return _rescale(mismatch, ratio, len(mono))
-        for j, memo, truncated in l_j:
-            image = memo[label]
-            if truncated:
-                if not tr.j_max:
-                    raise ValueError(
-                        "l0-grading hit a truncated L(-1) tail; pass --j-max N "
-                        "to run the truncated computation"
-                    )
-                hit_truncation = True
+        for j, memo in l_j:
             # every offending term, so the reported defect does not hang on key order
             offending = {
                 key: coeff
-                for key, coeff in image.items()
+                for key, coeff in memo[label].items()
                 if key[0].nwt() != nwt_w or key[0].weight() != wt_w - j
             }
             if offending:
@@ -726,10 +722,9 @@ def check_l0_grading(spec, tr, j_values):
         return {}
 
     params = {"j_values": j_values, "spec": spec.to_json()}
-    report = _sweep("l0-grading", params, spec, tr, defect_of)
-    if hit_truncation:
-        report.params["truncated"] = True
-    return report
+    if truncated:
+        params["truncated"] = True
+    return _sweep("l0-grading", params, spec, tr, defect_of)
 
 
 def check_d_equals_lminus1(spec, tr):
@@ -737,16 +732,12 @@ def check_d_equals_lminus1(spec, tr):
     if not spec.is_adjoint():
         raise ValueError("d-equals-lminus1 is an adjoint-module identity")
     ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
-    l_minus1 = ops.l_columns(-1)
-
-    def defect_of(label):
-        defect = _translate({label: 1})
-        _axpy(defect, -1, l_minus1[label])
-        return _rescale(defect, ratio, len(label[0]))
-
+    l_minus1 = ops.l_columns(-1).__getitem__
+    parts = [(0, [], [(1, lambda label: _translate({label: 1})), (-1, l_minus1)])]
     params = {"spec": spec.to_json()}
-    return _sweep("d-equals-lminus1", params, spec, tr, defect_of)
+    return _commutator_sweep(
+        "d-equals-lminus1", params, spec, tr, _level_ratio(spec, ops), l_minus1, parts
+    )
 
 
 def check_strong_grading(spec, tr, sample):

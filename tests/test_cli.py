@@ -503,7 +503,9 @@ ZERO_DENOMINATOR_A = '[{"mono": [[1,0,1]], "coeff": "1/0"}]'
 FLOAT_DEPTH_A = '[{"mono": [[1,0,2.0]], "coeff": "1"}]'
 BOOL_TOP_A = '[{"mono": [[1,0,1]], "top": false, "coeff": "1"}]'
 NOT_A_TERM = "--a-state: ValueError: a state term must be a JSON object, got "
-# malformed input, and what its one error line must name
+NO_L_BELOW_MINUS_ONE = "error: only the operators L(n) with n >= -1 exist here\n"
+BOOL_R_TOP = '{"r":true,"lambda":["1"],"H":[[["1"]]]}'
+# malformed input, and what its one error line must name (a whole line, where pinned)
 NAMED_IN_ERROR = {
     ("verify", "virasoro", "--m-range=1.."): "--m-range",
     ("verify", "virasoro", "--n-range=x"): "--n-range",
@@ -519,6 +521,17 @@ NAMED_IN_ERROR = {
      "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"): "--a-state",
     ("verify", "field-commutator", "--a-state", BOOL_TOP_A, "--max-wt", "2",
      "--max-nwt", "1", "--n-range=0..1", "--k-range=-1..0"): "--a-state",
+    # an L(n) with n < -1 does not exist, whichever flag names it and wherever it comes
+    ("verify", "virasoro", "--m-range=-2", "--n-range=0"): NO_L_BELOW_MINUS_ONE,
+    ("verify", "virasoro", "--m-range=0", "--n-range=-3..-2"): NO_L_BELOW_MINUS_ONE,
+    ("verify", "virasoro", "--m-range=-2..0", "--n-range=1"): NO_L_BELOW_MINUS_ONE,
+    # L(0) is made first, so the c^2 != 1 rule of this top speaks first
+    ("verify", "virasoro", "--kind", "evaluation", "--c=1", "--lambda", "1", "--H",
+     "[[1,1],[0,1]]", "--m-range=0", "--n-range=-2"):
+        "error: L(n) on an evaluation module with nontrivial top action needs c^2 != 1\n",
+    ("verify", "virasoro", "--l", "0"): "error: level must be nonzero\n",
+    ("module", "homdim", "--tops", BOOL_R_TOP, "r1:1@1", "r1:1@0"):
+        "error: malformed --tops: ValueError: top-space dimension must be an int, got True\n",
 }
 
 
@@ -573,7 +586,9 @@ class TestPlumbing:
              "v-max-nwt-negative", "sample-size-zero", "v-max-wt-zero", "m-range-open",
              "n-range-word", "k-range-letter", "j-range-word", "j-range-empty", "k-word",
              "n-empty", "a-state-not-a-term", "a-state-object", "a-state-string",
-             "a-state-float-depth", "a-state-bool-top"],
+             "a-state-float-depth", "a-state-bool-top", "m-below-minus-one",
+             "n-below-minus-one", "m-range-reaching-minus-two", "index-after-c-squared-one",
+             "level-zero", "tops-bool-r"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -266,9 +266,9 @@ class TestChecks:
         assert rep.defect_zero
 
     def test_virasoro_bad_indices_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="L\\(n\\) with n >= -1 exist"):
             check_virasoro(-2, 0, ADJ, TR)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="L\\(n\\) with n >= -1 exist"):
             check_virasoro(0, -2, ADJ, TR)
 
     def test_field_commutator_weight_one_reduces_to_e1(self):
@@ -677,6 +677,16 @@ def test_truncated_l_minus1_is_refused_by_its_exact_memo():
     with pytest.raises(ValueError, match="truncated L\\(-1\\) tail"):
         ops.exact_l_columns(-1)
     assert ops.exact_l_columns(0) is ops.l_columns(0)
+
+
+def test_l0_grading_refuses_a_truncated_tail_before_any_column():
+    spec = JORDAN_TOPS["c1/3"]
+    _registry.cache_clear()
+    with pytest.raises(ValueError, match="truncated L\\(-1\\) tail; pass --j-max N"):
+        check_l0_grading(spec, Truncation(2, 1, 0), [-1, 0, 1])
+    # the memos of L(j) were made, so each L(j) was checked, but no column was compiled
+    ops = operators(spec, 0)
+    assert set(ops._l) == {-1, 0, 1} and not any(ops._l.values())
 
 
 MODULES = [cli, dims, exactmath, fock, repcat, vertexops]
