@@ -242,8 +242,6 @@ def _cmd_verify(args):
 def _cmd_dims(args):
     if args.format == "text":
         raise ConfigError("dims writes JSON or CSV, not --format text")
-    if args.d < 1 or args.max_p < 0 or args.max_q < 0:
-        raise ConfigError("dims needs d >= 1 and nonnegative bounds")
     d, P, Q = args.d, args.max_p, args.max_q
     product = dims_mod.gf_product_count(d, P, Q)
     parts = dims_mod.bipartite_table(d, P, Q)

@@ -64,10 +64,14 @@ def validate_dimension_table(table):
             raise ValueError("positive nwt needs positive weight; cell (%d, %d)" % (m, n))
 
 
+def _check_bounds(d, P, Q):
+    if d < 1 or P < 0 or Q < 0:
+        raise ValueError("a dimension table needs d >= 1 and nonnegative bounds")
+
+
 def bipartite_table(d, P, Q):
     """Colored bipartite partition counts for weight <= P, nwt <= Q, as one DP table."""
-    if d < 1 or P < 0 or Q < 0:
-        raise ValueError("bipartite_table needs d >= 1 and nonnegative bounds")
+    _check_bounds(d, P, Q)
     ways = [[0] * (P + 1) for _ in range(Q + 1)]
     ways[0][0] = 1
     for j in range(Q + 1):
@@ -138,6 +142,7 @@ class LaurentSeries2:
 
 def gf_product_count(d, P, Q):
     """Dimension table from the truncated Euler product, for weight <= P, nwt <= Q."""
+    _check_bounds(d, P, Q)
     series = LaurentSeries2.one(P, Q)
     for a in range(Q + 1):
         for b in range(1, P + 1):
@@ -160,6 +165,7 @@ def gf_paper_ct(P, Q):
     and multiplied; the x^0 stratum is returned with entries keyed (m, n) =
     (q-degree, p-degree).
     """
+    _check_bounds(1, P, Q)
     series = LaurentSeries2.one(P, Q, xmin=-P, xmax=P)
     # 1/(x^{-1}p; p)_inf = prod_{b>=1} (1 - x^{-1} p^b)^{-1}
     for b in range(1, P + 1):

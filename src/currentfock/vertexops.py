@@ -26,8 +26,9 @@ by `_compose`, through the column lookup of `_at_level`.  What depends only
 on the module (the zero-mode entries, the L(0) matrix of the top space) is
 computed once per `Operators`.  The public `State` API, `l_apply`,
 `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns fresh states
-and is not called inside the package.  The vacuum spaces in `repcat` read
-each single-mode column `fock._mode_column` once, unmemoized.
+and is not called inside the package.  Every single-mode column, zero modes
+included, is `fock._mode_column`; the vacuum spaces in `repcat` read it
+once, unmemoized.
 
 Four linear identities are plans of one sweep, `_commutator_sweep`: the
 commutators Virasoro [L(m), L(n)] = (m-n) L(m+n), e1 [L(n), a(k)] =
@@ -36,6 +37,12 @@ terms of [X, Y] and the right-side operators Z; d = L(-1) has no [X, Y]
 terms, only Z = d and -L(-1).  e1 keeps its closed form: it is the field
 commutator's sum at A = x_{i,j,1}, but that sum also compiles the columns
 of Y(x_{i,j,2}), which the closed form never reads.
+
+The two grading identities, L(0) grading and strong grading (one entry per
+monomial of each sampled v), are plans of one sweep, `_containment_sweep`:
+each entry names an operator Y, the weight shift of its terms and the
+window their change of nwt must keep, an empty one meaning Y w = 0.  An
+empty plan checks nothing and is refused.
 
 The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
 modes vanish, so a term w -> w' of a column is the l = 1 term times
@@ -249,7 +256,7 @@ class Operators:
             if len(vmono) == 1 and vmono[0][2] == 1:  # a single mode a(k)
                 i, j, _n = vmono[0]
                 _check_mode(self.spec, i, j)
-                memos = _Memo(partial(_mode_memo, self._module, i, j))
+                memos = _Memo(partial(_mode_memo, self.spec, i, j))
             elif vmono:
                 first = vmono[0]
                 x = self._vertex_memos(Monomial((first[:2] + (1,),)))
@@ -269,10 +276,8 @@ def _l_memo(module, n):
     return _Memo(partial(_compile_l, module, n))
 
 
-def _mode_memo(module, i, j, k):
-    if k == 0:
-        return _Memo(partial(_compile_zero_mode, module.zero_modes[(i, j)]))
-    return _Memo(partial(_compile_mode, module.spec, i, j, k))
+def _mode_memo(spec, i, j, k):
+    return _Memo(partial(_compile_mode, spec, i, j, k))
 
 
 def _zero_mode_rows(spec, gen):
@@ -295,11 +300,6 @@ def _identity_column(label):
 
 def _no_column(label):
     return _EMPTY_COLUMN
-
-
-def _compile_zero_mode(rows, label):
-    mono, top = label
-    return {(mono, t): entry for t, entry in rows[top]} or _EMPTY_COLUMN
 
 
 def _compile_mode(spec, i, j, k, label):
@@ -597,6 +597,32 @@ def _commutator_sweep(identity, params, spec, tr, ratio, x, parts):
     return _sweep(identity, params, spec, tr, defect_of)
 
 
+def _containment_sweep(identity, params, spec, tr, ratio, plan):
+    """Check each term w' of each Y w: weight wt(w) + shift, nwt(w') - nwt(w) in window.
+
+    plan lists (y, p, shift, window), y looking up the columns of Y, with p
+    factors.  A label's defect is every offending term of its first entry
+    that has one, rescaled once by the level law with shift p + deg w.
+    """
+    if not plan:
+        raise ValueError(identity + " needs at least one operator to check")
+
+    def defect_of(label):
+        mono = label[0]
+        wt_w, nwt_w = mono.weight(), mono.nwt()
+        for y, p, shift, window in plan:
+            offending = {
+                key: coeff
+                for key, coeff in y(label).items()
+                if key[0].nwt() - nwt_w not in window or key[0].weight() != wt_w + shift
+            }
+            if offending:
+                return _rescale(offending, ratio, p + len(mono))
+        return {}
+
+    return _sweep(identity, params, spec, tr, defect_of)
+
+
 def check_l_mode_commutator(n, gen, k, spec, tr):
     """Verify [L(n), a(k)] = -k a(n+k) on every basis state within tr."""
     i, j = gen
@@ -691,40 +717,25 @@ def check_l0_grading(spec, tr, j_values):
     cut at j <= tr.j_max and the report is tagged "truncated": true.
     """
     ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
-    # the L(j) first: an L(j) with j < -1 is reported before the c^2 != 1 check
-    l_j = [(j, ops.l_columns(j)) for j in j_values]
-    l_0 = ops.l_columns(0)
+    # L(j) keeps the nwt and lowers the weight by j; an L(j) with j < -1 is
+    # reported before the c^2 != 1 check
+    plan = [(ops.l_columns(j).__getitem__, 0, -j, range(1)) for j in j_values]
     truncated = any(ops.l_truncated(j) for j in j_values)
     if truncated and not tr.j_max:
-        raise ValueError(
-            "l0-grading hit a truncated L(-1) tail; pass --j-max N "
-            "to run the truncated computation"
-        )
+        raise ValueError("l0-grading hit a truncated L(-1) tail; pass a truncation with j_max > 0")
+    if spec.is_adjoint():
+        l_0 = ops.l_columns(0)
 
-    def defect_of(label):
-        mono, _top = label
-        wt_w, nwt_w = mono.weight(), mono.nwt()
-        if spec.is_adjoint():
-            mismatch = {label: -wt_w} if wt_w else {}
-            _axpy(mismatch, 1, l_0[label])
-            if mismatch:
-                return _rescale(mismatch, ratio, len(mono))
-        for j, memo in l_j:
-            # every offending term, so the reported defect does not hang on key order
-            offending = {
-                key: coeff
-                for key, coeff in memo[label].items()
-                if key[0].nwt() != nwt_w or key[0].weight() != wt_w - j
-            }
-            if offending:
-                return _rescale(offending, ratio, len(mono))
-        return {}
+        def mismatch(label):  # L(0) w - wt(w) w, which must vanish
+            out = dict(l_0[label])
+            _axpy(out, -label[0].weight(), {label: 1})
+            return out
 
+        plan.insert(0, (mismatch, 0, 0, range(0)))
     params = {"j_values": j_values, "spec": spec.to_json()}
     if truncated:
         params["truncated"] = True
-    return _sweep("l0-grading", params, spec, tr, defect_of)
+    return _containment_sweep("l0-grading", params, spec, tr, _level_ratio(spec, ops), plan)
 
 
 def check_d_equals_lminus1(spec, tr):
@@ -748,38 +759,20 @@ def check_strong_grading(spec, tr, sample):
     v_j w must have nwt <= m + k and weight exactly wt_w + wt_v - j - 1.
     """
     ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
-    graded_sample = []
+    plan = []
     params = {"sample": []}
     for v, j in sample:
         wt_v, nwt_v = grading(v)
-        ys = [
-            (vcoeff, _at_level(ops.vertex_columns(vmono, j), ratio, len(vmono)))
-            for vmono, vcoeff in _vertex_labels(v, spec)
-        ]
-        graded_sample.append((ys, wt_v - j - 1, nwt_v))
+        # nwt(w') - nwt(w) >= -tr.max_nwt; each monomial of v has v's bigrade,
+        # and the containment of each implies that of v_j w
+        window = range(-tr.max_nwt, nwt_v + 1)
+        for vmono, _vcoeff in _vertex_labels(v, spec):
+            y = ops.vertex_columns(vmono, j).__getitem__
+            plan.append((y, len(vmono), wt_v - j - 1, window))
         params["sample"].append([v.to_json(), j])
-
-    def defect_of(label):
-        mono, _top = label
-        wt_w, nwt_w = mono.weight(), mono.nwt()
-        for ys, shift, nwt_v in graded_sample:
-            image = {}
-            for vcoeff, y in ys:
-                _axpy(image, vcoeff, y(label))
-            # every offending term, so the reported defect does not hang on key order
-            offending = {
-                key: coeff
-                for key, coeff in image.items()
-                if key[0].nwt() > nwt_v + nwt_w or key[0].weight() != wt_w + shift
-            }
-            if offending:
-                return offending
-        return {}
-
     if grading(State.vacuum()) != (0, 0):
         raise AssertionError("the vacuum must sit in bigrade (0, 0)")
-    return _sweep("strong-grading", params, spec, tr, defect_of)
+    return _containment_sweep("strong-grading", params, spec, tr, _level_ratio(spec, ops), plan)
 
 
 def adjoint_mode_matrix(v, n, spec, tr):

@@ -122,7 +122,7 @@ class TestVerify:
         )
         code, _, err = run(capsys, *args)
         assert code == EXIT_USAGE
-        assert "--j-max" in err
+        assert "j_max" in err
         code, out, _ = run(capsys, *args, "--j-max", "2")
         assert code == EXIT_COUNTEREXAMPLE  # the tail itself moves the bigrade
         payload = json.loads(out)

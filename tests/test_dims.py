@@ -91,6 +91,19 @@ class TestEulerProduct:
         for d in (1, 2, 3):
             assert gf_product_count(d, 3, 2).get(0, 0) == 1
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: gf_product_count(0, 2, 1),
+            lambda: gf_product_count(1, -1, 1),
+            lambda: gf_paper_ct(-1, 2),
+        ],
+        ids=["product-no-colors", "product-negative-weight", "paper-negative-weight"],
+    )
+    def test_bad_bounds_rejected(self, table):
+        with pytest.raises(ValueError, match="needs d >= 1 and nonnegative bounds"):
+            table()
+
     def test_partition_column(self):
         table = gf_product_count(1, 6, 3)
         for n in range(7):

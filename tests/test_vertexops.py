@@ -271,6 +271,18 @@ class TestChecks:
         with pytest.raises(ValueError, match="L\\(n\\) with n >= -1 exist"):
             check_virasoro(0, -2, ADJ, TR)
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda: check_strong_grading(ADJ, TR, []),
+            lambda: check_l0_grading(EVAL_C0, TR, []),
+        ],
+        ids=["strong-grading-empty-sample", "l0-grading-no-j-on-evaluation"],
+    )
+    def test_a_grading_sweep_with_nothing_to_check_is_refused(self, sweep):
+        with pytest.raises(ValueError, match="needs at least one operator to check"):
+            sweep()
+
     def test_field_commutator_weight_one_reduces_to_e1(self):
         a = State.term(mono((1, 0, 1)))
         rep = check_field_commutator(1, a, -1, ADJ, TR)
@@ -577,6 +589,8 @@ class _OrderedColumns(vertexops.Operators):
 
 # two terms that leave every bigrade, in either key order
 OFFENDING = [((mono((1, 2, 1)), 0), Fraction(1, 3)), ((mono((1, 3, 1)), 0), -5)]
+# two monomials of bigrade (2, 0) whose equal images cancel in v_j w; each is checked alone
+CANCELLING_V = State({(mono((1, 0, 2)), 0): 1, (mono((1, 0, 1), (1, 0, 1)), 0): -1})
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
@@ -584,9 +598,10 @@ def test_strong_grading_defect_does_not_hang_on_key_order(monkeypatch, order):
     # no valid module violates strong grading, so feed the sweep two offending terms
     ops = _OrderedColumns(ADJ, dict(OFFENDING[::order]))
     monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
-    rep = check_strong_grading(ADJ, Truncation(1, 0), [(State.vacuum(), -1)])
-    assert not rep.defect_zero and rep.max_defect == 5
-    assert rep.counterexample == State.vacuum()
+    for v in (State.vacuum(), CANCELLING_V):
+        rep = check_strong_grading(ADJ, Truncation(1, 0), [(v, -1)])
+        assert not rep.defect_zero and rep.max_defect == 5, v
+        assert rep.counterexample == State.vacuum()
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["small-first", "large-first"])
@@ -682,7 +697,8 @@ def test_truncated_l_minus1_is_refused_by_its_exact_memo():
 def test_l0_grading_refuses_a_truncated_tail_before_any_column():
     spec = JORDAN_TOPS["c1/3"]
     _registry.cache_clear()
-    with pytest.raises(ValueError, match="truncated L\\(-1\\) tail; pass --j-max N"):
+    refusal = "truncated L\\(-1\\) tail; pass a truncation with j_max > 0"
+    with pytest.raises(ValueError, match=refusal):
         check_l0_grading(spec, Truncation(2, 1, 0), [-1, 0, 1])
     # the memos of L(j) were made, so each L(j) was checked, but no column was compiled
     ops = operators(spec, 0)
@@ -1003,6 +1019,9 @@ class _BadColumns(vertexops.Operators):
 
         return vertexops._Memo(column)
 
+    def l_columns(self, n):
+        return self._with_extra(("L", n), super().l_columns(n))
+
     def exact_l_columns(self, n):
         return self._with_extra(("L", n), super().exact_l_columns(n))
 
@@ -1024,6 +1043,18 @@ FRACTIONAL_COUNTEREXAMPLES = {
     "field-commutator": (
         ("Y", mono((1, 0, 1), (2, 0, 1)), -1), (mono((1, 0, 1), (1, 0, 3), (2, 0, 1)), 0), 3, 1,
         lambda spec, tr: check_field_commutator(1, A_MIXED, -1, spec, tr),
+    ),
+    # the same term, of weight 5 where Y(x_{1,0,1} x_{2,0,1})_{-1} w must have weight 6
+    "strong-grading": (
+        ("Y", mono((1, 0, 1), (2, 0, 1)), -1), (mono((1, 0, 1), (1, 0, 3), (2, 0, 1)), 0), 3, 1,
+        lambda spec, tr: check_strong_grading(
+            spec, tr, [(State.term(mono((1, 0, 1), (2, 0, 1))), -1)]
+        ),
+    ),
+    # L(2) w -> x_{2,0,1}, of weight 1 where L(2) w must have weight 2
+    "l0-grading": (
+        ("L", 2), (mono((2, 0, 1)), 0), 7, 1,
+        lambda spec, tr: check_l0_grading(spec, tr, [-1, 2]),
     ),
 }
 
