@@ -231,9 +231,9 @@ def c1_quotient_dims(spec, tr):
             for u in enumerate_basis(spec.d, nwt_u, wt_u)
         ]
         for n in range(tr.max_wt + 1):
-            # the columns are read-only; `rank` copies its rows before eliminating
+            # each row back in labels, so `rank` eliminates in label order
             images = [
-                ops.vertex_columns(u, -1)[label]
+                ops.to_labels(ops.vertex_columns(u, -1)[ops.intern(label)])
                 for wt_u, u in gens
                 for label in labels_of_weight.get(n - wt_u, ())
             ]

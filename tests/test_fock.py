@@ -124,7 +124,10 @@ class TestEnumerateBasis:
 
 class TestGrading:
     def test_vacuum(self):
-        assert grading(State.vacuum()) == (0, 0)
+        # the vacuum of every top index, and the zero state, sit in bigrade (0, 0)
+        for top in range(3):
+            assert grading(State.vacuum(top)) == (0, 0)
+        assert grading(State.zero()) == (0, 0)
 
     def test_paper_weight_and_nwt(self):
         s = State.term(mono((1, 0, 1), (1, 2, 3)))

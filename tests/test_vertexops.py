@@ -545,6 +545,11 @@ SWEEPS = {
 }
 
 
+def labeled(ops, memo, label):
+    """The column of a memo of ops at a basis label, keyed by labels."""
+    return ops.to_labels(memo[ops.intern(label)])
+
+
 def memoized_columns(memo, path=()):
     """Every column of a (nested) memo of `Operators`, as (path of keys, column) pairs."""
     for key, value in memo.items():
@@ -573,12 +578,37 @@ def test_vertex_columns_are_compiled_once_per_command(spec, sweep, memo):
     assert compiled_columns(ops) == compiled
 
 
+def test_the_intern_table_numbers_each_label_once():
+    # a field-commutator sweep fills the tables of its module and of the adjoint one (L(m)A)
+    _registry.cache_clear()
+    assert check_field_commutator(1, A_LABEL, -1, EVAL_C0, Truncation(3, 2, 0)).defect_zero
+    ops = operators(EVAL_C0, 0)
+    adj = operators(ModuleSpec.adjoint(EVAL_C0.d, 1), 0)
+    assert ops is not adj and ops._module is not adj._module
+    for table in (ops._module, adj._module):
+        ids, labels = table.ids, table.labels
+        assert labels and len(set(labels)) == len(labels) == len(ids)
+        for label, id_ in ids.items():
+            assert labels[id_] == label
+            mono = label[0]
+            assert (table.wt[id_], table.nwt[id_], table.deg[id_]) == (
+                mono.weight(), mono.nwt(), len(mono)
+            )
+    # the adjoint table holds A and its images under L(m), not the module's basis
+    assert (A_MONO, 0) in adj._module.ids
+    assert set(adj._module.labels) != set(ops._module.labels)
+    # every id a column holds is one of its own object's
+    for family in compiled_columns(ops).values():
+        for column in family.values():
+            assert all(0 <= key < len(ops._module.labels) for key in column)
+
+
 class _OrderedColumns(vertexops.Operators):
     """Operators whose every L and Y column holds the same terms in a chosen key order."""
 
     def __init__(self, spec, column):
         super().__init__(spec, 0)
-        self.column = column
+        self.column = self.to_ids(column)
 
     def l_columns(self, n):
         return vertexops._Memo(lambda label: self.column)
@@ -624,10 +654,10 @@ def test_module_constants_wait_for_the_level_check(c):
     for label in labels:
         for j in range(3):
             for k in (-1, 0, 1):
-                ops.vertex_columns(mono((1, j, 1)), k)[label]
+                labeled(ops, ops.vertex_columns(mono((1, j, 1)), k), label)
         for k in range(-3, 3):
-            ops.vertex_columns(v, k)[label]
-    assert ops.vertex_columns(mono((1, 1, 1)), 0)[(EMPTY, 1)] == {
+            labeled(ops, ops.vertex_columns(v, k), label)
+    assert labeled(ops, ops.vertex_columns(mono((1, 1, 1)), 0), (EMPTY, 1)) == {
         (EMPTY, 0): c, (EMPTY, 1): 2 * c
     }
     for n in range(-1, 3):
@@ -653,17 +683,19 @@ def test_module_constants_match_the_matrices_they_replace(spec):
     ops = vertexops.Operators(spec, 3)
     top_l0 = repcat.l0_top_matrix(spec)
     for label in module_basis(spec, 2, 2):
-        w = State.term(*label)
+        m, top = label
         for i in (1, 2):
             for j in range(4):
-                # apply_mode builds c^j H_i afresh through ModuleSpec.zero_mode_matrix
-                expected = apply_mode(mode(i, j, 0), w, spec).terms
-                assert ops.vertex_columns(mono((i, j, 1)), 0)[label] == expected, (label, i, j)
+                # the zero-mode rows read c^j H_i off ModuleSpec.zero_mode_matrix, apart
+                # from fock._mode_column, which compiles the columns of a(0)
+                rows = ops._module.zero_modes[(i, j)][top]
+                expected = {(m, t): entry for t, entry in rows}
+                got = labeled(ops, ops.vertex_columns(mono((i, j, 1)), 0), label)
+                assert got == expected, (label, i, j)
         # L(0) acts as the weight plus the top-space matrix
-        m, top = label
         expected = {(m, t): top_l0[t, top] for t in range(spec.r) if top_l0[t, top]}
         exactmath._axpy(expected, m.weight(), {label: 1})
-        assert ops.l_columns(0)[label] == expected, label
+        assert labeled(ops, ops.l_columns(0), label) == expected, label
 
 
 @pytest.mark.parametrize("spec", [ADJ2, JORDAN_TOPS["c1/3"]], ids=["adjoint", "jordan"])
@@ -678,8 +710,9 @@ def test_a_single_mode_is_the_vertex_operator_of_its_variable(spec):
                 memo = ops.vertex_columns(mono((i, j, 1)), k)
                 for label in labels:
                     w = State.term(*label)
-                    assert memo[label] == apply_mode(mode(i, j, k), w, spec).terms, (i, j, k)
-                    zero_modes_act |= k == 0 and bool(memo[label])
+                    column = labeled(ops, memo, label)
+                    assert column == apply_mode(mode(i, j, k), w, spec).terms, (i, j, k)
+                    zero_modes_act |= k == 0 and bool(column)
     assert zero_modes_act == (not spec.is_adjoint())
 
 
@@ -688,7 +721,7 @@ def test_truncated_l_minus1_is_refused_by_its_exact_memo():
     ops = vertexops.Operators(spec, 2)
     label = (EMPTY, 1)
     assert ops.l_truncated(-1) and not ops.l_truncated(0)
-    assert ops.l_columns(-1)[label]
+    assert ops.l_columns(-1)[ops.intern(label)]
     with pytest.raises(ValueError, match="truncated L\\(-1\\) tail"):
         ops.exact_l_columns(-1)
     assert ops.exact_l_columns(0) is ops.l_columns(0)
@@ -884,7 +917,7 @@ def test_vertex_columns_match_assignment_enumeration(spec, j_max):
         vmono = mono(*factors)
         for k in range(-4, 5):
             for label in module_basis(spec, 3, 2):
-                got = ops.vertex_columns(vmono, k)[label]
+                got = labeled(ops, ops.vertex_columns(vmono, k), label)
                 expected = vertex_column_oracle(spec, vmono, k, label, modes)
                 assert got == expected, (vmono, k, label)
                 assert [type(c) for c in got.values()] == [
@@ -927,12 +960,12 @@ def at_level(column, l, shift):
     return out
 
 
-def by_hand(memos, w):
-    """The sum over (coefficient, memo) of coefficient times the memo's columns applied to w."""
+def by_hand(ops, memos, w):
+    """The sum over (coefficient, memo of ops) of coefficient times the memo's columns on w."""
     out = State.zero()
     for coeff, memo in memos:
         for label, w_coeff in w.terms.items():
-            out += State(memo[label]).scale(coeff * w_coeff)
+            out += State(labeled(ops, memo, label)).scale(coeff * w_coeff)
     return out
 
 
@@ -945,15 +978,16 @@ def test_adjoint_columns_obey_the_level_law(d, l):
     labels = module_basis(direct.spec, 3, 1)
     for n in range(-1, 4):
         for label in labels:
-            expected = at_level(one.l_columns(n)[label], l, len(label[0]))
-            assert direct.l_columns(n)[label] == expected, (n, label)
+            expected = at_level(labeled(one, one.l_columns(n), label), l, len(label[0]))
+            assert labeled(direct, direct.l_columns(n), label) == expected, (n, label)
     vs = [v for wt in range(4) for nwt in range(3) for v in enumerate_basis(d, nwt, wt)]
     nonzero = 0
     for v in vs:
         for k in range(-4, 4):
             for label in labels:
-                got = direct.vertex_columns(v, k)[label]
-                assert got == at_level(one.vertex_columns(v, k)[label], l, len(v) + len(label[0]))
+                got = labeled(direct, direct.vertex_columns(v, k), label)
+                one_column = labeled(one, one.vertex_columns(v, k), label)
+                assert got == at_level(one_column, l, len(v) + len(label[0]))
                 nonzero += bool(got)
     assert nonzero > 100
     # the public State API at level l: w with 1- and 2-variable terms, v with 1- and 2-factor terms
@@ -962,11 +996,11 @@ def test_adjoint_columns_obey_the_level_law(d, l):
     images = []
     for n in range(-1, 4):
         images.append(l_apply(n, w, direct.spec))
-        assert images[-1] == (by_hand([(1, direct.l_columns(n))], w), True), n
+        assert images[-1] == (by_hand(direct, [(1, direct.l_columns(n))], w), True), n
     for k in range(-4, 4):
         memos = [(vc, direct.vertex_columns(vm, k)) for (vm, _top), vc in v.terms.items()]
         images.append((vertex_mode(v, k, w, direct.spec), True))
-        assert images[-1][0] == by_hand(memos, w), k
+        assert images[-1][0] == by_hand(direct, memos, w), k
     assert sum(not image.is_zero() for image, _exact in images) >= 10
     # every level of one d is served by the one level-1 object
     assert operators(direct.spec, 0) is operators(one.spec, 0)
@@ -985,6 +1019,7 @@ def test_an_evicted_operators_object_is_freed_without_the_cycle_collector():
         check_l0_grading(spec, tr, [0, -1])  # the cut tail leaves nwt
         assert set(ops._l) == {-1, 0, 1} and all(ops._l.values()) and ops._vertex
         assert ops._module.l0_top is not None
+        assert len(ops._module.ids) == len(ops._module.labels) > 0
         freed = weakref.ref(ops)
         del ops
         for c in range(2, 6):  # four keys no other test builds evict it from the registry
@@ -1003,14 +1038,14 @@ class _BadColumns(vertexops.Operators):
 
     def __init__(self, spec, operator, label, key, coeff, power):
         super().__init__(spec, 0)
-        self.bad = (operator, label, key, coeff * spec.l**power)
+        self.bad = (operator, self.intern(label), self.intern(key), coeff * spec.l**power)
 
     def _with_extra(self, operator, memo):
         op, label, key, coeff = self.bad
         if operator != op:
             return memo
 
-        def column(w):
+        def column(w):  # w and label are ids
             if w != label:
                 return memo[w]
             out = dict(memo[w])
