@@ -115,38 +115,28 @@ def _open_out(path):
         raise ConfigError("cannot write --out: %s" % err)
 
 
-def _report_text(report):
-    lines = [
-        "identity: %s" % report.identity,
-        "params: %s" % json.dumps(report.params, sort_keys=True),
-        "states_checked: %d" % report.states_checked,
-        "defect_zero: %s" % ("true" if report.defect_zero else "false"),
-        "max_defect: %s" % rat_str(report.max_defect),
-        "counterexample: %s"
-        % (
-            "null"
-            if report.counterexample is None
-            else json.dumps(report.counterexample.to_json(), sort_keys=True)
-        ),
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _emit_report(report, args):
+    """Write the report in --format; csv and text derive from `Report.to_json()`.
+
+    In csv and text a string field is written as it is and any other field
+    as JSON; csv keeps the first five fields, each quoted, under a header of
+    their names.
+    """
+    data = report.to_json()
     if args.format == "json":
-        args.stream.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
-    elif args.format == "csv":
-        row = [
-            report.identity,
-            json.dumps(report.params, sort_keys=True),
-            str(report.states_checked),
-            "true" if report.defect_zero else "false",
-            rat_str(report.max_defect),
-        ]
-        header = "identity,params,states_checked,defect_zero,max_defect\n"
-        args.stream.write(header + ",".join('"%s"' % f.replace('"', '""') for f in row) + "\n")
+        text = json.dumps(data, sort_keys=True) + "\n"
     else:
-        args.stream.write(_report_text(report))
+        fields = [
+            (name, value if isinstance(value, str) else json.dumps(value, sort_keys=True))
+            for name, value in data.items()
+        ]
+        if args.format == "csv":
+            names, values = zip(*fields[:5])
+            quoted = ('"%s"' % value.replace('"', '""') for value in values)
+            text = ",".join(names) + "\n" + ",".join(quoted) + "\n"
+        else:
+            text = "".join("%s: %s\n" % field for field in fields)
+    args.stream.write(text)
     return EXIT_OK if report.defect_zero else EXIT_COUNTEREXAMPLE
 
 

@@ -35,19 +35,19 @@ called inside the package.  Every single-mode column, zero modes included,
 is `fock._mode_column`; the vacuum spaces in `repcat` read it once,
 unmemoized.
 
-Four linear identities are plans of one sweep, `_commutator_sweep`: the
-commutators Virasoro [L(m), L(n)] = (m-n) L(m+n), e1 [L(n), a(k)] =
--k a(n+k) and the field commutator, and d = L(-1).  Each plan names X, the
-terms of [X, Y] and the right-side operators Z; d = L(-1) has no [X, Y]
-terms, only Z = d and -L(-1).  e1 keeps its closed form: it is the field
-commutator's sum at A = x_{i,j,1}, but that sum also compiles the columns
-of Y(x_{i,j,2}), which the closed form never reads.
-
-The two grading identities, L(0) grading and strong grading (one entry per
-monomial of each sampled v), are plans of one sweep, `_containment_sweep`:
-each entry names an operator Y, the weight shift of its terms and the
-window their change of nwt must keep, an empty one meaning Y w = 0.  An
-empty plan checks nothing and is refused.
+The six identities are plans of one sweep, `_sweep`, which walks the basis,
+refuses an empty plan and rescales each defect by the level law below.  A
+plan is of one of two kinds.  A product plan lists parts of products
+c X(Y w) and singles s Z w whose sum must vanish: a commutator c [X, Y] is
+the products (c, X, Y) and (-c, Y, X), so Virasoro [L(m), L(n)] =
+(m-n) L(m+n), e1 [L(n), a(k)] = -k a(n+k) and the field commutator are
+product plans, and d = L(-1) is the singles d and -L(-1).  e1 keeps its
+closed form: it is the field commutator's sum at A = x_{i,j,1}, but that
+sum also compiles the columns of Y(x_{i,j,2}), which the closed form never
+reads.  A containment plan, for L(0) grading and strong grading (one entry
+per monomial of each sampled v), lists entries that name an operator Y, the
+weight shift of its terms and the window their change of nwt must keep, an
+empty one meaning Y w = 0.
 
 The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
 modes vanish, so a term w -> w' of a column is the l = 1 term times
@@ -55,7 +55,7 @@ l^((deg w - deg w')/2) under L(n), and l^((p + deg w - deg w')/2) under
 Y(v)_k, v with p factors; deg counts the variables of a monomial.  So the
 registry `operators` keys the adjoint module by d alone and serves every
 level the one l = 1 object, compiled in ints.  `_at_level` looks a column
-up at the level asked for, and the sweeps rescale each defect once per
+up at the level asked for, and the sweep rescales each defect once per
 label with `_rescale`; so sweep defects, `State` results, the states L(m)A
 and contragredient rows come out at that level, and an odd power raises
 AssertionError.  The C1 quotients read the level-1 columns as they are:
@@ -613,14 +613,29 @@ def merge_reports(reports, identity, params):
     return Report(identity, params, total, max_defect == 0, max_defect, counterexample)
 
 
-def _sweep(identity, params, spec, tr, ops, defect_of):
-    """Run defect_of on the id in ops of every basis label within tr; a defect is a term dict."""
-    intern = ops.intern
+def _sweep(identity, params, spec, tr, ops, plan, defect_of):
+    """Sweep the defect of plan over the ids in ops of every basis label within tr.
+
+    `defect_of(plan, module, w)` gives the defect of the id w at the level
+    of ops as (p, terms) parts, terms a nonzero dict over ids whose factor
+    count is p.  Each part is rescaled once by the level law, with shift
+    p + deg w, and the parts are summed before the defect is measured:
+    parts of different p can share a key.  An empty plan checks nothing
+    and is refused.
+    """
+    if not plan:
+        raise ValueError(identity + " needs at least one operator to check")
+    ratio = _level_ratio(spec, ops)
+    module = ops._module
+    intern, deg = module.intern, module.deg
     checked = 0
     max_defect = 0
     counterexample = None
     for label in module_basis(spec, tr.max_wt, tr.max_nwt):
-        defect = defect_of(intern(label))
+        w = intern(label)
+        defect = {}
+        for p, terms in defect_of(plan, module, w):
+            _axpy(defect, 1, _rescale(terms, ratio, p + deg[w], deg))
         checked += 1
         if defect:
             if counterexample is None:
@@ -632,73 +647,49 @@ def _sweep(identity, params, spec, tr, ops, defect_of):
     return Report(identity, params, checked, max_defect == 0, max_defect, counterexample)
 
 
-def _commutator_sweep(identity, params, spec, tr, ops, x, parts):
-    """Sweep the defect sum_t c_t [X, Y_t] w + sum_s s Z_s w over the basis within tr.
+def _product_defect(plan, module, w):
+    """The parts of sum_t c_t X_t(Y_t w) + sum_s s Z_s w, one per (p, products, singles) of plan.
 
-    x looks up the columns of X in the ids of ops.  Each part (p, ys, zs)
-    lists the (c, Y lookup) and (s, Z lookup) pairs of one factor count p;
-    its defect is rescaled once by the level law, with shift p + deg w.  A
-    part with no ys checks sum_s s Z_s w = 0 alone.  Each part is summed
-    into one dict over ids and its zeros dropped once, at its end.
+    products are (c, X lookup, Y lookup) and singles (s, Z lookup); a
+    commutator c [X, Y] is the two products (c, X, Y) and (-c, Y, X).  Each
+    part is summed into one dict over ids and its zeros dropped once, at
+    its end.
     """
-    ratio = _level_ratio(spec, ops)
-    deg = ops._module.deg
-    # -c once per sweep, not once per label
-    parts = [(p, [(c, -c, y) for c, y in ys], zs) for p, ys, zs in parts]
-
-    def defect_of(w):
-        defect = {}
-        x_column = x(w)
-        for p, ys, zs in parts:
-            part = {}
-            get = part.get
-            for c, minus_c, y in ys:
-                for key, coeff in y(w).items():  # c X(Y w)
-                    s = c * coeff
-                    for image, a in x(key).items():
-                        part[image] = get(image, 0) + s * a
-                for key, coeff in x_column.items():  # -c Y(X w)
-                    s = minus_c * coeff
-                    for image, a in y(key).items():
-                        part[image] = get(image, 0) + s * a
-            for s, z in zs:
-                for key, coeff in z(w).items():
-                    part[key] = get(key, 0) + s * coeff
-            part = {key: a for key, a in part.items() if a}
-            if part:
-                _axpy(defect, 1, _rescale(part, ratio, p + deg[w], deg))
-        return defect
-
-    return _sweep(identity, params, spec, tr, ops, defect_of)
+    parts = []
+    for p, products, singles in plan:
+        part = {}
+        get = part.get
+        for c, x, y in products:
+            for key, coeff in y(w).items():
+                s = c * coeff
+                for image, a in x(key).items():
+                    part[image] = get(image, 0) + s * a
+        for s, z in singles:
+            for key, coeff in z(w).items():
+                part[key] = get(key, 0) + s * coeff
+        part = {key: a for key, a in part.items() if a}
+        if part:
+            parts.append((p, part))
+    return parts
 
 
-def _containment_sweep(identity, params, spec, tr, ops, plan):
-    """Check each term w' of each Y w: weight wt(w) + shift, nwt(w') - nwt(w) in window.
+def _containment_defect(plan, module, w):
+    """The terms w' of Y w off weight wt(w) + shift or with nwt(w') - nwt(w) off window.
 
-    plan lists (y, p, shift, window), y looking up the columns of Y in the
-    ids of ops, with p factors.  A label's defect is every offending term of
-    its first entry that has one, rescaled once by the level law with shift
-    p + deg w.
+    plan lists (Y lookup, p, shift, window); the first entry with an
+    offending term gives the one part, and an empty window means Y w = 0.
     """
-    if not plan:
-        raise ValueError(identity + " needs at least one operator to check")
-    ratio = _level_ratio(spec, ops)
-    module = ops._module
-    wt, nwt, deg = module.wt, module.nwt, module.deg
-
-    def defect_of(w):
-        wt_w, nwt_w = wt[w], nwt[w]
-        for y, p, shift, window in plan:
-            offending = {
-                key: coeff
-                for key, coeff in y(w).items()
-                if nwt[key] - nwt_w not in window or wt[key] != wt_w + shift
-            }
-            if offending:
-                return _rescale(offending, ratio, p + deg[w], deg)
-        return {}
-
-    return _sweep(identity, params, spec, tr, ops, defect_of)
+    wt, nwt = module.wt, module.nwt
+    wt_w, nwt_w = wt[w], nwt[w]
+    for y, p, shift, window in plan:
+        offending = {
+            key: coeff
+            for key, coeff in y(w).items()
+            if nwt[key] - nwt_w not in window or wt[key] != wt_w + shift
+        }
+        if offending:
+            return [(p, offending)]
+    return ()
 
 
 def check_l_mode_commutator(n, gen, k, spec, tr):
@@ -711,8 +702,8 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
     a_nk = ops.vertex_columns(a, n + k).__getitem__
     l_n = ops.exact_l_columns(n).__getitem__
     params = {"n": n, "gen": [i, j], "k": k}
-    parts = [(1, [(1, a_k)], [(k, a_nk)])]
-    return _commutator_sweep("l-mode-commutator", params, spec, tr, ops, l_n, parts)
+    plan = [(1, [(1, l_n, a_k), (-1, a_k, l_n)], [(k, a_nk)])]
+    return _sweep("l-mode-commutator", params, spec, tr, ops, plan, _product_defect)
 
 
 def check_virasoro(m, n, spec, tr):
@@ -730,8 +721,8 @@ def check_virasoro(m, n, spec, tr):
         checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
         return Report("virasoro", params, checked, True, Fraction(0), None)
     l_mn = ops.exact_l_columns(m + n).__getitem__
-    parts = [(0, [(1, l_n)], [(n - m, l_mn)])]
-    return _commutator_sweep("virasoro", params, spec, tr, ops, l_m, parts)
+    plan = [(0, [(1, l_m, l_n), (-1, l_n, l_m)], [(n - m, l_mn)])]
+    return _sweep("virasoro", params, spec, tr, ops, plan, _product_defect)
 
 
 def check_virasoro_pairs(pairs, spec, tr):
@@ -764,13 +755,18 @@ def check_field_commutator(n, a_state, k, spec, tr):
     ops = operators(spec, tr.j_max)
     adj = _registry(spec.d)  # the level-1 adjoint module; its L(n) is never truncated
     adj_ratio = _level_ratio(ops.spec, adj)
+    l_n = ops.exact_l_columns(n).__getitem__
     # A split by the factor count p of its terms: the check is linear in A,
     # and the defect of each part carries its own power of the level
-    parts = []
+    plan = []
     for p in sorted({len(vmono) for vmono, _vcoeff in a_labels}):
         labels = [(vmono, vcoeff) for vmono, vcoeff in a_labels if len(vmono) == p]
         a_part = adj.to_ids({(vmono, 0): vcoeff for vmono, vcoeff in labels})
-        a_k = [(vcoeff, ops.vertex_columns(vmono, k).__getitem__) for vmono, vcoeff in labels]
+        # c [L(n), A_k] for each term c A of this part
+        products = []
+        for vmono, vcoeff in labels:
+            a_k = ops.vertex_columns(vmono, k).__getitem__
+            products += [(vcoeff, l_n, a_k), (-vcoeff, a_k, l_n)]
         # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right
         rhs = []
         for m in range(-1, n + 1):
@@ -779,10 +775,9 @@ def check_field_commutator(n, a_state, k, spec, tr):
             for vmono, vcoeff in _vertex_labels(State(adj.to_labels(lma)), spec):
                 y = ops.vertex_columns(vmono, k + n - m).__getitem__
                 rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
-        parts.append((p, a_k, rhs))
-    l_n = ops.exact_l_columns(n).__getitem__
+        plan.append((p, products, rhs))
     params = {"n": n, "A": a_state.to_json(), "k": k}
-    return _commutator_sweep("field-commutator", params, spec, tr, ops, l_n, parts)
+    return _sweep("field-commutator", params, spec, tr, ops, plan, _product_defect)
 
 
 def check_l0_grading(spec, tr, j_values):
@@ -811,7 +806,7 @@ def check_l0_grading(spec, tr, j_values):
     params = {"j_values": j_values, "spec": spec.to_json()}
     if truncated:
         params["truncated"] = True
-    return _containment_sweep("l0-grading", params, spec, tr, ops, plan)
+    return _sweep("l0-grading", params, spec, tr, ops, plan, _containment_defect)
 
 
 def check_d_equals_lminus1(spec, tr):
@@ -825,9 +820,9 @@ def check_d_equals_lminus1(spec, tr):
     def d(w):
         return ops.to_ids(_translate({labels[w]: 1}))
 
-    parts = [(0, [], [(1, d), (-1, l_minus1)])]
+    plan = [(0, [], [(1, d), (-1, l_minus1)])]
     params = {"spec": spec.to_json()}
-    return _commutator_sweep("d-equals-lminus1", params, spec, tr, ops, l_minus1, parts)
+    return _sweep("d-equals-lminus1", params, spec, tr, ops, plan, _product_defect)
 
 
 def check_strong_grading(spec, tr, sample):
@@ -849,7 +844,7 @@ def check_strong_grading(spec, tr, sample):
             y = ops.vertex_columns(vmono, j).__getitem__
             plan.append((y, len(vmono), wt_v - j - 1, window))
         params["sample"].append([v.to_json(), j])
-    return _containment_sweep("strong-grading", params, spec, tr, ops, plan)
+    return _sweep("strong-grading", params, spec, tr, ops, plan, _containment_defect)
 
 
 def adjoint_mode_matrix(v, n, spec, tr):

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -250,6 +253,27 @@ PINNED_FORMATS = {
         '"l-mode-commutator","%s","42","true","0"\n' % E1_PARAMS.replace('"', '""')
     ),
 }
+# A failing report: L(2) x_{1,1,1}^2 = l * vacuum leaves nwt (criterion 4b).
+L0_FAILING = ("verify", "l0-grading", "--d", "1", "--j-range=1..2", "--l=2/3")
+L0_FAILING_PARAMS = (
+    '{"j_values": [1, 2], "spec": {"H": [[["0"]]], "c": null, "d": 1, '
+    '"kind": "adjoint", "l": "2/3", "lambda": ["0"]}}'
+)
+PINNED_FAILING_FORMATS = {
+    "text": (
+        "identity: l0-grading\n"
+        "params: %s\n"
+        "states_checked: 76\n"
+        "defect_zero: false\n"
+        "max_defect: 2\n"
+        'counterexample: [{"coeff": "1", "mono": [[1, 1, 1], [1, 1, 1]], "top": 0}]\n'
+        % L0_FAILING_PARAMS
+    ),
+    "csv": (
+        "identity,params,states_checked,defect_zero,max_defect\n"
+        '"l0-grading","%s","76","false","2"\n' % L0_FAILING_PARAMS.replace('"', '""')
+    ),
+}
 
 
 # The vacuum space of the benchmark's Jordan top (d = 2, r = 2, c = 1/3).
@@ -335,6 +359,11 @@ class TestPinnedOutput:
     def test_merged_report_formats(self, capsys, fmt):
         out = run(capsys, *E1_MERGED, "--format", fmt)[:2]
         assert out == (EXIT_OK, PINNED_FORMATS[fmt])
+
+    @pytest.mark.parametrize("fmt", sorted(PINNED_FAILING_FORMATS))
+    def test_failing_report_formats(self, capsys, fmt):
+        out = run(capsys, *L0_FAILING, "--format", fmt)[:2]
+        assert out == (EXIT_COUNTEREXAMPLE, PINNED_FAILING_FORMATS[fmt])
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -505,6 +534,8 @@ BOOL_TOP_A = '[{"mono": [[1,0,1]], "top": false, "coeff": "1"}]'
 NOT_A_TERM = "--a-state: ValueError: a state term must be a JSON object, got "
 NO_L_BELOW_MINUS_ONE = "error: only the operators L(n) with n >= -1 exist here\n"
 BOOL_R_TOP = '{"r":true,"lambda":["1"],"H":[[["1"]]]}'
+ZERO_COEFF_A = '[{"mono":[[1,0,1]],"coeff":"0"}]'
+NOTHING_TO_CHECK = "error: field-commutator needs at least one operator to check\n"
 # malformed input, and what its one error line must name (a whole line, where pinned)
 NAMED_IN_ERROR = {
     ("verify", "virasoro", "--m-range=1.."): "--m-range",
@@ -532,6 +563,11 @@ NAMED_IN_ERROR = {
     ("verify", "virasoro", "--l", "0"): "error: level must be nonzero\n",
     ("module", "homdim", "--tops", BOOL_R_TOP, "r1:1@1", "r1:1@0"):
         "error: malformed --tops: ValueError: top-space dimension must be an int, got True\n",
+    # A = 0 composes no product: the sweep would check nothing
+    ("verify", "field-commutator", "--a-state", "[]", "--n", "0", "--k", "0",
+     "--max-wt", "2", "--max-nwt", "1"): NOTHING_TO_CHECK,
+    ("verify", "field-commutator", "--a-state", ZERO_COEFF_A, "--n", "0", "--k", "0",
+     "--max-wt", "2", "--max-nwt", "1"): NOTHING_TO_CHECK,
 }
 
 
@@ -588,7 +624,7 @@ class TestPlumbing:
              "n-empty", "a-state-not-a-term", "a-state-object", "a-state-string",
              "a-state-float-depth", "a-state-bool-top", "m-below-minus-one",
              "n-below-minus-one", "m-range-reaching-minus-two", "index-after-c-squared-one",
-             "level-zero", "tops-bool-r"],
+             "level-zero", "tops-bool-r", "a-state-empty", "a-state-zero-coeff"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -648,6 +684,29 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert proc.stdout.strip() == '"8/3"'
 
+    def test_readme_commands_run_as_documented(self, capsys):
+        # every `currentfock ...` line of README's fenced blocks exits 0, and a
+        # trailing `# value` is its whole stdout
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, re.M | re.S)
+        commands = [
+            line.strip()
+            for _lang, body in blocks
+            for line in body.replace("\\\n", " ").splitlines()
+            if line.startswith("currentfock ")
+        ]
+        assert len(commands) == 11
+        for command in commands:
+            line, _, value = command.partition(" # ")
+            code, out, err = run(capsys, *shlex.split(line)[1:])
+            assert (code, err) == (EXIT_OK, ""), command
+            if value:
+                assert out == value.strip() + "\n", command
+        # the Library example prints the exact L(0) eigenvalue of its top
+        [example] = [body for lang, body in blocks if lang == "python"]
+        exec(example, {})
+        assert capsys.readouterr().out == "(State(8/3*1@0), True)\n"
+
     def test_text_format_report(self, capsys):
         code, out, _ = run(
             capsys, "verify", "virasoro", "--max-wt", "2", "--max-nwt", "1",
@@ -680,13 +739,14 @@ VERIFY_FLAGS = {
     "d-equals-lminus1": {},
 }
 # per identity: bounds that would sample nothing, a float depth in A's monomial,
-# a malformed range and an --a-state that is not a list of term objects
+# a malformed range, an --a-state that is not a list of term objects and an A = 0
 VERIFY_BAD = {
     "virasoro": [["--m-range=1.."]],
     "e1": [["--k-range=1..a"]],
     "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
                          ["--a-state=" + FLOAT_DEPTH_A], ["--k-range=1..a"],
-                         ["--a-state=[1]"], ['--a-state={"a":1}'], ['--a-state="x"']],
+                         ["--a-state=[1]"], ['--a-state={"a":1}'], ['--a-state="x"'],
+                         ["--a-state=[]"]],
     "strong-grading": [["--v-max-wt=-1"], ["--v-max-wt=0"], ["--v-max-nwt=-1"],
                        ["--sample-size=0"], ["--sample-size=-1"], ["--j-range=q"]],
     "l0-grading": [["--j-range=q"]],

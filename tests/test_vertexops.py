@@ -283,6 +283,14 @@ class TestChecks:
         with pytest.raises(ValueError, match="needs at least one operator to check"):
             sweep()
 
+    def test_a_field_commutator_with_a_zero_label_is_refused(self):
+        # A = 0 composes nothing, so its sweep would pass while checking nothing
+        with pytest.raises(ValueError, match="field-commutator needs at least one operator"):
+            check_field_commutator(0, State.zero(), 0, ADJ, TR)
+        # an L(n) that does not exist is reported first
+        with pytest.raises(ValueError, match="L\\(n\\) with n >= -1 exist"):
+            check_field_commutator(-2, State.zero(), 0, ADJ, TR)
+
     def test_field_commutator_weight_one_reduces_to_e1(self):
         a = State.term(mono((1, 0, 1)))
         rep = check_field_commutator(1, a, -1, ADJ, TR)
@@ -1090,6 +1098,16 @@ FRACTIONAL_COUNTEREXAMPLES = {
     "l0-grading": (
         ("L", 2), (mono((2, 0, 1)), 0), 7, 1,
         lambda spec, tr: check_l0_grading(spec, tr, [-1, 2]),
+    ),
+    # a(2) w -> x_{1,0,1} x_{2,0,2}, of weight 3 where a(2) w has weight 2: (1 + 3 - 2)/2
+    "l-mode-commutator": (
+        ("Y", mono((1, 0, 1)), 2), (mono((1, 0, 1), (2, 0, 2)), 0), 3, 1,
+        lambda spec, tr: check_l_mode_commutator(0, (1, 0), 2, spec, tr),
+    ),
+    # L(-1) w -> x_{1,0,5}, with two variables fewer than w: (3 - 1)/2
+    "d-equals-lminus1": (
+        ("L", -1), (mono((1, 0, 5)), 0), 5, 1,
+        lambda spec, tr: vertexops.check_d_equals_lminus1(spec, tr),
     ),
 }
 
