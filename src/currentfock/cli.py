@@ -54,6 +54,14 @@ def _parse_lambda(text):
     return tuple(rat(part.strip()) for part in text.split(","))
 
 
+def _parse_flag(flag, parse, text):
+    """parse(text) for a rational flag, --l, --c or --lambda; its error names the flag."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ConfigError("malformed %s: %s" % (flag, err))
+
+
 def _parse_gen(text):
     """Parse --gen "i,j" into two integers."""
     try:
@@ -89,16 +97,19 @@ def _matrices(data):
 def _build_spec(args):
     kind = getattr(args, "kind", "adjoint")
     d = args.d
-    l = rat(args.l)
+    l = _parse_flag("--l", rat, args.l)
     if kind == "adjoint":
+        for flag, value in (("--c", args.c), ("--lambda", args.lam), ("--H", args.H)):
+            if value is not None:
+                raise ConfigError("%s sets an evaluation module; pass --kind evaluation" % flag)
         return ModuleSpec.adjoint(d, l)
     if args.c is None:
         raise ConfigError("evaluation modules need --c")
-    lam = _parse_lambda(args.lam) if args.lam else tuple(Fraction(0) for _ in range(d))
+    lam = _parse_flag("--lambda", _parse_lambda, args.lam) if args.lam else (Fraction(0),) * d
     if len(lam) != d:
         raise ConfigError("--lambda must list exactly d values")
-    H = _decode_json("--H", args.H, _matrices) if getattr(args, "H", None) else None
-    return ModuleSpec.evaluation(d, l, rat(args.c), lam, H=H)
+    H = _decode_json("--H", args.H, _matrices) if args.H else None
+    return ModuleSpec.evaluation(d, l, _parse_flag("--c", rat, args.c), lam, H=H)
 
 
 def _truncation(args):
@@ -303,7 +314,8 @@ def _cmd_module(args):
     if action == "casimir":
         if args.lam is None or args.c is None:
             raise ConfigError("casimir needs --lambda and --c")
-        value = repcat.casimir_scalar(_parse_lambda(args.lam), rat(args.c))
+        lam = _parse_flag("--lambda", _parse_lambda, args.lam)
+        value = repcat.casimir_scalar(lam, _parse_flag("--c", rat, args.c))
         args.stream.write(json.dumps(rat_str(value)) + "\n")
         return EXIT_OK
     if action == "vacuum":
@@ -325,13 +337,14 @@ def _cmd_module(args):
         if any(m.rows != r or m.cols != r for m in H):
             raise ConfigError("--H must hold square matrices of one size")
         if args.lam is not None:
-            lam = _parse_lambda(args.lam)
+            lam = _parse_flag("--lambda", _parse_lambda, args.lam)
         else:
             # trace/r is exact: each H_i has a single eigenvalue of multiplicity r
             lam = tuple(
                 sum((m[t, t] for t in range(r)), Fraction(0)) / r for m in H
             )
-        spec = ModuleSpec.evaluation(len(H), rat(args.l), rat(args.c), lam, H=H)
+        l, c = _parse_flag("--l", rat, args.l), _parse_flag("--c", rat, args.c)
+        spec = ModuleSpec.evaluation(len(H), l, c, lam, H=H)
         genuine, blocks = repcat.is_genuine_logarithmic(spec)
         args.stream.write(
             json.dumps({"blocks": blocks, "genuine": genuine}, sort_keys=True) + "\n"

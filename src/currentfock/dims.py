@@ -233,7 +233,7 @@ def c1_quotient_dims(spec, tr):
         for n in range(tr.max_wt + 1):
             # each row back in labels, so `rank` eliminates in label order
             images = [
-                ops.to_labels(ops.vertex_columns(u, -1)[ops.intern(label)])
+                ops.apply(ops.spec.l, [(1, ops.vertex_columns(u, -1), len(u))], {label: 1})
                 for wt_u, u in gens
                 for label in labels_of_weight.get(n - wt_u, ())
             ]

@@ -25,15 +25,15 @@ nested label.  Ids of two objects never mix.  Columns are handed out
 read-only to the identity checkers (Virasoro, mode and field commutators,
 L(0) grading, d = L(-1), strong grading), the contragredient matrices here
 and the C1 quotients in `dims`, which accumulate into dicts of their own.
-An operator is applied to a term dict by `_compose`, through the column
-lookup of `_at_level`.  Labels are translated to ids and back only at the
-boundaries, by `to_ids` and `to_labels`.  What depends only on the module
-(the zero-mode entries, the L(0) matrix of the top space) is computed once
-per `Operators`.  The public `State` API, `l_apply`, `vertex_mode`,
-`d_apply` and `fock.apply_mode`, still returns fresh states and is not
-called inside the package.  Every single-mode column, zero modes included,
-is `fock._mode_column`; the vacuum spaces in `repcat` read it once,
-unmemoized.
+Every caller outside the sweep applies an operator to a term dict through
+one method, `Operators.apply`, which turns the labels into ids, sums the
+columns at the level asked for and turns the result back into labels.
+What depends only on the module (the zero-mode entries, the L(0) matrix of
+the top space) is computed once per `Operators`.  The public `State` API,
+`l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
+fresh states and is not called inside the package.  Every single-mode
+column, zero modes included, is `fock._mode_column`; the vacuum spaces in
+`repcat` read it once, unmemoized.
 
 The six identities are plans of one sweep, `_sweep`, which walks the basis,
 refuses an empty plan and rescales each defect by the level law below.  A
@@ -54,14 +54,15 @@ modes vanish, so a term w -> w' of a column is the l = 1 term times
 l^((deg w - deg w')/2) under L(n), and l^((p + deg w - deg w')/2) under
 Y(v)_k, v with p factors; deg counts the variables of a monomial.  So the
 registry `operators` keys the adjoint module by d alone and serves every
-level the one l = 1 object, compiled in ints.  `_at_level` looks a column
-up at the level asked for, and the sweep rescales each defect once per
-label with `_rescale`; so sweep defects, `State` results, the states L(m)A
-and contragredient rows come out at that level, and an odd power raises
-AssertionError.  The C1 quotients read the level-1 columns as they are:
-the law scales each image row and column by a nonzero factor, which
-changes no rank.  Evaluation modules keep their own level: their zero
-modes carry no l.
+level the one l = 1 object, compiled in ints.  `Operators.apply` rescales
+each column it reads to the level asked for, and the sweep rescales each
+defect once per label, both with `_rescale`; so sweep defects, `State`
+results and contragredient rows come out at that level, and an odd power
+raises AssertionError.  The states L(m)A of the field commutator are read
+at the level of the sweep's own object, whose defect is then rescaled.
+The C1 quotients read the level-1 columns as they are: the law scales each
+image row and column by a nonzero factor, which changes no rank.
+Evaluation modules keep their own level: their zero modes carry no l.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .exactmath import RatMatrix, _axpy, rat, rat_str
+from .exactmath import RatMatrix, _axpy, rat_str
 from .fock import (
     ModuleSpec,
     Monomial,
@@ -136,20 +137,22 @@ _EMPTY_COLUMN = {}  # shared by every operator that kills a label; never changed
 
 
 class _Memo(dict):
-    """A dict that fills a missing key on lookup with `compile(key)`.
+    """A dict that fills a missing key on lookup with `compile(*args, key)`.
 
     Once the value exists, `memo[key]` and `memo.__getitem__` are plain dict
-    lookups.  If `compile` raises, nothing is stored.
+    lookups.  If `compile` raises, nothing is stored.  A memo of memos is
+    `_Memo(_Memo, compile, *args)`: its value at k is `_Memo(compile, *args, k)`.
     """
 
-    __slots__ = ("compile",)
+    __slots__ = ("compile", "args")
 
-    def __init__(self, compile):
+    def __init__(self, compile, *args):
         super().__init__()
         self.compile = compile
+        self.args = args
 
     def __missing__(self, key):
-        value = self[key] = self.compile(key)
+        value = self[key] = self.compile(*self.args, key)
         return value
 
 
@@ -185,7 +188,7 @@ class _Module:
         self.level_ok = not self.top_acts or spec.c**2 != 1
         # the creation * zero-mode tail of L(-1) is cut at j <= j_max
         self.cuts_tail = self.top_acts and spec.c != 0
-        self.zero_modes = _Memo(partial(_zero_mode_rows, spec))
+        self.zero_modes = _Memo(_zero_mode_rows, spec)
         self.l0_top = None
         self.ids = {}
         self.labels = []
@@ -239,17 +242,17 @@ class Operators:
     missing column on lookup, in one of two families: `_l[n]`, made once
     L(n) is checked to exist here, and `_vertex[v][k]`.  The single mode
     (u^(i) t^j)(k) is Y(x_{i,j,1})_k, the base case of the iterate formula
-    below.  A checker looks a column up with `memo[id]`, or passes
-    `_at_level(memo, ratio, p, deg)` to `_compose`, so at the object's own
-    level a compiled column costs one dict lookup.  Columns are handed out
-    read-only; a caller that changed one would corrupt every later use.  The
-    public `State` API returns fresh states.  Obtain one through
-    `operators(spec, j_max)`, so that every sweep of one command reuses the
-    same columns.
+    below.  A sweep looks a column up with `memo[id]`, so a compiled column
+    costs one dict lookup; any other caller applies a sum of operators to a
+    term dict with `apply(level, operator, terms)`.  Columns are handed out
+    read-only; a caller that changed one would corrupt every later use.
+    `apply` and the public `State` API return fresh dicts and states.
+    Obtain one through `operators(spec, j_max)`, so that every sweep of one
+    command reuses the same columns.
 
     The columns are those of `spec` at its own level; the registry serves
-    an adjoint spec at any level the level-1 object, and `_at_level`
-    rescales its columns (the level law above).
+    an adjoint spec at any level the level-1 object, and `apply` rescales
+    its columns to the level asked for (the level law above).
 
     What depends only on the module (`_Module`), the intern table among it,
     is computed once per object.  The compile callables of the memos hold it
@@ -280,7 +283,7 @@ class Operators:
         self.to_ids = module.to_ids
         self.to_labels = module.to_labels
         # n -> memo of L(n); v -> k -> memo of Y(v)_k
-        self._l = _Memo(partial(_l_memo, module))
+        self._l = _Memo(_l_memo, module)
         self._vertex = {}
 
     def l_columns(self, n):
@@ -305,6 +308,23 @@ class Operators:
         """The memo of Y(v)_k, v a monomial of M(l): id of a basis label -> read-only column."""
         return self._vertex_memos(vmono)[k]
 
+    def apply(self, level, operator, terms):
+        """The sum of c X applied to `terms`, {label: coeff}, over the (c, X, p) of operator.
+
+        X is the memo of an L(n), with p = 0, or of a Y(v)_k whose v has p
+        factors.  At the object's own level each column is read as compiled;
+        at another level, on the level-1 adjoint object, it is rescaled by
+        the level law.  Returns a fresh {label: coeff} with no zero entries.
+        """
+        ratio = _int_first(level / self.spec.l)
+        deg = self._module.deg
+        w = self.to_ids(terms)
+        out = {}
+        for c, memo, p in operator:
+            for id_, coeff in w.items():
+                _axpy(out, c * coeff, _rescale(memo[id_], ratio, p + deg[id_], deg))
+        return self.to_labels(out)
+
     def _vertex_memos(self, vmono):
         """The memo k -> memo of Y(v)_k, made after the memos of v's tail."""
         memos = self._vertex.get(vmono)
@@ -312,14 +332,14 @@ class Operators:
             if len(vmono) == 1 and vmono[0][2] == 1:  # a single mode a(k)
                 i, j, _n = vmono[0]
                 _check_mode(self.spec, i, j)
-                memos = _Memo(partial(_mode_memo, self._module, i, j))
+                memos = _Memo(_Memo, _compile_mode, self._module, i, j)
             elif vmono:
                 first = vmono[0]
                 x = self._vertex_memos(Monomial((first[:2] + (1,),)))
                 u = self._vertex_memos(Monomial(vmono[1:]))
-                memos = _Memo(partial(_vertex_memo, self._module, first, x, u, vmono.weight()))
+                memos = _Memo(_Memo, _compile_vertex, self._module, first, x, u, vmono.weight())
             else:
-                memos = _Memo(_identity_memo)  # Y(1, z) is the identity field
+                memos = _Memo(_Memo, _compile_identity)  # Y(1, z) is the identity field
             self._vertex[vmono] = memos
         return memos
 
@@ -329,11 +349,7 @@ def _l_memo(module, n):
         raise ValueError("only the operators L(n) with n >= -1 exist here")
     if not module.level_ok:
         raise ValueError("L(n) on an evaluation module with nontrivial top action needs c^2 != 1")
-    return _Memo(partial(_compile_l, module, n))
-
-
-def _mode_memo(module, i, j, k):
-    return _Memo(partial(_compile_mode, module, i, j, k))
+    return _Memo(_compile_l, module, n)
 
 
 def _zero_mode_rows(spec, gen):
@@ -341,21 +357,8 @@ def _zero_mode_rows(spec, gen):
     return _top_rows(spec.zero_mode_matrix(*gen), spec.r)
 
 
-def _vertex_memo(module, first, x, u, weight, k):
-    # every term of a column of Y(v)_k has the label's weight plus weight - k - 1
-    return _Memo(partial(_compile_vertex, module, first, x, u, k, weight - k - 1))
-
-
-def _identity_memo(k):
-    return _Memo(_identity_column if k == -1 else _no_column)
-
-
-def _identity_column(id_):
-    return {id_: 1}
-
-
-def _no_column(id_):
-    return _EMPTY_COLUMN
+def _compile_identity(k, id_):
+    return {id_: 1} if k == -1 else _EMPTY_COLUMN
 
 
 def _compile_mode(module, i, j, k, id_):
@@ -363,10 +366,11 @@ def _compile_mode(module, i, j, k, id_):
     return module.to_ids(column) if column else _EMPTY_COLUMN
 
 
-def _compile_vertex(module, first, x, u, k, shift, id_):
+def _compile_vertex(module, first, x, u, wt_v, k, id_):
     i, j, n = first
     r = n - 1
-    weight = module.wt[id_] + shift
+    # every term of a column of Y(v)_k has the label's weight plus wt v - k - 1
+    weight = module.wt[id_] + wt_v - k - 1
     if weight < 0:
         return _EMPTY_COLUMN
     mono = module.labels[id_][0]
@@ -476,11 +480,6 @@ def operators(spec, j_max):
     return _registry(spec.d if spec.is_adjoint() else (spec, j_max))
 
 
-def _level_ratio(spec, ops):
-    """spec's level over the level of ops, int-first."""
-    return _int_first(spec.l / ops.spec.l)
-
-
 def _rescale(terms, ratio, shift, deg):
     """Adjoint terms {id: coeff} of one level at `ratio` times that level, by the level law.
 
@@ -500,18 +499,6 @@ def _rescale(terms, ratio, shift, deg):
     return out
 
 
-def _at_level(memo, ratio, p, deg):
-    """The lookup of memo at `ratio` times the level of its columns, for `_compose`.
-
-    p is 0 for a memo of L(n) and the factor count of v for one of Y(v)_k;
-    `deg` is the degree table of the memo's ids.  At ratio 1 it is
-    `memo.__getitem__`; otherwise each column is rescaled.
-    """
-    if ratio == 1:
-        return memo.__getitem__
-    return lambda id_: _rescale(memo[id_], ratio, p + deg[id_], deg)
-
-
 def vertex_mode(v, k, w, spec):
     """The coefficient of z^{-k-1} in Y_W(v, z) applied to w.
 
@@ -519,14 +506,8 @@ def vertex_mode(v, k, w, spec):
     own operators Y(v, z).
     """
     ops = operators(spec, 0)
-    ratio = _level_ratio(spec, ops)
-    deg = ops._module.deg
-    w_ids = ops.to_ids(w.terms)
-    out = {}
-    for vmono, vcoeff in _vertex_labels(v, spec):
-        y = _at_level(ops.vertex_columns(vmono, k), ratio, len(vmono), deg)
-        _compose(out, vcoeff, w_ids, y)
-    return State(ops.to_labels(out))
+    y = [(c, ops.vertex_columns(vmono, k), len(vmono)) for vmono, c in _vertex_labels(v, spec)]
+    return State(ops.apply(spec.l, y, w.terms))
 
 
 def l_apply(n, w, spec, tr=None):
@@ -537,10 +518,8 @@ def l_apply(n, w, spec, tr=None):
     is cut at j <= tr.j_max.  Everything else is a finite exact sum.
     """
     ops = operators(spec, tr.j_max if tr is not None else 0)
-    l_n = _at_level(ops.l_columns(n), _level_ratio(spec, ops), 0, ops._module.deg)
-    out = {}
-    _compose(out, 1, ops.to_ids(w.terms), l_n)
-    return State(ops.to_labels(out)), not (w.terms and ops.l_truncated(n))
+    out = ops.apply(spec.l, [(1, ops.l_columns(n), 0)], w.terms)
+    return State(out), not (w.terms and ops.l_truncated(n))
 
 
 def d_apply(v):
@@ -584,20 +563,6 @@ class Report:
             else self.counterexample.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, data):
-        counterexample = data.get("counterexample")
-        return cls(
-            identity=data["identity"],
-            params=data["params"],
-            states_checked=data["states_checked"],
-            defect_zero=data["defect_zero"],
-            max_defect=rat(data["max_defect"]),
-            counterexample=None
-            if counterexample is None
-            else State.from_json(counterexample),
-        )
-
 
 def merge_reports(reports, identity, params):
     """Combine sub-reports: counts add, defects max, first counterexample wins."""
@@ -625,7 +590,7 @@ def _sweep(identity, params, spec, tr, ops, plan, defect_of):
     """
     if not plan:
         raise ValueError(identity + " needs at least one operator to check")
-    ratio = _level_ratio(spec, ops)
+    ratio = _int_first(spec.l / ops.spec.l)
     module = ops._module
     intern, deg = module.intern, module.deg
     checked = 0
@@ -754,25 +719,24 @@ def check_field_commutator(n, a_state, k, spec, tr):
     a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
     adj = _registry(spec.d)  # the level-1 adjoint module; its L(n) is never truncated
-    adj_ratio = _level_ratio(ops.spec, adj)
     l_n = ops.exact_l_columns(n).__getitem__
     # A split by the factor count p of its terms: the check is linear in A,
     # and the defect of each part carries its own power of the level
     plan = []
     for p in sorted({len(vmono) for vmono, _vcoeff in a_labels}):
         labels = [(vmono, vcoeff) for vmono, vcoeff in a_labels if len(vmono) == p]
-        a_part = adj.to_ids({(vmono, 0): vcoeff for vmono, vcoeff in labels})
+        a_part = {(vmono, 0): vcoeff for vmono, vcoeff in labels}
         # c [L(n), A_k] for each term c A of this part
         products = []
         for vmono, vcoeff in labels:
             a_k = ops.vertex_columns(vmono, k).__getitem__
             products += [(vcoeff, l_n, a_k), (-vcoeff, a_k, l_n)]
-        # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right
+        # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right;
+        # L(m)A at the level of ops, as the sweep rescales the whole defect
         rhs = []
         for m in range(-1, n + 1):
-            lma = {}
-            _compose(lma, 1, a_part, _at_level(adj.l_columns(m), adj_ratio, 0, adj._module.deg))
-            for vmono, vcoeff in _vertex_labels(State(adj.to_labels(lma)), spec):
+            lma = adj.apply(ops.spec.l, [(1, adj.l_columns(m), 0)], a_part)
+            for vmono, vcoeff in _vertex_labels(State(lma), spec):
                 y = ops.vertex_columns(vmono, k + n - m).__getitem__
                 rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
         plan.append((p, products, rhs))
@@ -865,11 +829,10 @@ def adjoint_mode_matrix(v, n, spec, tr):
                 "use the adjoint module or an evaluation module with c = 0, lambda = 0"
             )
     ops = operators(spec, tr.j_max)
-    ratio = _level_ratio(spec, ops)
     adj = _registry(spec.d)  # the level-1 adjoint module; its L(n) is never truncated
-    l_1 = _at_level(adj.l_columns(1), _level_ratio(spec, adj), 0, adj._module.deg)
+    l_1 = [(1, adj.l_columns(1), 0)]
 
-    # (coefficient, Y column lookup of one term) of each L(1)^power v / power!
+    # (coefficient, Y memo, factor count) of each term of each L(1)^power v / power!
     sign = (-1) ** wt_v
     expansion = []
     u = v.terms
@@ -878,20 +841,16 @@ def adjoint_mode_matrix(v, n, spec, tr):
         scale = Fraction(sign, math.factorial(power))
         for vmono, vcoeff in _vertex_labels(State(u), spec):
             y = ops.vertex_columns(vmono, 2 * wt_v - n - power - 2)
-            expansion.append((scale * vcoeff, _at_level(y, ratio, len(vmono), ops._module.deg)))
-        next_u = {}
-        _compose(next_u, 1, adj.to_ids(u), l_1)
-        u = adj.to_labels(next_u)
+            expansion.append((scale * vcoeff, y, len(vmono)))
+        u = adj.apply(spec.l, l_1, u)
         power += 1
         if power > wt_v + 1:
             raise AssertionError("L(1) expansion failed to terminate")
 
-    basis = [ops.intern(label) for label in module_basis(spec, tr.max_wt, tr.max_nwt)]
+    basis = module_basis(spec, tr.max_wt, tr.max_nwt)
     zero = Fraction(0)  # shared, so RatMatrix need not build one per cell
     rows = []
     for w in basis:
-        image = {}
-        for scale, y in expansion:
-            _axpy(image, scale, y(w))
+        image = ops.apply(spec.l, expansion, {w: 1})
         rows.append([image.get(key, zero) for key in basis])
     return RatMatrix(rows, cols=len(basis))

@@ -536,6 +536,7 @@ NO_L_BELOW_MINUS_ONE = "error: only the operators L(n) with n >= -1 exist here\n
 BOOL_R_TOP = '{"r":true,"lambda":["1"],"H":[[["1"]]]}'
 ZERO_COEFF_A = '[{"mono":[[1,0,1]],"coeff":"0"}]'
 NOTHING_TO_CHECK = "error: field-commutator needs at least one operator to check\n"
+NOT_ADJOINT = " sets an evaluation module; pass --kind evaluation\n"
 # malformed input, and what its one error line must name (a whole line, where pinned)
 NAMED_IN_ERROR = {
     ("verify", "virasoro", "--m-range=1.."): "--m-range",
@@ -568,6 +569,16 @@ NAMED_IN_ERROR = {
      "--max-wt", "2", "--max-nwt", "1"): NOTHING_TO_CHECK,
     ("verify", "field-commutator", "--a-state", ZERO_COEFF_A, "--n", "0", "--k", "0",
      "--max-wt", "2", "--max-nwt", "1"): NOTHING_TO_CHECK,
+    # a rational flag that does not parse
+    ("verify", "virasoro", "--l=abc"):
+        "error: malformed --l: Invalid literal for Fraction: 'abc'\n",
+    ("module", "vacuum", "--kind", "evaluation", "--c=x"): "error: malformed --c: ",
+    ("module", "casimir", "--lambda", "1,x", "--c", "0"): "error: malformed --lambda: ",
+    # a flag of an evaluation module on the adjoint one, which would ignore it
+    ("verify", "virasoro", "--c", "1/3", "--lambda", "1", "--H", "[[1,1],[0,1]]"):
+        "error: --c" + NOT_ADJOINT,
+    ("module", "vacuum", "--lambda", "5"): "error: --lambda" + NOT_ADJOINT,
+    ("verify", "e1", "--H", "[[1]]"): "error: --H" + NOT_ADJOINT,
 }
 
 
@@ -624,7 +635,8 @@ class TestPlumbing:
              "n-empty", "a-state-not-a-term", "a-state-object", "a-state-string",
              "a-state-float-depth", "a-state-bool-top", "m-below-minus-one",
              "n-below-minus-one", "m-range-reaching-minus-two", "index-after-c-squared-one",
-             "level-zero", "tops-bool-r", "a-state-empty", "a-state-zero-coeff"],
+             "level-zero", "tops-bool-r", "a-state-empty", "a-state-zero-coeff", "l-word",
+             "c-word", "lambda-word", "adjoint-c", "adjoint-lambda", "adjoint-H"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -724,7 +736,8 @@ class TestPlumbing:
 RATS = ["1", "-1", "2", "1/2", "-1/3", "3/2", "0"]
 NONZERO = [x for x in RATS if x != "0"]
 SPEC_BAD = [["--l=0"], ["--l=1/0"], ["--d=0"], ["--max-nwt=-1"], ["--max-wt=x"],
-            ["--format=xml"], ["--kind=evaluation", "--c=0", "--H=[1]"]]
+            ["--format=xml"], ["--kind=evaluation", "--c=0", "--H=[1]"],
+            ["--kind=adjoint", "--c=1/2"]]
 VERIFY_FLAGS = {
     "virasoro": {"--m-range": ["-1..1", "0..2", "2", "-1"],
                  "--n-range": ["-1..1", "0..2", "-1"]},

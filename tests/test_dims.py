@@ -248,6 +248,15 @@ class TestC1Quotients:
         assert totals[0] >= totals[1] >= totals[2]
         assert totals[1] == totals[2]
 
+    def test_adjoint_d2_at_a_fractional_level_is_pinned(self):
+        # a fixed value, independent of the stacked-rank oracle below
+        table = c1_quotient_dims(ModuleSpec.adjoint(2, Fraction(1, 2)), Truncation(3, 1))
+        assert table.to_json() == {
+            "d": 2,
+            "entries": [[0, 0, 1], [0, 1, 0], [0, 2, 0], [0, 3, 0],
+                        [1, 0, 0], [1, 1, 0], [1, 2, 0], [1, 3, 0]],
+        }
+
 
 def c1_quotient_dims_oracle(spec, tr):
     """C1 quotients State by State through vertex_mode; dim(S cap U) from a stacked rank.

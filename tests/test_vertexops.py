@@ -2,6 +2,8 @@
 
 import copy
 import gc
+import hashlib
+import json
 import math
 import random
 import weakref
@@ -320,13 +322,7 @@ class TestChecks:
         assert data["counterexample"] is None
         assert data["max_defect"] == "0"
         assert data["states_checked"] == rep.states_checked
-
-    def test_report_roundtrip(self):
-        from currentfock import Report
-
-        passing = check_virasoro(2, 1, ADJ, Truncation(2, 1, 0))
-        assert Report.from_json(passing.to_json()) == passing
-        failing = Report(
+        failing = vertexops.Report(
             identity="demo",
             params={"n": 2},
             states_checked=5,
@@ -334,7 +330,14 @@ class TestChecks:
             max_defect=Fraction(3, 7),
             counterexample=State.term(mono((1, 1, 1)), coeff=Fraction(-1, 2)),
         )
-        assert Report.from_json(failing.to_json()) == failing
+        assert failing.to_json() == {
+            "identity": "demo",
+            "params": {"n": 2},
+            "states_checked": 5,
+            "defect_zero": False,
+            "max_defect": "3/7",
+            "counterexample": [{"mono": [[1, 1, 1]], "top": 0, "coeff": "-1/2"}],
+        }
 
 
 class TestAdjointModeMatrix:
@@ -814,6 +817,50 @@ def test_adjoint_mode_matrix_matches_state_level_oracle(spec, tr):
             assert got == adjoint_mode_matrix_oracle(v, n, spec, tr).to_json(), (v, n)
 
 
+# The oracle above applies l_apply and vertex_mode, which share `Operators.apply`
+# with adjoint_mode_matrix.  These fixed values check the matrices on their own:
+# (nonzero entries, first 16 hex digits of the sha256 of json.dumps(M.to_json()))
+# of M = adjoint_mode_matrix(CONTRAGREDIENT_LABELS[i], n, adj-d2 at level l,
+# Truncation(3, 2)), keyed by (l, i, n).
+CONTRAGREDIENT_PINS = {
+    ("1/2", 0, -2): (0, "366da2fbbc79467e"),
+    ("1/2", 0, 0): (0, "366da2fbbc79467e"),
+    ("1/2", 0, 1): (0, "366da2fbbc79467e"),
+    ("1/2", 1, -2): (7, "b8f5ff4bf8c39e2d"),
+    ("1/2", 1, 0): (0, "366da2fbbc79467e"),
+    ("1/2", 1, 1): (27, "da0aa0956f5aafbe"),
+    ("1/2", 2, -2): (2, "4aa28c904d045632"),
+    ("1/2", 2, 0): (12, "51e7a69db9d72c4a"),
+    ("1/2", 2, 1): (44, "8cdc8edcb92e3763"),
+    ("1/2", 3, -2): (2, "dd7107e6bf72628d"),
+    ("1/2", 3, 0): (8, "154a6353735448ac"),
+    ("1/2", 3, 1): (34, "7e3e66a9cb3be72f"),
+    ("-2", 0, -2): (0, "366da2fbbc79467e"),
+    ("-2", 0, 0): (0, "366da2fbbc79467e"),
+    ("-2", 0, 1): (0, "366da2fbbc79467e"),
+    ("-2", 1, -2): (7, "4a49878bedbfda0c"),
+    ("-2", 1, 0): (0, "366da2fbbc79467e"),
+    ("-2", 1, 1): (27, "da0aa0956f5aafbe"),
+    ("-2", 2, -2): (2, "c063d363f66c9835"),
+    ("-2", 2, 0): (12, "dff5d601ad2f5fae"),
+    ("-2", 2, 1): (44, "aaa5b36522efe9c1"),
+    ("-2", 3, -2): (2, "a3ab8e1baf08960d"),
+    ("-2", 3, 0): (8, "1f5881b3f0c57617"),
+    ("-2", 3, 1): (34, "ac25d10cad6529e5"),
+}
+
+
+@pytest.mark.parametrize("level", ["1/2", "-2"])
+def test_adjoint_mode_matrix_is_pinned(level):
+    spec = ModuleSpec.adjoint(2, Fraction(level))
+    for i, v in enumerate(CONTRAGREDIENT_LABELS):
+        for n in (-2, 0, 1):
+            got = adjoint_mode_matrix(v, n, spec, Truncation(3, 2)).to_json()
+            nonzero = sum(entry != "0" for row in got for entry in row)
+            digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()[:16]
+            assert (nonzero, digest) == CONTRAGREDIENT_PINS[(level, i, n)], (i, n)
+
+
 def vertex_column_oracle(spec, vmono, k, label, modes):
     """Y(v)_k on one label by enumerating every mode assignment of v's factors.
 
@@ -1013,6 +1060,44 @@ def test_adjoint_columns_obey_the_level_law(d, l):
     # every level of one d is served by the one level-1 object
     assert operators(direct.spec, 0) is operators(one.spec, 0)
     assert operators(direct.spec, 0).spec.l == 1
+
+
+@pytest.mark.parametrize("l", [Fraction(1, 2), Fraction(-2)], ids=str)
+def test_apply_reads_any_level_off_the_level_one_object(l):
+    # the oracle is the same class built directly at level l, read column by column
+    direct = vertexops.Operators(ModuleSpec.adjoint(2, l), 0)
+    one = operators(direct.spec, 0)
+    assert one.spec.l == 1
+    w = {
+        (mono((1, 0, 1)), 0): Fraction(2, 3),
+        (mono((2, 0, 1), (2, 0, 2)), 0): -1,
+        (mono((1, 0, 1), (1, 1, 1), (2, 0, 3)), 0): 5,
+    }
+    before = dict(w)
+    v1, v2 = mono((1, 0, 2)), mono((1, 0, 1), (2, 0, 1))  # one and two factors
+
+    def operator(ops, n, k):
+        return [
+            (Fraction(1, 3), ops.l_columns(n), 0),
+            (3, ops.vertex_columns(v1, k), 1),
+            (Fraction(-1, 2), ops.vertex_columns(v2, k), 2),
+        ]
+
+    nonzero = 0
+    for n in range(-1, 3):
+        for k in range(-3, 2):
+            got = one.apply(l, operator(one, n, k), w)
+            expected = by_hand(direct, [term[:2] for term in operator(direct, n, k)], State(w))
+            assert State(got) == expected and 0 not in got.values(), (n, k)
+            nonzero += bool(got)
+    assert nonzero >= 10
+    # Y(a(-2)1)_k = -k a(k-1): the two sides cancel to an empty dict, not to zero entries
+    a = mono((1, 0, 1))
+    for k in (-3, -2, 2):
+        y = [(1, one.vertex_columns(v1, k), 1)]
+        assert one.apply(l, y, w)
+        assert one.apply(l, y + [(k, one.vertex_columns(a, k - 1), 1)], w) == {}
+    assert w == before
 
 
 def test_an_evicted_operators_object_is_freed_without_the_cycle_collector():
