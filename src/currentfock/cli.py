@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import dims as dims_mod
 from . import repcat, vertexops
 from .exactmath import RatMatrix, rat, rat_str
-from .fock import ModuleSpec, State, count_basis, enumerate_basis
+from .fock import ModuleSpec, State, count_table, enumerate_basis
 from .vertexops import Truncation
 
 EXIT_OK = 0
@@ -247,11 +247,12 @@ def _cmd_dims(args):
     product = dims_mod.gf_product_count(d, P, Q)
     parts = dims_mod.bipartite_table(d, P, Q)
     paper = dims_mod.gf_paper_ct(P, Q) if d == 1 else None
+    counts = count_table(d, Q, P)
     rows = []
     agree = True
     for m in range(Q + 1):
         for n in range(P + 1):
-            enum = count_basis(d, m, n)
+            enum = counts[m][n]
             dp = parts.get(m, n)
             gf = product.get(m, n)
             if not (enum == dp == gf):
@@ -307,10 +308,26 @@ def _parse_top(token):
     return repcat.TopSpace(r=r, lam=lam, H=H)
 
 
+# the module flags each action reads; every other one it is given is refused
+MODULE_READS = {
+    "casimir": {"lam", "c"},
+    "vacuum": {"kind", "d", "l", "c", "lam", "H", "max_wt", "max_nwt", "j_max"},
+    "logcheck": {"H", "c", "lam", "l"},
+    "homdim": {"tops"},
+}
+
+
 def _cmd_module(args):
     action = args.action
     if args.format != "json":
         raise ConfigError("module %s writes JSON only, not --format %s" % (action, args.format))
+    # an unset module flag parses as None: refuse the first one given that
+    # the action does not read, and give each one it reads its default
+    for flag, dest, default in args.module_flags:
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in MODULE_READS[action]:
+            raise ConfigError("module %s does not read %s" % (action, flag))
     if action == "casimir":
         if args.lam is None or args.c is None:
             raise ConfigError("casimir needs --lambda and --c")
@@ -443,6 +460,11 @@ def build_parser():
     _add_spec_flags(module)
     _add_truncation_flags(module)
     module.add_argument("--tops", nargs="*", default=[], help="three top spaces")
+    flags = [a for a in module._actions if a.option_strings and a.dest != "help"]
+    module.set_defaults(
+        module_flags=[(a.option_strings[0], a.dest, a.default) for a in flags],
+        **{a.dest: None for a in flags},
+    )
     _add_common(module)
 
     return parser

@@ -3,10 +3,12 @@
 The dimension of the doubly homogeneous subspace with nwt m and weight n is
 the number of d-colored bipartite partitions (m, n) = sum_j (m_j, n_j) with
 m_j >= 0 and n_j >= 1.  Three independent computations are provided and
-cross-checked: explicit monomial enumeration (`fock.count_basis` walks every
-monomial of the cell and counts it, building none), a dynamic program over
-parts, and the coefficient extraction from the Euler product
-prod_{a>=0, b>=1} (1 - q^a p^b)^{-d}.
+cross-checked: explicit monomial enumeration (`fock.count_table` walks every
+monomial of the whole box once, builds none, and counts each into its own
+cell), a dynamic program over parts, and the coefficient extraction from the
+Euler product prod_{a>=0, b>=1} (1 - q^a p^b)^{-d}.  Every factor of that
+product is a geometric series with coefficient 1, so its truncated expansion
+runs in ints.
 
 A fourth column evaluates the constant-term expression
 CT_x 1/((x^{-1}p; p)_inf (x; q)_inf), built from the two Pochhammer
@@ -26,10 +28,9 @@ changes no rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactmath import rank
-from .fock import count_basis, enumerate_basis, module_basis
+from .fock import count_table, enumerate_basis, module_basis
 from .vertexops import operators
 
 
@@ -96,8 +97,9 @@ def bipartite_count(d, m, n):
 class LaurentSeries2:
     """Truncated series in p and q with a bounded Laurent variable x.
 
-    Coefficients are rationals keyed by (xpow, ppow, qpow); ppow <= P and
-    qpow <= Q always, and xpow is clamped to [xmin, xmax].
+    Coefficients are ints keyed by (xpow, ppow, qpow); ppow <= P and qpow <= Q
+    always, and xpow is clamped to [xmin, xmax].  Every factor is a geometric
+    series with coefficient 1, so no coefficient is ever a fraction.
     """
 
     __slots__ = ("coefficients", "P", "Q", "xmin", "xmax")
@@ -111,7 +113,7 @@ class LaurentSeries2:
 
     @classmethod
     def one(cls, P, Q, xmin=0, xmax=0):
-        return cls(P, Q, xmin, xmax, {(0, 0, 0): Fraction(1)})
+        return cls(P, Q, xmin, xmax, {(0, 0, 0): 1})
 
     def mul_geometric(self, dx, dp, dq):
         """Multiply by 1/(1 - x^dx p^dp q^dq), truncated to the bounds."""
@@ -127,7 +129,7 @@ class LaurentSeries2:
                     continue
                 shifted[(x2, p2, q2)] = coeff
             for key, coeff in shifted.items():
-                out[key] = out.get(key, Fraction(0)) + coeff
+                out[key] = out.get(key, 0) + coeff
             frontier = shifted
         return LaurentSeries2(self.P, self.Q, self.xmin, self.xmax, out)
 
@@ -152,7 +154,7 @@ def gf_product_count(d, P, Q):
     for (p, q), coeff in series.constant_x_term().items():
         if coeff.denominator != 1:
             raise AssertionError("Euler product produced a non-integer coefficient")
-        table.entries[(q, p)] = int(coeff)
+        table.entries[(q, p)] = coeff
     validate_dimension_table(table)
     return table
 
@@ -177,7 +179,7 @@ def gf_paper_ct(P, Q):
     for (p, q), coeff in series.constant_x_term().items():
         if coeff.denominator != 1:
             raise AssertionError("constant term produced a non-integer coefficient")
-        table.entries[(q, p)] = int(coeff)
+        table.entries[(q, p)] = coeff
     return table
 
 
@@ -222,6 +224,7 @@ def c1_quotient_dims(spec, tr):
     for label in module_basis(spec, tr.max_wt, tr.max_nwt):
         labels_of_weight.setdefault(label[0].weight(), []).append(label)
 
+    counts = count_table(spec.d, tr.max_nwt, tr.max_wt)
     table = DimTable(d=spec.d)
     for target_m in range(tr.max_nwt + 1):
         gens = [
@@ -241,7 +244,7 @@ def c1_quotient_dims(spec, tr):
                 {key: c for key, c in image.items() if key[0].nwt() != target_m}
                 for image in images
             ]
-            dim_w = spec.r * count_basis(spec.d, target_m, n)
+            dim_w = spec.r * counts[target_m][n]
             intersection = rank(images) - rank(rest)
             table.entries[(target_m, n)] = dim_w - intersection
     return table

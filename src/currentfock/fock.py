@@ -363,7 +363,7 @@ def enumerate_basis(d, m, n):
     one in increasing order; and since every factor has positive weight, no
     monomial of the cell is a prefix of another.  So the walk meets them in
     lexicographic order.  A fresh list is built on every call; nothing is
-    cached.  `count_basis` takes the same walk and builds no monomial.
+    cached.  `count_table` counts a whole box of cells in one walk of its own.
     """
     _check_cell("enumerate_basis", d, m, n)
     if n == 0:
@@ -374,15 +374,24 @@ def enumerate_basis(d, m, n):
 
 
 def count_basis(d, m, n):
-    """len(enumerate_basis(d, m, n)), counted on the same walk with no monomial built.
-
-    Every basis monomial is still met one at a time, so the count stays an
-    explicit enumeration, independent of the partition-counting formulas.
-    """
+    """len(enumerate_basis(d, m, n)): the (m, n) cell of `count_table(d, m, n)`."""
     _check_cell("count_basis", d, m, n)
-    if n == 0:
-        return 1 if m == 0 else 0
-    return _extend(None, d, (), m, n, 1, 0, 1)
+    return count_table(d, m, n)[m][n]
+
+
+def count_table(d, max_nwt, max_wt):
+    """counts[m][n] = len(enumerate_basis(d, m, n)) for every m <= max_nwt, n <= max_wt.
+
+    One depth-first walk over the whole box meets every monomial of nwt <=
+    max_nwt and weight <= max_wt once, builds none, and counts each into its
+    own cell.  So every count stays an explicit enumeration, independent of
+    the partition-counting formulas.
+    """
+    _check_cell("count_table", d, max_nwt, max_wt)
+    counts = [[0] * (max_wt + 1) for _ in range(max_nwt + 1)]
+    counts[0][0] = 1
+    _count(counts, d, 0, 0, max_nwt, max_wt, 1, 0, 1)
+    return counts
 
 
 def _check_cell(name, d, m, n):
@@ -391,14 +400,11 @@ def _check_cell(name, d, m, n):
 
 
 def _extend(out, d, prefix, rem_m, rem_n, i0, j0, nu0):
-    """Walk every completion of prefix, in order, and return how many there are.
+    """Append to out, in order, every completion of prefix as a Monomial.
 
-    Each completion is appended to out as a Monomial; with out None nothing
-    is built, not even the prefixes.  See `enumerate_basis` for the order.
-    A module-level function, not a closure, so a returned list is freed by
-    reference counting alone.
+    See `enumerate_basis` for the order.  A module-level function, not a
+    closure, so a returned list is freed by reference counting alone.
     """
-    count = 0
     # next factor (i, j, nu) >= (i0, j0, nu0), with j <= rem_m and nu <= rem_n
     for i in range(i0, d + 1):
         for j in range(j0 if i == i0 else 0, rem_m + 1):
@@ -406,13 +412,36 @@ def _extend(out, d, prefix, rem_m, rem_n, i0, j0, nu0):
             # at color d every later factor has power >= j as well
             if i < d or 2 * j <= rem_m:
                 for nu in range(lo, rem_n):
-                    longer = None if out is None else prefix + ((i, j, nu),)
-                    count += _extend(out, d, longer, rem_m - j, rem_n - nu, i, j, nu)
+                    _extend(out, d, prefix + ((i, j, nu),), rem_m - j, rem_n - nu, i, j, nu)
             if j == rem_m and lo <= rem_n:
-                count += 1
-                if out is not None:
-                    out.append(Monomial(prefix + ((i, j, rem_n),)))
-    return count
+                out.append(Monomial(prefix + ((i, j, rem_n),)))
+
+
+def _count(counts, d, m, n, rem_m, rem_n, i0, j0, nu0):
+    """Count every extension of a prefix of bigrade (m, n) into the cell it lands in.
+
+    A next factor (i, j, nu) >= (i0, j0, nu0) takes j <= rem_m more nwt and
+    nu <= rem_n more weight; the walk goes on past it only where a factor
+    >= (i, j, nu) still fits in what is left.
+    """
+    for i in range(i0, d + 1):
+        for j in range(j0 if i == i0 else 0, rem_m + 1):
+            lo = nu0 if i == i0 and j == j0 else 1
+            left_m = rem_m - j
+            # the largest nu after which a further factor fits: below color d or
+            # with room for a larger power, (i + 1, 0, 1) or (d, j + 1, 1) needs
+            # weight 1; else only (d, j, nu' >= nu) can follow, or nothing
+            if i < d or j < left_m:
+                top = rem_n - 1
+            elif j == left_m:
+                top = rem_n // 2
+            else:
+                top = 0
+            row = counts[m + j]
+            for nu in range(lo, rem_n + 1):
+                row[n + nu] += 1
+                if nu <= top:
+                    _count(counts, d, m + j, n + nu, left_m, rem_n - nu, i, j, nu)
 
 
 @lru_cache(maxsize=8)

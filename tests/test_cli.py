@@ -374,11 +374,13 @@ class TestPinnedOutput:
         assert run(capsys, *argv)[:2] == (EXIT_OK, expected)
 
     def test_dims_builds_no_monomial(self, capsys, monkeypatch):
-        # enum is read off the counting walk; no cell's basis is listed
+        # enum is read off one box walk; no cell's basis is listed, nor walked alone
         def refuse(*args):
-            raise AssertionError("dims listed a basis")
+            raise AssertionError("dims listed a basis or walked one cell")
 
         monkeypatch.setattr("currentfock.cli.enumerate_basis", refuse)
+        monkeypatch.setattr("currentfock.fock.count_basis", refuse)
+        monkeypatch.setattr("currentfock.cli.count_basis", refuse, raising=False)
         assert run(capsys, *DIMS_D2)[:2] == (EXIT_OK, PINNED_DIMS_JSON)
         assert run(capsys, *DIMS_D1)[:2] == (EXIT_OK, PINNED_DIMS_CSV)
 
@@ -437,6 +439,11 @@ class TestDims:
         }
         assert rows[("0", "4")][2:] == ["5", "5", "5", "5", "0"]
         assert len(rows) == 9 * 11
+
+
+CASIMIR = ("casimir", "--lambda", "1", "--c", "1/2")
+LOGCHECK = ("logcheck", "--H", "[[1,1],[0,1]]", "--c", "0")
+HOMDIM = ("homdim", "--tops", "r1:1@1", "r1:1@1", "r1:1@2")
 
 
 class TestModule:
@@ -524,6 +531,32 @@ class TestModule:
     def test_homdim_needs_three_tops(self, capsys):
         code, _, err = run(capsys, "module", "homdim", "--tops", "r1:1@1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, extra, unread",
+        [
+            (CASIMIR, ("--H", "[[5]]", "--d", "3", "--l", "7"), "--d"),
+            (CASIMIR, ("--kind", "adjoint"), "--kind"),
+            (CASIMIR, ("--max-wt", "4"), "--max-wt"),
+            (CASIMIR, ("--tops",), "--tops"),
+            (LOGCHECK, ("--d", "3"), "--d"),
+            (LOGCHECK, ("--kind", "evaluation"), "--kind"),
+            (LOGCHECK, ("--j-max", "1"), "--j-max"),
+            (HOMDIM, ("--kind", "evaluation", "--c", "5", "--lambda", "9"), "--kind"),
+            (HOMDIM, ("--l", "2"), "--l"),
+            (HOMDIM, ("--max-nwt", "1"), "--max-nwt"),
+            (("vacuum", "--max-wt", "1", "--max-nwt", "0"), ("--tops", "r1:1@1"), "--tops"),
+        ],
+        ids=["casimir-d", "casimir-kind", "casimir-max-wt", "casimir-tops", "logcheck-d",
+             "logcheck-kind", "logcheck-j-max", "homdim-kind", "homdim-l",
+             "homdim-max-nwt", "vacuum-tops"],
+    )
+    def test_module_refuses_a_flag_it_does_not_read(self, capsys, argv, extra, unread):
+        # the first unread module flag, in the order `--help` lists them, is named
+        assert run(capsys, "module", *argv)[0] == EXIT_OK
+        code, out, err = run(capsys, "module", *argv, *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: module %s does not read %s\n" % (argv[0], unread)
 
 
 # a vertex-operator label with color 2 on a d = 1 module
@@ -765,11 +798,15 @@ VERIFY_BAD = {
     "l0-grading": [["--j-range=q"]],
 }
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
+# per action: bad values of the flags it reads, and flags it does not read
 MODULE_BAD = {
-    "casimir": [["--c=1"], ["--c=1/0"], ["--lambda=x"]],
-    "vacuum": SPEC_BAD,
-    "logcheck": [["--H=[[[]]]"], ["--H=[[1],[2]]"], ["--H=[[1.5]]"], ["--l=0"]],
-    "homdim": [["--tops", "r1:1@1"], ["--tops", "r1:1@1", "r1:1@1", "bogus"]],
+    "casimir": [["--c=1"], ["--c=1/0"], ["--lambda=x"], ["--d=1"], ["--l=2"],
+                ["--H=[[1]]"], ["--max-wt=1"], ["--tops"]],
+    "vacuum": SPEC_BAD + [["--tops", "r1:1@1"]],
+    "logcheck": [["--H=[[[]]]"], ["--H=[[1],[2]]"], ["--H=[[1.5]]"], ["--l=0"],
+                 ["--kind=evaluation"], ["--d=1"], ["--j-max=0"], ["--tops"]],
+    "homdim": [["--tops", "r1:1@1"], ["--tops", "r1:1@1", "r1:1@1", "bogus"],
+               ["--kind=evaluation"], ["--c=5"], ["--lambda=9"], ["--max-nwt=1"]],
 }
 
 
@@ -852,6 +889,11 @@ L0_COUNTEREXAMPLE = ["verify", "l0-grading", "--j-range=2", "--max-wt=2", "--max
 @example((L0_COUNTEREXAMPLE + ["--format=json"], "json", False))
 @example((L0_COUNTEREXAMPLE + ["--format=csv"], "csv", False))
 @example((L0_COUNTEREXAMPLE + ["--format=text"], "text", False))
+# a module flag the action does not read, as a draw rarely appends one
+@example((["module", "casimir", "--lambda=1", "--c=1/2", "--format=json", "--d=1"], "json", True))
+@example((["module", "homdim", "--tops", "r1:1@1", "r1:1@1", "r1:1@2", "--format=json",
+           "--kind=evaluation"], "json", True))
+@example((["module", "vacuum", "--max-wt=1", "--format=json", "--tops", "r1:1@1"], "json", True))
 def test_argv_fuzz_keeps_the_exit_code_contract(case):
     argv, fmt, malformed = case
     out, err = io.StringIO(), io.StringIO()

@@ -15,6 +15,7 @@ from currentfock import (
     c1_quotient_dims,
     check_strong_grading,
     count_basis,
+    count_table,
     enumerate_basis,
     gf_paper_ct,
     gf_product_count,
@@ -67,9 +68,19 @@ class TestBipartiteCount:
 
     @pytest.mark.parametrize("cell", [(0, 1, 1), (1, -1, 2), (1, 2, -1)])
     def test_count_walk_refuses_what_enumeration_refuses(self, cell):
-        for walk in (enumerate_basis, count_basis):
+        for walk in (enumerate_basis, count_basis, count_table):
             with pytest.raises(ValueError, match="needs d >= 1 and m, n >= 0"):
                 walk(*cell)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_box_walk_matches_enumeration_cell_by_cell(self, d):
+        # boxes with no weight, no nwt and neither, beside boxes with both
+        for max_nwt, max_wt in [(0, 0), (3, 0), (0, 6), (2, 5), (4, 3)]:
+            counts = count_table(d, max_nwt, max_wt)
+            assert [len(row) for row in counts] == [max_wt + 1] * (max_nwt + 1)
+            for m in range(max_nwt + 1):
+                for n in range(max_wt + 1):
+                    assert counts[m][n] == len(enumerate_basis(d, m, n))
 
     def test_monotone_in_colors(self):
         for m in range(4):
@@ -181,6 +192,16 @@ class TestLaurentSeries:
     def test_bad_factor_rejected(self):
         with pytest.raises(ValueError):
             LaurentSeries2.one(2, 2).mul_geometric(0, 0, 0)
+
+    def test_every_coefficient_is_an_int(self):
+        # every factor is a geometric series with coefficient 1: no Fraction, no float
+        series = LaurentSeries2.one(3, 2, xmin=-2, xmax=2)
+        for factor in [(0, 1, 0), (1, 0, 1), (-1, 2, 0), (0, 1, 1)]:
+            series = series.mul_geometric(*factor)
+        tables = [gf_product_count(d, 6, 4) for d in (1, 2, 3)] + [gf_paper_ct(6, 4)]
+        values = [v for table in tables for _, v in table.cells()]
+        values += series.coefficients.values()
+        assert values and all(type(v) is int for v in values)
 
 
 class TestStrongGrading:
