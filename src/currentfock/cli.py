@@ -14,6 +14,7 @@ import random
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import lru_cache
 
 from . import dims as dims_mod
 from . import repcat, vertexops
@@ -230,8 +231,33 @@ def _verify_plan(args, spec, tr):
     raise ConfigError("unknown identity %r" % identity)
 
 
+# the identity flags each identity reads; every other one it is given is refused
+VERIFY_READS = {
+    "virasoro": {"m_range", "n_range", "n"},
+    "e1": {"gen", "n_range", "n", "k_range", "k"},
+    "field-commutator": {"a_state", "a_max_wt", "a_max_nwt", "n_range", "n", "k_range", "k"},
+    "strong-grading": {"v_max_wt", "v_max_nwt", "j_range", "sample_size"},
+    "l0-grading": {"j_range"},
+    "d-equals-lminus1": set(),
+}
+
+
+def _check_reads(args, command, reads):
+    """Give each unset flag of args.read_flags its default; refuse the first set one not read.
+
+    An unset flag parses as None (see `_read_flags`), and the flags are
+    listed in `--help` order.
+    """
+    for flag, dest, default in args.read_flags:
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise ConfigError("%s does not read %s" % (command, flag))
+
+
 def _cmd_verify(args):
     """Run the planned checks and merge their reports."""
+    _check_reads(args, "verify " + args.identity, VERIFY_READS[args.identity])
     spec = _build_spec(args)
     identity, params, reports = _verify_plan(args, spec, _truncation(args))
     if params is None:
@@ -321,13 +347,7 @@ def _cmd_module(args):
     action = args.action
     if args.format != "json":
         raise ConfigError("module %s writes JSON only, not --format %s" % (action, args.format))
-    # an unset module flag parses as None: refuse the first one given that
-    # the action does not read, and give each one it reads its default
-    for flag, dest, default in args.module_flags:
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in MODULE_READS[action]:
-            raise ConfigError("module %s does not read %s" % (action, flag))
+    _check_reads(args, "module " + action, MODULE_READS[action])
     if action == "casimir":
         if args.lam is None or args.c is None:
             raise ConfigError("casimir needs --lambda and --c")
@@ -410,6 +430,17 @@ def _add_truncation_flags(parser, wt=4, nwt=3):
     parser.add_argument("--j-max", type=int, default=0)
 
 
+def _read_flags(parser, actions):
+    """Make each flag of actions parse as None when unset, and list it in args.read_flags.
+
+    The tuple holds (flag, dest, default) in `--help` order, for `_check_reads`.
+    """
+    parser.set_defaults(
+        read_flags=tuple((a.option_strings[0], a.dest, a.default) for a in actions),
+        **{a.dest: None for a in actions},
+    )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="currentfock",
@@ -432,6 +463,7 @@ def build_parser():
     )
     _add_spec_flags(verify)
     _add_truncation_flags(verify)
+    shared = len(verify._actions)  # the spec and truncation flags every identity reads
     verify.add_argument("--m-range", default="-1..3")
     verify.add_argument("--n-range", default="-1..3")
     verify.add_argument("--k-range", default="-3..3")
@@ -447,6 +479,7 @@ def build_parser():
         "--j-range", default=None, help="default -2..2; -1..1 for l0-grading"
     )
     verify.add_argument("--sample-size", type=int, default=None)
+    _read_flags(verify, verify._actions[shared:])
     _add_common(verify)
 
     table = sub.add_parser("dims", help="emit the cross-checked dimension table")
@@ -459,21 +492,26 @@ def build_parser():
     module.add_argument("action", choices=["casimir", "vacuum", "logcheck", "homdim"])
     _add_spec_flags(module)
     _add_truncation_flags(module)
-    module.add_argument("--tops", nargs="*", default=[], help="three top spaces")
-    flags = [a for a in module._actions if a.option_strings and a.dest != "help"]
-    module.set_defaults(
-        module_flags=[(a.option_strings[0], a.dest, a.default) for a in flags],
-        **{a.dest: None for a in flags},
-    )
+    module.add_argument("--tops", nargs="*", default=(), help="three top spaces")
+    _read_flags(module, [a for a in module._actions if a.option_strings and a.dest != "help"])
     _add_common(module)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser, built once per process.
+
+    Parsing changes neither the parser nor the default objects it hands
+    out: `read_flags` is a tuple and the default of `--tops` an empty one.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:

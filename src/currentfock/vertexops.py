@@ -15,21 +15,24 @@ zero-mode tail of L(-1), which for c != 0 is genuinely infinite and is
 truncated at j <= j_max with an explicit exactness flag.
 
 Every internal use of these operators reads columns, dicts {id:
-coefficient}, compiled by `Operators` into one memo per operator L(n) or
+numerator}, compiled by `Operators` into one memo per operator L(n) or
 Y(v)_k (a single mode a(k) is Y(x_{i,j,1})_k), a dict from the id of a
 basis label to its column; a compiled column is served by a plain dict
-lookup.  An id is a small int that one `Operators` object gives a (monomial,
-top) label the first time it meets it, in its intern table, which also
-keeps the weight, nwt and degree of each id; so no memo or sum hashes a
-nested label.  Ids of two objects never mix.  Columns are handed out
-read-only to the identity checkers (Virasoro, mode and field commutators,
-L(0) grading, d = L(-1), strong grading), the contragredient matrices here
-and the C1 quotients in `dims`, which accumulate into dicts of their own.
-Every caller outside the sweep applies an operator to a term dict through
-one method, `Operators.apply`, which turns the labels into ids, sums the
-columns at the level asked for and turns the result back into labels.
-What depends only on the module (the zero-mode entries, the L(0) matrix of
-the top space) is computed once per `Operators`.  The public `State` API,
+lookup.  The numerators are ints over one positive int `den` per memo,
+fixed when the memo is made, so the sweeps do int arithmetic and divide
+once per defect.  An id is a small int that one `Operators` object gives a
+(monomial, top) label the first time it meets it, in its intern table,
+which also keeps the weight, nwt and degree of each id; so no memo or sum
+hashes a nested label.  Ids of two objects never mix.  Columns are handed
+out read-only to the identity checkers (Virasoro, mode and field
+commutators, L(0) grading, d = L(-1), strong grading), the contragredient
+matrices here and the C1 quotients in `dims`, which accumulate into dicts
+of their own.  Every caller outside the sweep applies an operator to a term
+dict through one method, `Operators.apply`, which turns the labels into
+ids, sums the columns at the level asked for, divides by the den and turns
+the result back into labels.  What depends only on the module (the
+zero-mode entries, the L(0) matrix of the top space) is computed once per
+`Operators`.  The public `State` API,
 `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
 fresh states and is not called inside the package.  Every single-mode
 column, zero modes included, is `fock._mode_column`; the vacuum spaces in
@@ -70,7 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .exactmath import RatMatrix, _axpy, rat_str
 from .fock import (
@@ -140,20 +143,40 @@ class _Memo(dict):
     """A dict that fills a missing key on lookup with `compile(*args, key)`.
 
     Once the value exists, `memo[key]` and `memo.__getitem__` are plain dict
-    lookups.  If `compile` raises, nothing is stored.  A memo of memos is
-    `_Memo(_Memo, compile, *args)`: its value at k is `_Memo(compile, *args, k)`.
+    lookups.  If `compile` raises, nothing is stored.  A memo of columns
+    holds numerators over its positive int `den` (see `Operators`).  A memo
+    of memos is `_Memo(partial(_Memo, compile, *args, den=den), den=den)`:
+    its value at k is `_Memo(compile, *args, k, den=den)`.
     """
 
-    __slots__ = ("compile", "args")
+    __slots__ = ("compile", "args", "den")
 
-    def __init__(self, compile, *args):
+    def __init__(self, compile, *args, den=1):
         super().__init__()
         self.compile = compile
         self.args = args
+        self.den = den
 
     def __missing__(self, key):
         value = self[key] = self.compile(*self.args, key)
         return value
+
+
+class _Fresh(_Memo):
+    """A `_Memo` that stores nothing: a plan's own operator, read once per label."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return self.compile(*self.args, key)
+
+
+def _numerators(column):
+    """column itself, once each value is checked to be an int: a den is checked, not trusted."""
+    for coeff in column.values():
+        if type(coeff) is not int:
+            raise AssertionError("a numerator is not an int: the den of its memo is wrong")
+    return column
 
 
 def _top_rows(matrix, r):
@@ -164,6 +187,16 @@ def _top_rows(matrix, r):
     )
 
 
+def _rows_den(*rows):
+    """The lcm of the denominators of the entries of some `_top_rows`; 1 for none."""
+    return math.lcm(*(entry.denominator for row in rows for top in row for _t, entry in top))
+
+
+def _rows_over(den, rows):
+    """`_top_rows` as int numerators over den, a multiple of `_rows_den(rows)`."""
+    return tuple(tuple((t, _int_first(den * entry)) for t, entry in top) for top in rows)
+
+
 class _Module:
     """What the columns of one module read besides the label; holds no `Operators`.
 
@@ -171,8 +204,8 @@ class _Module:
     met: `ids` maps a label to its id, `labels` an id to its label, and
     `wt`, `nwt` and `deg` hold the weight, nwt and variable count of each
     id's monomial.  The L(0) matrix of the top space is taken from
-    `repcat.l0_top_matrix` when the first L(0) column is compiled, after
-    the c^2 != 1 check.
+    `repcat.l0_top_matrix` when the memo of L(0) is made, after the
+    c^2 != 1 check, and kept as numerators over that memo's den.
     """
 
     __slots__ = (
@@ -223,22 +256,26 @@ class _Module:
             out[self.intern(label) if id_ is None else id_] = coeff
         return out
 
-    def to_labels(self, column):
-        """A column {id: coeff} keyed by labels, as a fresh dict."""
+    def to_labels(self, column, den=1):
+        """A column {id: numerator} over den keyed by labels, as a fresh dict of its values.
+
+        A value over a den other than 1 comes out int-first.
+        """
         labels = self.labels
-        return {labels[id_]: coeff for id_, coeff in column.items()}
+        if den == 1:
+            return {labels[id_]: coeff for id_, coeff in column.items()}
+        return {labels[id_]: _int_first(Fraction(coeff, den)) for id_, coeff in column.items()}
 
 
 class Operators:
     """L(n) and vertex-operator modes Y(v)_k, single modes among them, on one module.
 
     Each operator is compiled on demand, one basis label at a time, into a
-    column: a dict {id: coefficient} whose coefficients are int-first (an
-    int wherever the rational is integral, else a Fraction).  An id is the
-    number of a (monomial, top) label in this object's intern table (see
-    `_Module`): `intern(label)` gives it, `to_ids` and `to_labels` turn a
-    term dict into ids and a column back into labels.  Each operator has a
-    memo, a dict from the id of a basis label to its column that compiles a
+    column: a dict {id: numerator}.  An id is the number of a (monomial,
+    top) label in this object's intern table (see `_Module`):
+    `intern(label)` gives it, `to_ids` and `to_labels` turn a term dict into
+    ids and a column over a den back into labels.  Each operator has a memo,
+    a dict from the id of a basis label to its column that compiles a
     missing column on lookup, in one of two families: `_l[n]`, made once
     L(n) is checked to exist here, and `_vertex[v][k]`.  The single mode
     (u^(i) t^j)(k) is Y(x_{i,j,1})_k, the base case of the iterate formula
@@ -247,6 +284,16 @@ class Operators:
     term dict with `apply(level, operator, terms)`.  Columns are handed out
     read-only; a caller that changed one would corrupt every later use.
     `apply` and the public `State` API return fresh dicts and states.
+
+    Each memo's columns hold int numerators over its den, and each compile
+    checks that they are ints.  A single mode's den is the lcm of the
+    denominators of l and of c^j H_i; Y(v)_k's is the product of its
+    factors' single-mode dens, as each iterate term multiplies a numerator
+    of x by one of u; L(n)'s is that of the module constants it reads (see
+    `_l_memo`).  L(n >= 1) on a top that acts at a c that is not an integer
+    reads c^j H_i at every j, so it has no such bound: it keeps den 1 and
+    int-first rationals.  Every value that leaves a memo is divided by its
+    den: in `apply`, `to_labels` and the sweeps' defects.
     Obtain one through `operators(spec, j_max)`, so that every sweep of one
     command reuses the same columns.
 
@@ -314,42 +361,79 @@ class Operators:
         X is the memo of an L(n), with p = 0, or of a Y(v)_k whose v has p
         factors.  At the object's own level each column is read as compiled;
         at another level, on the level-1 adjoint object, it is rescaled by
-        the level law.  Returns a fresh {label: coeff} with no zero entries.
+        the level law.  The sum is taken over the lcm of the memos' dens and
+        divided once.  Returns a fresh {label: coeff} with no zero entries.
         """
         ratio = _int_first(level / self.spec.l)
         deg = self._module.deg
         w = self.to_ids(terms)
+        den = math.lcm(*(memo.den for _c, memo, _p in operator))
         out = {}
         for c, memo, p in operator:
+            scale = den // memo.den
             for id_, coeff in w.items():
-                _axpy(out, c * coeff, _rescale(memo[id_], ratio, p + deg[id_], deg))
-        return self.to_labels(out)
+                _axpy(out, c * coeff * scale, _rescale(memo[id_], ratio, p + deg[id_], deg))
+        return self.to_labels(out, den)
 
     def _vertex_memos(self, vmono):
         """The memo k -> memo of Y(v)_k, made after the memos of v's tail."""
         memos = self._vertex.get(vmono)
         if memos is None:
+            module = self._module
             if len(vmono) == 1 and vmono[0][2] == 1:  # a single mode a(k)
                 i, j, _n = vmono[0]
                 _check_mode(self.spec, i, j)
-                memos = _Memo(_Memo, _compile_mode, self._module, i, j)
+                den = math.lcm(module.l.denominator, _rows_den(module.zero_modes[(i, j)]))
+                args = (_compile_mode, module, i, j, den)
             elif vmono:
                 first = vmono[0]
                 x = self._vertex_memos(Monomial((first[:2] + (1,),)))
                 u = self._vertex_memos(Monomial(vmono[1:]))
-                memos = _Memo(_Memo, _compile_vertex, self._module, first, x, u, vmono.weight())
+                den = x.den * u.den
+                args = (_compile_vertex, module, first, x, u, vmono.weight())
             else:
-                memos = _Memo(_Memo, _compile_identity)  # Y(1, z) is the identity field
-            self._vertex[vmono] = memos
+                den, args = 1, (_compile_identity,)  # Y(1, z) is the identity field
+            memos = self._vertex[vmono] = _Memo(partial(_Memo, *args, den=den), den=den)
         return memos
 
 
 def _l_memo(module, n):
+    """The memo of L(n), made once L(n) is checked to exist, over the den of its constants.
+
+    Besides ints, the columns of L(n) read l (n >= 2) and, where the top
+    acts, the L(0) top matrix (n = 0), the tail c^j H_i / l, cut at
+    j <= j_max for c != 0 (n = -1), or c^j H_i at every power j (n >= 1).  The
+    den is the lcm of their denominators; those of c^j H_i are bounded only
+    for an integral c, and otherwise the memo keeps den 1 and int-first
+    rationals (`bounded` false).  The top rows of L(0) and of the tail are
+    stored as numerators over the den.
+    """
     if n < -1:
         raise ValueError("only the operators L(n) with n >= -1 exist here")
     if not module.level_ok:
         raise ValueError("L(n) on an evaluation module with nontrivial top action needs c^2 != 1")
-    return _Memo(_compile_l, module, n)
+    spec = module.spec
+    den = module.l.denominator if n >= 2 else 1
+    bounded = True
+    tail = ()
+    if module.top_acts:
+        if n == 0:
+            rows = _top_rows(l0_top_matrix(spec), spec.r)
+            den = _rows_den(rows)
+            module.l0_top = _rows_over(den, rows)
+        elif n == -1:
+            powers = range(module.j_max + 1) if module.cuts_tail else (0,)
+            gens = [(i, j) for i in range(1, spec.d + 1) for j in powers]
+            rows = [_top_rows(spec.zero_mode_matrix(*g).scale(1 / spec.l), spec.r) for g in gens]
+            den = _rows_den(*rows)
+            tail = [(gen, _rows_over(den, rows_of)) for gen, rows_of in zip(gens, rows)]
+        elif spec.c.denominator == 1:  # then the denominators of c^j H_i divide those of H_i
+            h = [module.zero_modes[(i, 0)] for i in range(1, spec.d + 1)]
+            den = math.lcm(den, _rows_den(*h))
+        else:
+            den, bounded = 1, False
+    l = _int_first(den * module.l)
+    return _Memo(_compile_l, module, n, den, bounded, l, tail, den=den)
 
 
 def _zero_mode_rows(spec, gen):
@@ -361,12 +445,17 @@ def _compile_identity(k, id_):
     return {id_: 1} if k == -1 else _EMPTY_COLUMN
 
 
-def _compile_mode(module, i, j, k, id_):
+def _compile_mode(module, i, j, den, k, id_):
     column = _mode_column(module.spec, i, j, k, *module.labels[id_])
-    return module.to_ids(column) if column else _EMPTY_COLUMN
+    if not column:
+        return _EMPTY_COLUMN
+    if den != 1:
+        column = {key: _int_first(den * coeff) for key, coeff in column.items()}
+    return _numerators(module.to_ids(column))
 
 
 def _compile_vertex(module, first, x, u, wt_v, k, id_):
+    """The column of Y(v)_k at a label: each term is an int C(-mu-1, r) times numerators."""
     i, j, n = first
     r = n - 1
     # every term of a column of Y(v)_k has the label's weight plus wt v - k - 1
@@ -384,16 +473,16 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
         u_w = u[k + p - r - 1][id_]
         if u_w:
             _compose(out, _gbinom(p - 1, r), u_w, x[-p].__getitem__)
-    return _int_first_terms(out) if out else _EMPTY_COLUMN
+    return _numerators(out) if out else _EMPTY_COLUMN
 
 
-def _compile_l(module, n, id_):
+def _compile_l(module, n, den, bounded, l, tail, id_):
+    """The column of L(n) at a label as numerators over den, l being den times the level."""
     weight = module.wt[id_]
     if n > weight:
         return _EMPTY_COLUMN  # L(n) lowers the weight by n, and no weight is negative
     label = module.labels[id_]
     mono, top = label
-    l = module.l
     out = {}
 
     def add(key, coeff):
@@ -411,12 +500,12 @@ def _compile_l(module, n, id_):
     # creation * annihilation pairings; for n = 0 each gives back w, so they sum to its weight
     if n == 0:
         if mono:
-            out[label] = weight
+            out[label] = weight * den
     else:
         floor = max(0, n)
         for (i, j, q), mult in counts.items():
             if q > floor:
-                add((mono.without(i, j, q).times(i, j, q - n), top), q * mult)
+                add((mono.without(i, j, q).times(i, j, q - n), top), q * mult * den)
 
     # annihilation * annihilation, both factors acting on variables of w
     if n >= 2:
@@ -429,35 +518,25 @@ def _compile_l(module, n, id_):
             elif p == q and mp >= 2:
                 add((mono.without(i, j, p).without(i, j, q), top), p * q * mp * (mp - 1) // 2 * l)
 
-    if not module.top_acts:
-        # at an int level every coefficient so far is an int
-        return module.to_ids(out if type(l) is int else _int_first_terms(out))
+    if module.top_acts:
+        # zero mode * annihilation: a(n) kills all but finitely many variables
+        if n >= 1:
+            for (i, j, q), mult in counts.items():
+                if q == n:
+                    for t, entry in module.zero_modes[(i, j)][top]:
+                        add((mono.without(i, j, q), t), _int_first(n * mult * den * entry))
 
-    # zero mode * annihilation: a(n) kills all but finitely many variables
-    if n >= 1:
-        for (i, j, q), mult in counts.items():
-            if q == n:
-                entries = module.zero_modes[(i, j)][top]
-                for t, entry in entries:
-                    add((mono.without(i, j, q), t), n * mult * entry)
+        # doubly-zero-mode part of L(0): geometric series summed in closed form
+        if n == 0:
+            for t, entry in module.l0_top[top]:
+                add((mono, t), entry)
 
-    spec = module.spec
-    # doubly-zero-mode part of L(0): geometric series summed in closed form
-    if n == 0:
-        if module.l0_top is None:
-            module.l0_top = _top_rows(l0_top_matrix(spec), spec.r)
-        for t, entry in module.l0_top[top]:
-            add((mono, t), entry)
+        # creation * zero-mode tail of L(-1), infinite in j unless c = 0: cut at j <= j_max
+        for (i, j), rows in tail:
+            for t, entry in rows[top]:
+                add((mono.times(i, j, 1), t), entry)
 
-    # creation * zero-mode tail of L(-1): infinite in j unless c = 0
-    if n == -1:
-        powers = range(module.j_max + 1) if module.cuts_tail else (0,)
-        for i in range(1, spec.d + 1):
-            for j in powers:
-                for t, entry in module.zero_modes[(i, j)][top]:
-                    add((mono.times(i, j, 1), t), entry / spec.l)
-
-    return module.to_ids(_int_first_terms(out))
+    return module.to_ids(_numerators(out) if bounded else _int_first_terms(out))
 
 
 @lru_cache(maxsize=4)
@@ -578,15 +657,16 @@ def merge_reports(reports, identity, params):
     return Report(identity, params, total, max_defect == 0, max_defect, counterexample)
 
 
-def _sweep(identity, params, spec, tr, ops, plan, defect_of):
+def _sweep(identity, params, spec, tr, ops, plan, defect_of, den=1):
     """Sweep the defect of plan over the ids in ops of every basis label within tr.
 
-    `defect_of(plan, module, w)` gives the defect of the id w at the level
-    of ops as (p, terms) parts, terms a nonzero dict over ids whose factor
-    count is p.  Each part is rescaled once by the level law, with shift
-    p + deg w, and the parts are summed before the defect is measured:
-    parts of different p can share a key.  An empty plan checks nothing
-    and is refused.
+    `defect_of(plan, module, w)` gives den times the defect of the id w at
+    the level of ops as (p, terms) parts, terms a nonzero dict over ids
+    whose factor count is p.  Each part is rescaled once by the level law,
+    with shift p + deg w, and the parts are summed before the defect is
+    measured: parts of different p can share a key.  The largest defect is
+    divided by den once, at the end.  An empty plan checks nothing and is
+    refused.
     """
     if not plan:
         raise ValueError(identity + " needs at least one operator to check")
@@ -608,17 +688,44 @@ def _sweep(identity, params, spec, tr, ops, plan, defect_of):
             size = max(abs(c) for c in defect.values())
             if size > max_defect:
                 max_defect = size
-    max_defect = Fraction(max_defect)
+    max_defect = Fraction(max_defect, den)
     return Report(identity, params, checked, max_defect == 0, max_defect, counterexample)
+
+
+def _product_sweep(identity, params, spec, tr, ops, plan):
+    """`_sweep` of a product plan over memos, in ints over one denominator D.
+
+    plan lists (p, products, singles) parts: products are (c, X, Y) and
+    singles (s, Z), X, Y and Z memos; a commutator c [X, Y] is the two
+    products (c, X, Y) and (-c, Y, X).  D is the lcm over the plan of
+    den(c) D_X D_Y and den(s) D_Z, so a product reads its columns with the
+    int multiplier c D / (D_X D_Y) and a single with s D / D_Z, and the
+    sweep divides the largest defect by D.
+    """
+    den = 1
+    for _p, products, singles in plan:
+        for c, x, y in products:
+            den = math.lcm(den, c.denominator * x.den * y.den)
+        for s, z in singles:
+            den = math.lcm(den, s.denominator * z.den)
+    int_plan = [
+        (
+            p,
+            [(int(c * (den // (x.den * y.den))), x.__getitem__, y.__getitem__)
+             for c, x, y in products],
+            [(int(s * (den // z.den)), z.__getitem__) for s, z in singles],
+        )
+        for p, products, singles in plan
+    ]
+    return _sweep(identity, params, spec, tr, ops, int_plan, _product_defect, den)
 
 
 def _product_defect(plan, module, w):
     """The parts of sum_t c_t X_t(Y_t w) + sum_s s Z_s w, one per (p, products, singles) of plan.
 
-    products are (c, X lookup, Y lookup) and singles (s, Z lookup); a
-    commutator c [X, Y] is the two products (c, X, Y) and (-c, Y, X).  Each
-    part is summed into one dict over ids and its zeros dropped once, at
-    its end.
+    products are (c, X lookup, Y lookup) and singles (s, Z lookup), with
+    int multipliers (see `_product_sweep`).  Each part is summed into one
+    dict over ids and its zeros dropped once, at its end.
     """
     parts = []
     for p, products, singles in plan:
@@ -641,15 +748,16 @@ def _product_defect(plan, module, w):
 def _containment_defect(plan, module, w):
     """The terms w' of Y w off weight wt(w) + shift or with nwt(w') - nwt(w) off window.
 
-    plan lists (Y lookup, p, shift, window); the first entry with an
-    offending term gives the one part, and an empty window means Y w = 0.
+    plan lists (Y memo, p, shift, window); the first entry with an
+    offending term gives the one part, divided by the den of Y, and an
+    empty window means Y w = 0.
     """
     wt, nwt = module.wt, module.nwt
     wt_w, nwt_w = wt[w], nwt[w]
     for y, p, shift, window in plan:
         offending = {
-            key: coeff
-            for key, coeff in y(w).items()
+            key: Fraction(coeff, y.den)
+            for key, coeff in y[w].items()
             if nwt[key] - nwt_w not in window or wt[key] != wt_w + shift
         }
         if offending:
@@ -663,12 +771,12 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
     ops = operators(spec, tr.j_max)
     # a single mode a(k) is Y(x_{i,j,1})_k, with one factor
     a = Monomial(((i, j, 1),))
-    a_k = ops.vertex_columns(a, k).__getitem__
-    a_nk = ops.vertex_columns(a, n + k).__getitem__
-    l_n = ops.exact_l_columns(n).__getitem__
+    a_k = ops.vertex_columns(a, k)
+    a_nk = ops.vertex_columns(a, n + k)
+    l_n = ops.exact_l_columns(n)
     params = {"n": n, "gen": [i, j], "k": k}
     plan = [(1, [(1, l_n, a_k), (-1, a_k, l_n)], [(k, a_nk)])]
-    return _sweep("l-mode-commutator", params, spec, tr, ops, plan, _product_defect)
+    return _product_sweep("l-mode-commutator", params, spec, tr, ops, plan)
 
 
 def check_virasoro(m, n, spec, tr):
@@ -678,16 +786,16 @@ def check_virasoro(m, n, spec, tr):
     holds except at the diagonal pair (-1, -1), which composes nothing.
     """
     ops = operators(spec, tr.j_max)
-    l_m = ops.exact_l_columns(m).__getitem__
-    l_n = ops.exact_l_columns(n).__getitem__
+    l_m = ops.exact_l_columns(m)
+    l_n = ops.exact_l_columns(n)
     params = {"m": m, "n": n}
     if m == n:
         # L(m)L(m)w - L(m)L(m)w cancels term by term: nothing to compose
         checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
         return Report("virasoro", params, checked, True, Fraction(0), None)
-    l_mn = ops.exact_l_columns(m + n).__getitem__
+    l_mn = ops.exact_l_columns(m + n)
     plan = [(0, [(1, l_m, l_n), (-1, l_n, l_m)], [(n - m, l_mn)])]
-    return _sweep("virasoro", params, spec, tr, ops, plan, _product_defect)
+    return _product_sweep("virasoro", params, spec, tr, ops, plan)
 
 
 def check_virasoro_pairs(pairs, spec, tr):
@@ -719,7 +827,7 @@ def check_field_commutator(n, a_state, k, spec, tr):
     a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
     adj = _registry(spec.d)  # the level-1 adjoint module; its L(n) is never truncated
-    l_n = ops.exact_l_columns(n).__getitem__
+    l_n = ops.exact_l_columns(n)
     # A split by the factor count p of its terms: the check is linear in A,
     # and the defect of each part carries its own power of the level
     plan = []
@@ -729,7 +837,7 @@ def check_field_commutator(n, a_state, k, spec, tr):
         # c [L(n), A_k] for each term c A of this part
         products = []
         for vmono, vcoeff in labels:
-            a_k = ops.vertex_columns(vmono, k).__getitem__
+            a_k = ops.vertex_columns(vmono, k)
             products += [(vcoeff, l_n, a_k), (-vcoeff, a_k, l_n)]
         # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right;
         # L(m)A at the level of ops, as the sweep rescales the whole defect
@@ -737,11 +845,11 @@ def check_field_commutator(n, a_state, k, spec, tr):
         for m in range(-1, n + 1):
             lma = adj.apply(ops.spec.l, [(1, adj.l_columns(m), 0)], a_part)
             for vmono, vcoeff in _vertex_labels(State(lma), spec):
-                y = ops.vertex_columns(vmono, k + n - m).__getitem__
+                y = ops.vertex_columns(vmono, k + n - m)
                 rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
         plan.append((p, products, rhs))
     params = {"n": n, "A": a_state.to_json(), "k": k}
-    return _sweep("field-commutator", params, spec, tr, ops, plan, _product_defect)
+    return _product_sweep("field-commutator", params, spec, tr, ops, plan)
 
 
 def check_l0_grading(spec, tr, j_values):
@@ -753,7 +861,7 @@ def check_l0_grading(spec, tr, j_values):
     ops = operators(spec, tr.j_max)
     # L(j) keeps the nwt and lowers the weight by j; an L(j) with j < -1 is
     # reported before the c^2 != 1 check
-    plan = [(ops.l_columns(j).__getitem__, 0, -j, range(1)) for j in j_values]
+    plan = [(ops.l_columns(j), 0, -j, range(1)) for j in j_values]
     truncated = any(ops.l_truncated(j) for j in j_values)
     if truncated and not tr.j_max:
         raise ValueError("l0-grading hit a truncated L(-1) tail; pass a truncation with j_max > 0")
@@ -761,12 +869,12 @@ def check_l0_grading(spec, tr, j_values):
         l_0 = ops.l_columns(0)
         wt = ops._module.wt
 
-        def mismatch(w):  # L(0) w - wt(w) w, which must vanish
+        def mismatch(w):  # L(0) w - wt(w) w, which must vanish; over the den of L(0)
             out = dict(l_0[w])
-            _axpy(out, -wt[w], {w: 1})
+            _axpy(out, -wt[w] * l_0.den, {w: 1})
             return out
 
-        plan.insert(0, (mismatch, 0, 0, range(0)))
+        plan.insert(0, (_Fresh(mismatch, den=l_0.den), 0, 0, range(0)))
     params = {"j_values": j_values, "spec": spec.to_json()}
     if truncated:
         params["truncated"] = True
@@ -778,15 +886,15 @@ def check_d_equals_lminus1(spec, tr):
     if not spec.is_adjoint():
         raise ValueError("d-equals-lminus1 is an adjoint-module identity")
     ops = operators(spec, tr.j_max)
-    l_minus1 = ops.l_columns(-1).__getitem__
+    l_minus1 = ops.l_columns(-1)
     labels = ops._module.labels
 
     def d(w):
         return ops.to_ids(_translate({labels[w]: 1}))
 
-    plan = [(0, [], [(1, d), (-1, l_minus1)])]
+    plan = [(0, [], [(1, _Fresh(d)), (-1, l_minus1)])]
     params = {"spec": spec.to_json()}
-    return _sweep("d-equals-lminus1", params, spec, tr, ops, plan, _product_defect)
+    return _product_sweep("d-equals-lminus1", params, spec, tr, ops, plan)
 
 
 def check_strong_grading(spec, tr, sample):
@@ -805,7 +913,7 @@ def check_strong_grading(spec, tr, sample):
         # and the containment of each implies that of v_j w
         window = range(-tr.max_nwt, nwt_v + 1)
         for vmono, _vcoeff in _vertex_labels(v, spec):
-            y = ops.vertex_columns(vmono, j).__getitem__
+            y = ops.vertex_columns(vmono, j)
             plan.append((y, len(vmono), wt_v - j - 1, window))
         params["sample"].append([v.to_json(), j])
     return _sweep("strong-grading", params, spec, tr, ops, plan, _containment_defect)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from currentfock import cli
 from currentfock.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -346,6 +347,63 @@ PINNED_DIMS_CSV = (
 )
 
 
+# per identity: a small run, flags it does not read, and the first of them in --help order
+UNREAD_VERIFY = {
+    "virasoro-gen-k-range": (
+        ("virasoro", "--max-wt", "1", "--max-nwt", "0"), ("--gen", "1,0", "--k-range=0..0"),
+        "--k-range",
+    ),
+    "virasoro-sample-size": (
+        ("virasoro", "--max-wt", "1", "--max-nwt", "0"), ("--sample-size", "0"), "--sample-size",
+    ),
+    "d-equals-lminus1-m-range": (
+        ("d-equals-lminus1", "--max-wt", "2", "--max-nwt", "1"),
+        ("--m-range=0..0", "--v-max-wt", "3"), "--m-range",
+    ),
+    "e1-a-state": (
+        ("e1", "--gen", "1,0", "--max-wt", "1", "--max-nwt", "0"),
+        ("--a-state", "[[[[1,0,1]],1]]"), "--a-state",
+    ),
+    "field-commutator-v-max-nwt": (
+        ("field-commutator", "--max-wt", "1", "--max-nwt", "0", "--a-max-wt", "1"),
+        ("--j-range=0", "--v-max-nwt", "1"), "--v-max-nwt",
+    ),
+    "strong-grading-n": (
+        ("strong-grading", "--max-wt", "1", "--max-nwt", "0", "--v-max-wt", "1"),
+        ("--a-max-nwt", "1", "--n", "0"), "--n",
+    ),
+    "l0-grading-gen": (
+        ("l0-grading", "--max-wt", "1", "--max-nwt", "0"), ("--gen", "1,1"), "--gen",
+    ),
+}
+# flags every identity accepts: spec, truncation and common ones
+SHARED_VERIFY_FLAGS = ("--kind", "adjoint", "--d", "1", "--l", "1", "--max-wt", "1",
+                       "--max-nwt", "0", "--j-max", "0", "--threads", "2", "--seed", "5",
+                       "--format", "json")
+
+
+class TestVerifyReads:
+    @pytest.mark.parametrize(
+        "argv, extra, unread", UNREAD_VERIFY.values(), ids=UNREAD_VERIFY.keys()
+    )
+    def test_verify_refuses_a_flag_it_does_not_read(self, capsys, argv, extra, unread):
+        assert run(capsys, "verify", *argv)[0] == EXIT_OK
+        code, out, err = run(capsys, "verify", *argv, *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: verify %s does not read %s\n" % (argv[0], unread)
+
+    @pytest.mark.parametrize("identity", sorted(cli.VERIFY_READS))
+    def test_every_identity_accepts_the_shared_flags(self, capsys, identity):
+        code, out, err = run(capsys, "verify", identity, *SHARED_VERIFY_FLAGS)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["defect_zero"] is True
+
+    def test_each_read_flag_is_an_identity_flag_of_the_parser(self):
+        dests = {dest for _flag, dest, _default in cli.build_parser().parse_args(
+            ["verify", "e1"]).read_flags}
+        assert set().union(*cli.VERIFY_READS.values()) == dests
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("identity", sorted(PINNED_VERIFY))
     def test_verify_json_stdout(self, capsys, identity):
@@ -616,6 +674,30 @@ NAMED_IN_ERROR = {
 
 
 class TestPlumbing:
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        # the shared parser hands every call fresh defaults: a module flag set in one call
+        # stays unset in the next, and an identity flag's default comes back
+        argvs = [
+            ("module", "homdim", "--tops", "r1:1@1", "r1:1@1", "r1:1@2"),
+            ("module", "casimir", "--lambda", "1", "--c", "1/2"),
+            ("module", "casimir", "--lambda", "1", "--c", "1/2", "--tops"),
+            ("verify", "e1", "--max-wt", "1", "--max-nwt", "0", "--k-range=0"),
+            ("verify", "e1", "--max-wt", "1", "--max-nwt", "0"),
+            ("verify", "virasoro", "--max-wt", "1", "--max-nwt", "0", "--gen", "1,0"),
+        ]
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in argvs + argvs]
+        assert shared == fresh + fresh and built == [1]
+        assert [code for code, _out, _err in fresh] == [0, 0, 2, 0, 0, 2]
+        cli._parser.cache_clear()
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(
@@ -785,17 +867,20 @@ VERIFY_FLAGS = {
     "d-equals-lminus1": {},
 }
 # per identity: bounds that would sample nothing, a float depth in A's monomial,
-# a malformed range, an --a-state that is not a list of term objects and an A = 0
+# a malformed range, an --a-state that is not a list of term objects, an A = 0
+# and identity flags it does not read
 VERIFY_BAD = {
-    "virasoro": [["--m-range=1.."]],
-    "e1": [["--k-range=1..a"]],
+    "virasoro": [["--m-range=1.."], ["--gen=1,0"], ["--k-range=0..0"], ["--sample-size=1"]],
+    "e1": [["--k-range=1..a"], ["--m-range=0"], ["--a-state=[[[[1,0,1]],1]]"]],
     "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
                          ["--a-state=" + FLOAT_DEPTH_A], ["--k-range=1..a"],
                          ["--a-state=[1]"], ['--a-state={"a":1}'], ['--a-state="x"'],
-                         ["--a-state=[]"]],
+                         ["--a-state=[]"], ["--j-range=0"], ["--v-max-wt=1"]],
     "strong-grading": [["--v-max-wt=-1"], ["--v-max-wt=0"], ["--v-max-nwt=-1"],
-                       ["--sample-size=0"], ["--sample-size=-1"], ["--j-range=q"]],
-    "l0-grading": [["--j-range=q"]],
+                       ["--sample-size=0"], ["--sample-size=-1"], ["--j-range=q"],
+                       ["--n=0"], ["--a-max-wt=1"]],
+    "l0-grading": [["--j-range=q"], ["--k=0"], ["--sample-size=1"]],
+    "d-equals-lminus1": [["--m-range=0..0"], ["--v-max-wt=3"]],
 }
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
 # per action: bad values of the flags it reads, and flags it does not read
@@ -894,6 +979,8 @@ L0_COUNTEREXAMPLE = ["verify", "l0-grading", "--j-range=2", "--max-wt=2", "--max
 @example((["module", "homdim", "--tops", "r1:1@1", "r1:1@1", "r1:1@2", "--format=json",
            "--kind=evaluation"], "json", True))
 @example((["module", "vacuum", "--max-wt=1", "--format=json", "--tops", "r1:1@1"], "json", True))
+# an identity flag the identity does not read
+@example((["verify", "virasoro", "--max-wt=1", "--format=json", "--gen=1,0"], "json", True))
 def test_argv_fuzz_keeps_the_exit_code_contract(case):
     argv, fmt, malformed = case
     out, err = io.StringIO(), io.StringIO()

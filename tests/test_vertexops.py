@@ -421,6 +421,9 @@ OMEGA_SPECS["eval-c0-d1"] = ModuleSpec.evaluation(1, 1, 0, (1,))
 OMEGA_SPECS["eval-c0-d2-jordan"] = ModuleSpec.evaluation(
     2, Fraction(1, 2), 0, (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
 )
+# the dens of its memos come from l (modes, Y, L(2)) and from the Casimir 27/4 (L(0))
+FRACTIONAL_EVAL = ModuleSpec.evaluation(1, Fraction(2, 3), 0, (3,))
+OMEGA_SPECS["eval-c0-l2/3-lam3"] = FRACTIONAL_EVAL
 
 
 @pytest.mark.parametrize("spec", OMEGA_SPECS.values(), ids=OMEGA_SPECS.keys())
@@ -557,8 +560,8 @@ SWEEPS = {
 
 
 def labeled(ops, memo, label):
-    """The column of a memo of ops at a basis label, keyed by labels."""
-    return ops.to_labels(memo[ops.intern(label)])
+    """The column of a memo of ops at a basis label, keyed by labels, its numerators over den."""
+    return ops.to_labels(memo[ops.intern(label)], memo.den)
 
 
 def memoized_columns(memo, path=()):
@@ -939,6 +942,7 @@ ORACLE_SPECS = {
         ),
         2,
     ),
+    "eval-c0-l2/3-lam3": (FRACTIONAL_EVAL, 0),
 }
 ORACLE_V = [
     (),
@@ -1126,7 +1130,9 @@ class _BadColumns(vertexops.Operators):
     """Operators whose column of one label under one L(n) or Y(v)_k has one term more.
 
     The extra term w -> key obeys the level law by hand: `coeff` is its
-    coefficient at l = 1, and `power` the power of l it carries.
+    coefficient at l = 1, and `power` the power of l it carries.  The memo
+    that holds it keeps the den of the memo it wraps, and the term is added
+    as a numerator over that den.
     """
 
     def __init__(self, spec, operator, label, key, coeff, power):
@@ -1142,10 +1148,10 @@ class _BadColumns(vertexops.Operators):
             if w != label:
                 return memo[w]
             out = dict(memo[w])
-            exactmath._axpy(out, coeff, {key: 1})
+            exactmath._axpy(out, coeff * memo.den, {key: 1})
             return out
 
-        return vertexops._Memo(column)
+        return vertexops._Memo(column, den=memo.den)
 
     def l_columns(self, n):
         return self._with_extra(("L", n), super().l_columns(n))
@@ -1303,3 +1309,84 @@ def test_e1_compiles_only_its_single_mode(capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert list(operators(ModuleSpec.adjoint(2, 1), 0)._vertex) == [mono((2, 1, 1))]
+
+
+def memo_dens(ops):
+    """The den of each memo of ops: ("L", n), ("Y", v, k) and ("Y", v), v's memo of memos."""
+    dens = {("L", n): memo.den for n, memo in ops._l.items()}
+    for v, memos in ops._vertex.items():
+        dens[("Y", v)] = memos.den
+        dens.update({("Y", v, k): memo.den for k, memo in memos.items()})
+    return dens
+
+
+def test_the_dens_of_a_fractional_module():
+    # l = 2/3, c = 0, lambda = 3: a(k) reads l and lambda, L(0) the Casimir 27/4,
+    # L(-1) the tail lambda/l = 9/2 and L(2) the level
+    ops = vertexops.Operators(FRACTIONAL_EVAL, 0)
+    for n in range(-1, 3):
+        ops.l_columns(n)
+    x, xx = mono((1, 0, 1)), mono((1, 0, 1), (1, 1, 2))
+    ops.vertex_columns(xx, 0)
+    assert memo_dens(ops) == {
+        ("L", -1): 2, ("L", 0): 4, ("L", 1): 1, ("L", 2): 3,
+        ("Y", x): 3, ("Y", mono((1, 1, 2))): 3, ("Y", mono((1, 1, 1))): 3, ("Y", EMPTY): 1,
+        ("Y", xx): 9, ("Y", xx, 0): 9,
+    }
+    assert ops._module.l0_top == (((0, 27),),)
+
+
+def test_an_unbounded_l_memo_keeps_den_one_and_rationals():
+    # c = 1/3 on a top that acts: L(1) reads c^j H at every power j of the label
+    spec = ModuleSpec.evaluation(1, Fraction(1, 2), Fraction(1, 3), (2,))
+    ops = vertexops.Operators(spec, 2)
+    memo = ops.l_columns(1)
+    assert memo.den == 1 and ops.l_columns(2).den == 1 and ops.l_columns(0).den != 1
+    label = (mono((1, 3, 1)), 0)
+    assert labeled(ops, memo, label) == {(EMPTY, 0): 2 * Fraction(1, 27)}
+
+
+@pytest.mark.parametrize("lam", [1, 3])
+def test_field_eval0_at_odd_lambda_runs_in_ints(capsys, lam):
+    # the tiny field-eval0 command: lambda^2/2 makes L(0) the one memo with den != 1
+    _registry.cache_clear()
+    argv = ["verify", "field-commutator", "--kind", "evaluation", "--c", "0",
+            "--lambda=%d" % lam, "--a-max-wt", "1", "--a-max-nwt", "1", "--n-range=0..1",
+            "--k-range=-1..1", "--max-wt", "2", "--max-nwt", "1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    ops = operators(ModuleSpec.evaluation(1, 1, 0, (lam,)), 0)
+    dens = memo_dens(ops)
+    assert len(dens) > 10 and {key for key, den in dens.items() if den != 1} == {("L", 0)}
+    assert dens[("L", 0)] == 2
+    values = [
+        coeff
+        for family in compiled_columns(ops).values()
+        for column in family.values()
+        for coeff in column.values()
+    ]
+    assert len(values) > 50 and all(type(coeff) is int for coeff in values)
+    # and the den is needed: some L(0) value is a half-integer
+    assert any(coeff % 2 for column in ops._l[0].values() for coeff in column.values())
+
+
+ODD_LAMBDA = ModuleSpec.evaluation(1, 1, 0, (1,))
+# L(0) vacuum -> x_{1,0,2} with coefficient 5/2, the numerator 5 over the den 2 of L(0)
+EXTRA_IN_L0 = ((EMPTY, 0), (mono((1, 0, 2)), 0), Fraction(5, 2))
+DEN_TWO_SWEEPS = {
+    # [L(0), a(-1)] = a(-1): at the vacuum only -a(-1) L(0) reads the term
+    "l-mode-commutator": lambda spec, tr: check_l_mode_commutator(0, (1, 0), -1, spec, tr),
+    # the term has weight 2 where L(0) keeps the weight 0 of the vacuum
+    "l0-grading": lambda spec, tr: check_l0_grading(spec, tr, [0]),
+}
+
+
+@pytest.mark.parametrize("sweep", DEN_TWO_SWEEPS.values(), ids=DEN_TWO_SWEEPS.keys())
+def test_a_wrong_term_in_a_den_two_memo_gives_the_exact_defect(monkeypatch, sweep):
+    label, key, coeff = EXTRA_IN_L0
+    ops = _BadColumns(ODD_LAMBDA, ("L", 0), label, key, coeff, 0)
+    assert ops.l_columns(0).den == 2
+    monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
+    report = sweep(ODD_LAMBDA, Truncation(2, 1))
+    assert type(report.max_defect) is Fraction and report.max_defect == Fraction(5, 2)
+    assert report.counterexample == State.vacuum() and not report.defect_zero
