@@ -184,11 +184,7 @@ def _verify_plan(args, spec, tr):
         i, j = _parse_gen(args.gen)
         n_text, n_values = _index_range(args, "n")
         k_text, k_values = _index_range(args, "k")
-        reports = [
-            vertexops.check_l_mode_commutator(n, (i, j), k, spec, tr)
-            for n in n_values
-            for k in k_values
-        ]
+        reports = vertexops.check_l_mode_commutators((i, j), n_values, k_values, spec, tr)
         params = {"gen": [i, j], "n_range": n_text, "k_range": k_text}
         return "l-mode-commutator", params, reports
     if identity == "field-commutator":
@@ -206,10 +202,9 @@ def _verify_plan(args, spec, tr):
         n_text, n_values = _index_range(args, "n")
         k_text, k_values = _index_range(args, "k")
         reports = [
-            vertexops.check_field_commutator(n, a, k, spec, tr)
+            report
             for a in labels
-            for n in n_values
-            for k in k_values
+            for report in vertexops.check_field_commutators(a, n_values, k_values, spec, tr)
         ]
         params = {"a_count": len(labels), "n_range": n_text, "k_range": k_text}
         return identity, params, reports
@@ -246,18 +241,26 @@ def _check_reads(args, command, reads):
     """Give each unset flag of args.read_flags its default; refuse the first set one not read.
 
     An unset flag parses as None (see `_read_flags`), and the flags are
-    listed in `--help` order.
+    listed in `--help` order.  Returns the flags that were set, in that order.
     """
+    given = []
     for flag, dest, default in args.read_flags:
         if getattr(args, dest) is None:
             setattr(args, dest, default)
         elif dest not in reads:
             raise ConfigError("%s does not read %s" % (command, flag))
+        else:
+            given.append(flag)
+    return given
 
 
 def _cmd_verify(args):
     """Run the planned checks and merge their reports."""
-    _check_reads(args, "verify " + args.identity, VERIFY_READS[args.identity])
+    given = _check_reads(args, "verify " + args.identity, VERIFY_READS[args.identity])
+    # a given A is the one label checked: the bounds that generate labels would go unread
+    for flag in ("--a-max-wt", "--a-max-nwt"):
+        if "--a-state" in given and flag in given:
+            raise ConfigError("--a-state and %s exclude each other" % flag)
     spec = _build_spec(args)
     identity, params, reports = _verify_plan(args, spec, _truncation(args))
     if params is None:

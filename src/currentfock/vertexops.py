@@ -38,19 +38,22 @@ fresh states and is not called inside the package.  Every single-mode
 column, zero modes included, is `fock._mode_column`; the vacuum spaces in
 `repcat` read it once, unmemoized.
 
-The six identities are plans of one sweep, `_sweep`, which walks the basis,
-refuses an empty plan and rescales each defect by the level law below.  A
-plan is of one of two kinds.  A product plan lists parts of products
-c X(Y w) and singles s Z w whose sum must vanish: a commutator c [X, Y] is
-the products (c, X, Y) and (-c, Y, X), so Virasoro [L(m), L(n)] =
-(m-n) L(m+n), e1 [L(n), a(k)] = -k a(n+k) and the field commutator are
-product plans, and d = L(-1) is the singles d and -L(-1).  e1 keeps its
-closed form: it is the field commutator's sum at A = x_{i,j,1}, but that
-sum also compiles the columns of Y(x_{i,j,2}), which the closed form never
-reads.  A containment plan, for L(0) grading and strong grading (one entry
-per monomial of each sampled v), lists entries that name an operator Y, the
-weight shift of its terms and the window their change of nwt must keep, an
-empty one meaning Y w = 0.
+The six identities are plans of one sweep, `_sweep`, which refuses an
+empty plan and rescales each defect by the level law below.  One walk of
+the basis runs a list of plans and gives one report per plan, so a
+command's checks share a walk: every pair of `virasoro`, every (n, k) of
+`e1`, and every (n, k) of one A of the field commutator, whose pieces that
+depend on A alone are built once.  A plan is of one of two kinds.  A
+product plan lists parts of products c X(Y w) and singles s Z w whose sum
+must vanish: a commutator c [X, Y] is the products (c, X, Y) and (-c, Y,
+X), so Virasoro [L(m), L(n)] = (m-n) L(m+n), e1 [L(n), a(k)] = -k a(n+k)
+and the field commutator are product plans, and d = L(-1) is the singles d
+and -L(-1).  e1 keeps its closed form: it is the field commutator's sum at
+A = x_{i,j,1}, but that sum also compiles the columns of Y(x_{i,j,2}),
+which the closed form never reads.  A containment plan, for L(0) grading
+and strong grading (one entry per monomial of each sampled v), lists
+entries that name an operator Y, the weight shift of its terms and the
+window their change of nwt must keep, an empty one meaning Y w = 0.
 
 The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
 modes vanish, so a term w -> w' of a column is the l = 1 term times
@@ -109,19 +112,6 @@ def _gbinom(m, r):
         return math.comb(m, r)
     # C(m, r) = (-1)^r C(r - m - 1, r): negate each of the r factors m - s
     return (-1) ** r * math.comb(r - m - 1, r)
-
-
-def _compose(out, scale, column, column_of):
-    """Add scale * coeff * column_of(key) to out for each (key, coeff) of column."""
-    get = out.get
-    for key, coeff in column.items():
-        s = scale * coeff
-        for image_key, c in column_of(key).items():
-            v = get(image_key, 0) + s * c
-            if v:
-                out[image_key] = v
-            else:
-                out.pop(image_key, None)
 
 
 def _vertex_labels(v, spec):
@@ -462,17 +452,31 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
     weight = module.wt[id_] + wt_v - k - 1
     if weight < 0:
         return _EMPTY_COLUMN
-    mono = module.labels[id_][0]
-    out = {}
-    for mu in sorted({0} | {q for (a, b, q) in mono if (a, b) == (i, j)}):
+    # mu = 0 and each distinct q of a variable x_{i,j,q} of w, adjacent in the sorted label
+    mus = [0]
+    for a, b, q in module.labels[id_][0]:
+        if a == i and b == j and q != mus[-1]:
+            mus.append(q)
+    # the nonzero (C, x(mu) w, memo of u_{k-mu-r-1}) and (C, u_{k+p-r-1} w, memo of x(-p))
+    steps = []
+    for mu in mus:
         x_w = x[mu][id_]
         if x_w:
-            _compose(out, _gbinom(-mu - 1, r), x_w, u[k - mu - r - 1].__getitem__)
+            steps.append((_gbinom(-mu - 1, r), x_w, u[k - mu - r - 1]))
     # x(-p) raises the weight by p, so u_{k+p-r-1} w (mostly empty) has weight `weight - p`
     for p in range(n, weight + 1):
         u_w = u[k + p - r - 1][id_]
         if u_w:
-            _compose(out, _gbinom(p - 1, r), u_w, x[-p].__getitem__)
+            steps.append((_gbinom(p - 1, r), u_w, x[-p]))
+    out = {}
+    get = out.get
+    for scale, column, images in steps:
+        for key, coeff in column.items():
+            s = scale * coeff
+            for image, c in images[key].items():
+                out[image] = get(image, 0) + s * c
+    if 0 in out.values():
+        out = {key: c for key, c in out.items() if c}
     return _numerators(out) if out else _EMPTY_COLUMN
 
 
@@ -657,67 +661,76 @@ def merge_reports(reports, identity, params):
     return Report(identity, params, total, max_defect == 0, max_defect, counterexample)
 
 
-def _sweep(identity, params, spec, tr, ops, plan, defect_of, den=1):
-    """Sweep the defect of plan over the ids in ops of every basis label within tr.
+def _sweep(identity, spec, tr, ops, entries, defect_of):
+    """One report per (params, plan, den) of entries, in order, from one walk of the basis.
 
-    `defect_of(plan, module, w)` gives den times the defect of the id w at
-    the level of ops as (p, terms) parts, terms a nonzero dict over ids
-    whose factor count is p.  Each part is rescaled once by the level law,
-    with shift p + deg w, and the parts are summed before the defect is
-    measured: parts of different p can share a key.  The largest defect is
-    divided by den once, at the end.  An empty plan checks nothing and is
-    refused.
+    The walk visits the id in ops of every basis label within tr, and for
+    each entry `defect_of(plan, module, w)` gives den times the defect of
+    the id w at the level of ops as (p, terms) parts, terms a nonzero dict
+    over ids whose factor count is p.  Each part is rescaled once by the
+    level law, with shift p + deg w, and the parts are summed before the
+    defect is measured: parts of different p can share a key.  Each entry
+    keeps its largest defect, divided by its den once at the end, and its
+    first counterexample in basis order.  An entry with an empty plan checks
+    nothing and is refused before the walk.
     """
-    if not plan:
+    plans = [plan for _params, plan, _den in entries]
+    if not all(plans):
         raise ValueError(identity + " needs at least one operator to check")
     ratio = _int_first(spec.l / ops.spec.l)
     module = ops._module
     intern, deg = module.intern, module.deg
-    checked = 0
-    max_defect = 0
-    counterexample = None
-    for label in module_basis(spec, tr.max_wt, tr.max_nwt):
+    basis = module_basis(spec, tr.max_wt, tr.max_nwt)
+    maxima = [0] * len(plans)
+    first = [None] * len(plans)
+    for label in basis:
         w = intern(label)
-        defect = {}
-        for p, terms in defect_of(plan, module, w):
-            _axpy(defect, 1, _rescale(terms, ratio, p + deg[w], deg))
-        checked += 1
-        if defect:
-            if counterexample is None:
-                counterexample = State.term(*label)
-            size = max(abs(c) for c in defect.values())
-            if size > max_defect:
-                max_defect = size
-    max_defect = Fraction(max_defect, den)
-    return Report(identity, params, checked, max_defect == 0, max_defect, counterexample)
+        for e, plan in enumerate(plans):
+            defect = {}
+            for p, terms in defect_of(plan, module, w):
+                _axpy(defect, 1, _rescale(terms, ratio, p + deg[w], deg))
+            if defect:
+                if first[e] is None:
+                    first[e] = label
+                size = max(abs(c) for c in defect.values())
+                if size > maxima[e]:
+                    maxima[e] = size
+    return [
+        Report(identity, params, len(basis), size == 0, Fraction(size, den),
+               None if label is None else State.term(*label))
+        for (params, _plan, den), size, label in zip(entries, maxima, first)
+    ]
 
 
-def _product_sweep(identity, params, spec, tr, ops, plan):
-    """`_sweep` of a product plan over memos, in ints over one denominator D.
+def _product_sweep(identity, spec, tr, ops, entries):
+    """`_sweep` of (params, product plan) entries over memos, each in ints over its own D.
 
-    plan lists (p, products, singles) parts: products are (c, X, Y) and
+    A plan lists (p, products, singles) parts: products are (c, X, Y) and
     singles (s, Z), X, Y and Z memos; a commutator c [X, Y] is the two
     products (c, X, Y) and (-c, Y, X).  D is the lcm over the plan of
     den(c) D_X D_Y and den(s) D_Z, so a product reads its columns with the
     int multiplier c D / (D_X D_Y) and a single with s D / D_Z, and the
-    sweep divides the largest defect by D.
+    sweep divides the entry's largest defect by D.
     """
-    den = 1
-    for _p, products, singles in plan:
-        for c, x, y in products:
-            den = math.lcm(den, c.denominator * x.den * y.den)
-        for s, z in singles:
-            den = math.lcm(den, s.denominator * z.den)
-    int_plan = [
-        (
-            p,
-            [(int(c * (den // (x.den * y.den))), x.__getitem__, y.__getitem__)
-             for c, x, y in products],
-            [(int(s * (den // z.den)), z.__getitem__) for s, z in singles],
-        )
-        for p, products, singles in plan
-    ]
-    return _sweep(identity, params, spec, tr, ops, int_plan, _product_defect, den)
+    int_entries = []
+    for params, plan in entries:
+        den = 1
+        for _p, products, singles in plan:
+            for c, x, y in products:
+                den = math.lcm(den, c.denominator * x.den * y.den)
+            for s, z in singles:
+                den = math.lcm(den, s.denominator * z.den)
+        int_plan = [
+            (
+                p,
+                [(int(c * (den // (x.den * y.den))), x.__getitem__, y.__getitem__)
+                 for c, x, y in products],
+                [(int(s * (den // z.den)), z.__getitem__) for s, z in singles],
+            )
+            for p, products, singles in plan
+        ]
+        int_entries.append((params, int_plan, den))
+    return _sweep(identity, spec, tr, ops, int_entries, _product_defect)
 
 
 def _product_defect(plan, module, w):
@@ -739,9 +752,8 @@ def _product_defect(plan, module, w):
         for s, z in singles:
             for key, coeff in z(w).items():
                 part[key] = get(key, 0) + s * coeff
-        part = {key: a for key, a in part.items() if a}
-        if part:
-            parts.append((p, part))
+        if any(part.values()):
+            parts.append((p, {key: a for key, a in part.items() if a}))
     return parts
 
 
@@ -767,16 +779,24 @@ def _containment_defect(plan, module, w):
 
 def check_l_mode_commutator(n, gen, k, spec, tr):
     """Verify [L(n), a(k)] = -k a(n+k) on every basis state within tr."""
+    return check_l_mode_commutators(gen, [n], [k], spec, tr)[0]
+
+
+def check_l_mode_commutators(gen, n_values, k_values, spec, tr):
+    """The reports of `check_l_mode_commutator(n, gen, k, spec, tr)` for each n, then k, from one walk."""
     i, j = gen
     ops = operators(spec, tr.j_max)
     # a single mode a(k) is Y(x_{i,j,1})_k, with one factor
     a = Monomial(((i, j, 1),))
-    a_k = ops.vertex_columns(a, k)
-    a_nk = ops.vertex_columns(a, n + k)
-    l_n = ops.exact_l_columns(n)
-    params = {"n": n, "gen": [i, j], "k": k}
-    plan = [(1, [(1, l_n, a_k), (-1, a_k, l_n)], [(k, a_nk)])]
-    return _product_sweep("l-mode-commutator", params, spec, tr, ops, plan)
+    entries = []
+    for n in n_values:
+        for k in k_values:
+            a_k = ops.vertex_columns(a, k)
+            a_nk = ops.vertex_columns(a, n + k)
+            l_n = ops.exact_l_columns(n)
+            plan = [(1, [(1, l_n, a_k), (-1, a_k, l_n)], [(k, a_nk)])]
+            entries.append(({"n": n, "gen": [i, j], "k": k}, plan))
+    return _product_sweep("l-mode-commutator", spec, tr, ops, entries)
 
 
 def check_virasoro(m, n, spec, tr):
@@ -785,37 +805,36 @@ def check_virasoro(m, n, spec, tr):
     An index below -1 is refused where L(n) is made; m + n >= -1 then
     holds except at the diagonal pair (-1, -1), which composes nothing.
     """
-    ops = operators(spec, tr.j_max)
-    l_m = ops.exact_l_columns(m)
-    l_n = ops.exact_l_columns(n)
-    params = {"m": m, "n": n}
-    if m == n:
-        # L(m)L(m)w - L(m)L(m)w cancels term by term: nothing to compose
-        checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
-        return Report("virasoro", params, checked, True, Fraction(0), None)
-    l_mn = ops.exact_l_columns(m + n)
-    plan = [(0, [(1, l_m, l_n), (-1, l_n, l_m)], [(n - m, l_mn)])]
-    return _product_sweep("virasoro", params, spec, tr, ops, plan)
+    return check_virasoro_pairs([(m, n)], spec, tr)[0]
 
 
 def check_virasoro_pairs(pairs, spec, tr):
     """The reports of `check_virasoro(m, n, spec, tr)` for each (m, n) of pairs, in order.
 
-    The defect of (n, m) is minus that of (m, n), term by term, for any
-    linear maps L; so a pair whose mirror has run takes the mirror's report,
-    with m and n swapped in its params, and only one sweep runs per
-    unordered pair.
+    The plans of all pairs run in one walk of the basis.  The defect of
+    (n, m) is minus that of (m, n), term by term, for any linear maps L; so
+    only the first of an unordered pair gets a plan, and its mirror takes
+    its report with m and n swapped in the params.  A diagonal pair (m, m)
+    cancels term by term: its L(m) is checked to exist and be exact, and
+    its basis is counted, but nothing is composed.
     """
-    swept = {}
-    reports = []
+    ops = operators(spec, tr.j_max)
+    entries = []
+    planned = {}  # {m, n} -> index of the entry of the first of the two pairs
     for m, n in pairs:
-        mirror = swept.get((n, m))
-        if mirror is None:
-            report = swept[(m, n)] = check_virasoro(m, n, spec, tr)
-        else:
-            report = replace(mirror, params={"m": m, "n": n})
-        reports.append(report)
-    return reports
+        l_m = ops.exact_l_columns(m)
+        l_n = ops.exact_l_columns(n)
+        if m != n and frozenset((m, n)) not in planned:
+            planned[frozenset((m, n))] = len(entries)
+            plan = [(0, [(1, l_m, l_n), (-1, l_n, l_m)], [(n - m, ops.exact_l_columns(m + n))])]
+            entries.append(({"m": m, "n": n}, plan))
+    swept = _product_sweep("virasoro", spec, tr, ops, entries)
+    checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
+    diagonal = Report("virasoro", None, checked, True, Fraction(0), None)
+    return [
+        replace(swept[planned[frozenset((m, n))]] if m != n else diagonal, params={"m": m, "n": n})
+        for m, n in pairs
+    ]
 
 
 def check_field_commutator(n, a_state, k, spec, tr):
@@ -823,33 +842,54 @@ def check_field_commutator(n, a_state, k, spec, tr):
 
     A must be doubly homogeneous; the right side runs over m = -1..n.
     """
+    return check_field_commutators(a_state, [n], [k], spec, tr)[0]
+
+
+def check_field_commutators(a_state, n_values, k_values, spec, tr):
+    """The reports of `check_field_commutator(n, a_state, k, spec, tr)` for each n, then k.
+
+    All of them run in one walk of the basis.  What depends on A alone, its
+    grading, its labels, its JSON and the states L(m)A with their labels,
+    is computed once.
+    """
     grading(a_state)
     a_labels = _vertex_labels(a_state, spec)
     ops = operators(spec, tr.j_max)
     adj = _registry(spec.d)  # the level-1 adjoint module; its L(n) is never truncated
-    l_n = ops.exact_l_columns(n)
     # A split by the factor count p of its terms: the check is linear in A,
     # and the defect of each part carries its own power of the level
-    plan = []
+    parts = []
     for p in sorted({len(vmono) for vmono, _vcoeff in a_labels}):
         labels = [(vmono, vcoeff) for vmono, vcoeff in a_labels if len(vmono) == p]
         a_part = {(vmono, 0): vcoeff for vmono, vcoeff in labels}
-        # c [L(n), A_k] for each term c A of this part
-        products = []
-        for vmono, vcoeff in labels:
-            a_k = ops.vertex_columns(vmono, k)
-            products += [(vcoeff, l_n, a_k), (-vcoeff, a_k, l_n)]
-        # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right;
-        # L(m)A at the level of ops, as the sweep rescales the whole defect
-        rhs = []
-        for m in range(-1, n + 1):
-            lma = adj.apply(ops.spec.l, [(1, adj.l_columns(m), 0)], a_part)
-            for vmono, vcoeff in _vertex_labels(State(lma), spec):
-                y = ops.vertex_columns(vmono, k + n - m)
-                rhs.append((-math.comb(n + 1, m + 1) * vcoeff, y))
-        plan.append((p, products, rhs))
-    params = {"n": n, "A": a_state.to_json(), "k": k}
-    return _product_sweep("field-commutator", params, spec, tr, ops, plan)
+        # the labels of L(m)A for m = -1, 0, ..., at the level of ops, as the
+        # sweep rescales the whole defect
+        lma = [
+            _vertex_labels(State(adj.apply(ops.spec.l, [(1, adj.l_columns(m), 0)], a_part)), spec)
+            for m in range(-1, max(n_values, default=-2) + 1)
+        ]
+        parts.append((p, labels, lma))
+    a_json = a_state.to_json()
+    entries = []
+    for n in n_values:
+        l_n = ops.exact_l_columns(n)
+        for k in k_values:
+            plan = []
+            for p, labels, lma in parts:
+                # c [L(n), A_k] for each term c A of this part
+                products = []
+                for vmono, vcoeff in labels:
+                    a_k = ops.vertex_columns(vmono, k)
+                    products += [(vcoeff, l_n, a_k), (-vcoeff, a_k, l_n)]
+                # (-coefficient, Y column of one term) of each (L(m)A)_{k+n-m} on the right
+                rhs = [
+                    (-math.comb(n + 1, m + 1) * vcoeff, ops.vertex_columns(vmono, k + n - m))
+                    for m in range(-1, n + 1)
+                    for vmono, vcoeff in lma[m + 1]
+                ]
+                plan.append((p, products, rhs))
+            entries.append(({"n": n, "A": a_json, "k": k}, plan))
+    return _product_sweep("field-commutator", spec, tr, ops, entries)
 
 
 def check_l0_grading(spec, tr, j_values):
@@ -878,7 +918,7 @@ def check_l0_grading(spec, tr, j_values):
     params = {"j_values": j_values, "spec": spec.to_json()}
     if truncated:
         params["truncated"] = True
-    return _sweep("l0-grading", params, spec, tr, ops, plan, _containment_defect)
+    return _sweep("l0-grading", spec, tr, ops, [(params, plan, 1)], _containment_defect)[0]
 
 
 def check_d_equals_lminus1(spec, tr):
@@ -894,7 +934,7 @@ def check_d_equals_lminus1(spec, tr):
 
     plan = [(0, [], [(1, _Fresh(d)), (-1, l_minus1)])]
     params = {"spec": spec.to_json()}
-    return _product_sweep("d-equals-lminus1", params, spec, tr, ops, plan)
+    return _product_sweep("d-equals-lminus1", spec, tr, ops, [(params, plan)])[0]
 
 
 def check_strong_grading(spec, tr, sample):
@@ -916,7 +956,7 @@ def check_strong_grading(spec, tr, sample):
             y = ops.vertex_columns(vmono, j)
             plan.append((y, len(vmono), wt_v - j - 1, window))
         params["sample"].append([v.to_json(), j])
-    return _sweep("strong-grading", params, spec, tr, ops, plan, _containment_defect)
+    return _sweep("strong-grading", spec, tr, ops, [(params, plan, 1)], _containment_defect)[0]
 
 
 def adjoint_mode_matrix(v, n, spec, tr):

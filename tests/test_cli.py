@@ -673,6 +673,46 @@ NAMED_IN_ERROR = {
 }
 
 
+A_ONE = '[{"mono":[[1,0,1]],"coeff":"1"}]'
+JORDAN_C = ("--kind", "evaluation", "--c", "1/3", "--lambda", "1", "--H", "[[1,1],[0,1]]")
+TRUNCATED_TAIL = (
+    "error: identity check hit a truncated L(-1) tail; "
+    "restrict to exact configurations (c = 0 or trivial top action)\n"
+)
+# commands whose checks share one walk per A, and the one error line each exits 2 with
+SWEEP_REFUSALS = {
+    "field-n-below-minus-one": (
+        ("field-commutator", "--n-range=-2..1", "--k-range=-1..1"), NO_L_BELOW_MINUS_ONE,
+    ),
+    "field-zero-a": (
+        ("field-commutator", "--a-state", "[]", "--n-range=0..2", "--k-range=-1..1"),
+        NOTHING_TO_CHECK,
+    ),
+    "field-zero-a-n-below-minus-one": (
+        ("field-commutator", "--a-state", "[]", "--n-range=-2..0"), NO_L_BELOW_MINUS_ONE,
+    ),
+    "field-truncated-tail": (
+        ("field-commutator", *JORDAN_C, "--n-range=-1..1", "--a-max-wt", "1"), TRUNCATED_TAIL,
+    ),
+    "e1-n-below-minus-one": (("e1", "--n-range=-2..1"), NO_L_BELOW_MINUS_ONE),
+    "e1-truncated-tail": (("e1", *JORDAN_C), TRUNCATED_TAIL),
+    # a given A is the one label checked, so a bound that generates labels is refused,
+    # even at its default value
+    "a-state-a-max-wt": (
+        ("field-commutator", "--a-state", A_ONE, "--a-max-wt", "3"),
+        "error: --a-state and --a-max-wt exclude each other\n",
+    ),
+    "a-state-a-max-nwt-default": (
+        ("field-commutator", "--a-max-nwt", "1", "--a-state", A_ONE),
+        "error: --a-state and --a-max-nwt exclude each other\n",
+    ),
+    "a-state-both": (
+        ("field-commutator", "--a-max-nwt", "0", "--a-max-wt", "0", "--a-state", A_ONE),
+        "error: --a-state and --a-max-wt exclude each other\n",
+    ),
+}
+
+
 class TestPlumbing:
     def test_main_builds_its_parser_once(self, capsys, monkeypatch):
         # the shared parser hands every call fresh defaults: a module flag set in one call
@@ -764,7 +804,7 @@ class TestPlumbing:
         [
             (VACUUM_JORDAN, "currentfock.repcat.vacuum_space"),
             (("verify", "virasoro", "--max-wt", "2", "--max-nwt", "1"),
-             "currentfock.vertexops.check_virasoro"),
+             "currentfock.vertexops.check_virasoro_pairs"),
         ],
         ids=["vacuum", "virasoro"],
     )
@@ -790,6 +830,11 @@ class TestPlumbing:
             "error: identity check hit a truncated L(-1) tail; "
             "restrict to exact configurations (c = 0 or trivial top action)\n"
         )
+
+    @pytest.mark.parametrize("argv, message", SWEEP_REFUSALS.values(), ids=SWEEP_REFUSALS.keys())
+    def test_a_refused_sweep_over_several_modes_keeps_its_message(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv, "--max-wt", "2", "--max-nwt", "1")
+        assert (code, out, err) == (EXIT_USAGE, "", message)
 
     @pytest.mark.parametrize("gen", ["1", "1,2,3", "a,b"])
     def test_malformed_gen_names_the_flag(self, capsys, gen):
@@ -859,6 +904,8 @@ VERIFY_FLAGS = {
     "e1": {"--gen": ["1,0", "1,1"], "--n-range": ["-1..1", "0..2"],
            "--k-range": ["-1..1", "0", "-2..0"]},
     "field-commutator": {"--a-max-wt": ["0", "1"], "--a-max-nwt": ["0", "1"],
+                         "--a-state": ['[{"mono":[[1,0,1]],"coeff":"1"}]',
+                                       '[{"mono":[[1,1,2]],"coeff":"-1/2"}]'],
                          "--n-range": ["-1..1", "0..1"], "--k-range": ["-1..1", "0"]},
     "strong-grading": {"--v-max-wt": ["1", "2"], "--v-max-nwt": ["0", "1"],
                        "--j-range": ["-1..1", "0..2"], "--sample-size": ["1", "4"],
@@ -867,15 +914,16 @@ VERIFY_FLAGS = {
     "d-equals-lminus1": {},
 }
 # per identity: bounds that would sample nothing, a float depth in A's monomial,
-# a malformed range, an --a-state that is not a list of term objects, an A = 0
-# and identity flags it does not read
+# a malformed range, an --a-state that is not a list of term objects, an A = 0,
+# an --a-state with a bound that generates labels, and identity flags it does not read
 VERIFY_BAD = {
     "virasoro": [["--m-range=1.."], ["--gen=1,0"], ["--k-range=0..0"], ["--sample-size=1"]],
     "e1": [["--k-range=1..a"], ["--m-range=0"], ["--a-state=[[[[1,0,1]],1]]"]],
     "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
                          ["--a-state=" + FLOAT_DEPTH_A], ["--k-range=1..a"],
                          ["--a-state=[1]"], ['--a-state={"a":1}'], ['--a-state="x"'],
-                         ["--a-state=[]"], ["--j-range=0"], ["--v-max-wt=1"]],
+                         ["--a-state=[]"], ["--a-state=" + A_ONE, "--a-max-nwt=1"],
+                         ["--j-range=0"], ["--v-max-wt=1"]],
     "strong-grading": [["--v-max-wt=-1"], ["--v-max-wt=0"], ["--v-max-nwt=-1"],
                        ["--sample-size=0"], ["--sample-size=-1"], ["--j-range=q"],
                        ["--n=0"], ["--a-max-wt=1"]],
@@ -918,10 +966,15 @@ def small_argv(draw):
     if command == "verify":
         identity = draw(st.sampled_from(sorted(VERIFY_FLAGS)))
         argv = ["verify", identity] + draw(spec_flags())
+        drawn = set()
         for flag, values in sorted(VERIFY_FLAGS[identity].items()):
             if draw(st.booleans()):
                 argv.append("%s=%s" % (flag, draw(st.sampled_from(values))))
+                drawn.add(flag)
         bad = SPEC_BAD + VERIFY_BAD.get(identity, [])
+        # a given A excludes the bounds that generate labels
+        if "--a-state" in drawn and drawn & {"--a-max-wt", "--a-max-nwt"}:
+            return argv + ["--format=" + fmt], fmt, True
     elif command == "dims":
         argv = ["dims", "--d=%d" % draw(st.integers(1, 2)),
                 "--max-p=%d" % draw(st.integers(0, 4)), "--max-q=%d" % draw(st.integers(0, 3))]
@@ -981,6 +1034,9 @@ L0_COUNTEREXAMPLE = ["verify", "l0-grading", "--j-range=2", "--max-wt=2", "--max
 @example((["module", "vacuum", "--max-wt=1", "--format=json", "--tops", "r1:1@1"], "json", True))
 # an identity flag the identity does not read
 @example((["verify", "virasoro", "--max-wt=1", "--format=json", "--gen=1,0"], "json", True))
+# a given A with a bound that generates labels
+@example((["verify", "field-commutator", "--max-wt=1", "--a-max-wt=1", "--a-state=" + A_ONE,
+           "--format=json"], "json", True))
 def test_argv_fuzz_keeps_the_exit_code_contract(case):
     argv, fmt, malformed = case
     out, err = io.StringIO(), io.StringIO()

@@ -1167,6 +1167,7 @@ ADJ2_ONE = ModuleSpec.adjoint(2, 1)
 W = (mono((1, 0, 1), (1, 0, 2), (2, 0, 1)), 0)
 # A with a one-factor and a two-factor term, both of bigrade (2, 0)
 A_MIXED = State({(mono((1, 0, 2)), 0): Fraction(2, 3), (mono((1, 0, 1), (2, 0, 1)), 0): -1})
+A_MIXED_JSON = json.dumps(A_MIXED.to_json())
 FRACTIONAL_COUNTEREXAMPLES = {
     # L(2) w -> x_{2,0,1} drops two variables: one power of l
     "virasoro": (
@@ -1267,18 +1268,123 @@ def test_virasoro_pairs_match_the_per_pair_sweeps(monkeypatch, spec, plan):
     per_pair = [check_virasoro(m, n, spec, tr) for m, n in plan]
     assert any(not report.defect_zero for report in per_pair)
 
-    swept = []
-    sweep = vertexops.check_virasoro
+    walks = []
+    sweep = vertexops._sweep
     monkeypatch.setattr(
-        vertexops, "check_virasoro", lambda m, n, *rest: swept.append((m, n)) or sweep(m, n, *rest)
+        vertexops, "_sweep", lambda *args: walks.append(args[4]) or sweep(*args)
     )
     shared = vertexops.check_virasoro_pairs(plan, spec, tr)
     assert [r.to_json() for r in shared] == [r.to_json() for r in per_pair]
     assert shared == per_pair
     merged = [vertexops.merge_reports(reports, "virasoro", {}) for reports in (shared, per_pair)]
     assert merged[0].to_json() == merged[1].to_json() and not merged[0].defect_zero
-    # one sweep per unordered pair, the first of the two in plan order
-    assert swept == [(m, n) for k, (m, n) in enumerate(plan) if (n, m) not in plan[:k]]
+    # one walk, with one plan per unordered pair, the first of the two in plan order; a
+    # diagonal pair composes nothing, so it has no plan
+    assert len(walks) == 1
+    assert [(params["m"], params["n"]) for params, _plan, _den in walks[0]] == [
+        (m, n) for k, (m, n) in enumerate(plan) if m != n and (n, m) not in plan[:k]
+    ]
+
+
+def assert_shared_walk_matches(shared, per_entry):
+    """The reports of one shared walk equal those of one sweep per entry, and so do their merges."""
+    assert [r.to_json() for r in shared] == [r.to_json() for r in per_entry]
+    assert shared == per_entry
+    merged = [vertexops.merge_reports(reports, "walk", {}) for reports in (shared, per_entry)]
+    assert merged[0].to_json() == merged[1].to_json()
+    return merged[0]
+
+
+# the field-commutator operator FRACTIONAL_COUNTEREXAMPLES corrupts, with its extra term
+BAD_Y = FRACTIONAL_COUNTEREXAMPLES["field-commutator"][:4]
+FIELD_WALKS = {
+    "adjoint-l1/2": (ModuleSpec.adjoint(1, Fraction(1, 2)), A_LABEL, Truncation(3, 1), None),
+    "evaluation-c0": (EVAL_C0, A_LABEL, Truncation(3, 1), None),
+    "mixed": (ADJ2, A_MIXED, Truncation(3, 1), None),
+    "mixed-one-bad-column": (ADJ2, A_MIXED, Truncation(4, 0), BAD_Y),
+}
+
+
+@pytest.mark.parametrize("spec, a, tr, bad", FIELD_WALKS.values(), ids=FIELD_WALKS.keys())
+def test_field_commutators_of_one_a_match_the_per_mode_sweeps(monkeypatch, spec, a, tr, bad):
+    if bad is not None:
+        ops = _BadColumns(spec, bad[0], W, *bad[1:])
+        monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
+    ns, ks = [-1, 0, 1, 2], [-2, -1, 0]
+    shared = vertexops.check_field_commutators(a, ns, ks, spec, tr)
+    per_mode = [check_field_commutator(n, a, k, spec, tr) for n in ns for k in ks]
+    merged = assert_shared_walk_matches(shared, per_mode)
+    if bad is None:
+        assert merged.defect_zero
+    else:
+        # only the (n, k) that read the corrupted Y(v)_{-1} have a defect
+        assert {r.defect_zero for r in shared} == {True, False}
+
+
+E1_WALKS = {
+    "adjoint-l1/2": (ADJ2, (2, 1), None),
+    "evaluation-c0": (EVAL_C0, (1, 0), None),
+    "one-bad-l1-column": (ADJ2, (1, 0), ("L", 1)),
+}
+
+
+@pytest.mark.parametrize("spec, gen, bad", E1_WALKS.values(), ids=E1_WALKS.keys())
+def test_l_mode_commutators_match_the_per_mode_sweeps(monkeypatch, spec, gen, bad):
+    if bad is not None:
+        ops = _BadColumns(spec, bad, (mono((1, 0, 1)), 0), (mono((2, 0, 1)), 0), 3, 0)
+        monkeypatch.setattr(vertexops, "operators", lambda spec, j_max: ops)
+    ns, ks, tr = [-1, 0, 1, 2], [-2, 0, 1], Truncation(3, 1)
+    shared = vertexops.check_l_mode_commutators(gen, ns, ks, spec, tr)
+    per_mode = [check_l_mode_commutator(n, gen, k, spec, tr) for n in ns for k in ks]
+    merged = assert_shared_walk_matches(shared, per_mode)
+    if bad is None:
+        assert merged.defect_zero
+    else:
+        # only n = 1 reads the corrupted L(1) column (at k = 0, a(0) = 0 hides it)
+        assert [(r.params["n"], r.params["k"]) for r in shared if not r.defect_zero] == [
+            (1, -2), (1, 1)
+        ]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends its arguments to the returned list."""
+    calls = []
+    wrapped = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or wrapped(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a_flags, labels, parts",
+    [(["--a-max-wt", "2", "--a-max-nwt", "1"], 16, 1), (["--a-state", A_MIXED_JSON], 1, 2)],
+    ids=["generated", "mixed"],
+)
+def test_a_field_commutator_command_walks_once_per_a(capsys, monkeypatch, a_flags, labels, parts):
+    # the work that depends on A alone is done once per A, not once per (n, k)
+    _registry.cache_clear()
+    walks = count_calls(monkeypatch, vertexops, "module_basis")
+    applies = count_calls(monkeypatch, vertexops.Operators, "apply")
+    argv = ["verify", "field-commutator", "--d", "2", "--l=1/2", "--n-range=0..1",
+            "--k-range=-1..1", "--max-wt", "2", "--max-nwt", "1", *a_flags]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["a_count"] == labels
+    assert len(walks) == labels
+    # L(m)A for m = -1, 0, 1 on each part of each A, on the adjoint module
+    adj = operators(ModuleSpec.adjoint(2, 1), 0)
+    assert [args[0] for args in applies] == [adj] * (labels * parts * 3)
+
+
+@pytest.mark.parametrize(
+    "identity, plans",
+    # the default ranges: 25 virasoro pairs, of which 10 unordered off-diagonal ones get a
+    # plan, and 5 x 7 (n, k) of e1
+    [("virasoro", 10), ("e1", 35)],
+)
+def test_a_virasoro_or_e1_command_walks_once(capsys, monkeypatch, identity, plans):
+    walks = count_calls(monkeypatch, vertexops, "_sweep")
+    assert cli.main(["verify", identity, "--max-wt", "3", "--max-nwt", "1"]) == 0
+    capsys.readouterr()
+    assert len(walks) == 1 and len(walks[0][4]) == plans
 
 
 @pytest.mark.parametrize("spec", [ADJ2, JORDAN_TOPS["c1/3"]], ids=["adjoint", "jordan"])
