@@ -340,7 +340,7 @@ def _parse_top(token):
 # the module flags each action reads; every other one it is given is refused
 MODULE_READS = {
     "casimir": {"lam", "c"},
-    "vacuum": {"kind", "d", "l", "c", "lam", "H", "max_wt", "max_nwt", "j_max"},
+    "vacuum": {"kind", "d", "l", "c", "lam", "H", "max_wt", "max_nwt"},
     "logcheck": {"H", "c", "lam", "l"},
     "homdim": {"tops"},
 }

@@ -8,8 +8,10 @@ module is an exact identity over the rationals.
 Every exact rank and kernel is sparse.  It goes through `_echelon`, a
 forward elimination over sparse rows {column: coefficient} whose columns may
 be any mutually ordered keys, so callers hand their term dicts straight in.
-`rank` counts its pivots; `_nullspace` reads a canonical kernel basis, as
-sparse vectors, off the reduced row echelon form `_rref` builds from it.
+`rank` counts its pivots.  `_nullspace` runs it once: when every column
+is a pivot the kernel is empty and it stops there; otherwise `_rref`
+finishes the reduced row echelon form from that same elimination, and a
+canonical kernel basis is read off it as sparse vectors.
 `RatMatrix` is kept for top-space matrices and public outputs:
 `rank_nullspace` is `_nullspace` with dense rows in and dense tuples out.
 
@@ -227,14 +229,13 @@ def _echelon(rows):
     return pivots
 
 
-def _rref(rows):
-    """Reduced row echelon form of sparse rows {column: coefficient}.
+def _rref(reduced):
+    """Finish the reduced row echelon form of an `_echelon` result, in place.
 
-    `_echelon`, then each pivot column is cleared above its pivot, last
-    pivot first.  Returns {pivot column: row}, each row 1 at its own pivot
-    and absent at every other pivot.  The input rows are not changed.
+    Each pivot column is cleared above its pivot, last pivot first.  Returns
+    the same {pivot column: row}, each row now 1 at its own pivot and absent
+    at every other pivot.
     """
-    reduced = _echelon(rows)
     pivots = sorted(reduced)
     for k in range(len(pivots) - 1, 0, -1):
         below = reduced[pivots[k]]
@@ -249,17 +250,21 @@ def _nullspace(rows, columns):
     """The canonical kernel basis of sparse rows, as sparse vectors {column: coeff}.
 
     One vector per free column f, in the order of `columns`: 1 at f and
-    ``-row[f]`` at the pivot of each reduced row that holds f.
+    ``-row[f]`` at the pivot of each reduced row that holds f.  The rows
+    are read once, by one `_echelon`; when every column is a pivot the
+    kernel is empty and no back-substitution is done.
     """
-    reduced = _rref(rows)
+    reduced = _echelon(rows)
+    free = [col for col in columns if col not in reduced]
+    if not free:
+        return []
+    _rref(reduced)
     basis = []
-    for free in columns:
-        if free in reduced:
-            continue
-        vec = {free: 1}
+    for col in free:
+        vec = {col: 1}
         for pivot, row in reduced.items():
-            if free in row:
-                vec[pivot] = -row[free]
+            if col in row:
+                vec[pivot] = -row[col]
         basis.append(vec)
     return basis
 

@@ -513,7 +513,11 @@ def _mode_column(spec, i, j, n, mono, top):
         mult = mono.multiplicity(i, j, n)
         if mult == 0:
             return {}
-        return {(mono.without(i, j, n), top): _int_first(n * spec.l * mult)}
+        # n*l*mult with the level's int parts: an int wherever it is integral
+        l = spec.l
+        num, den = n * mult * l.numerator, l.denominator
+        coeff = num // den if num % den == 0 else Fraction(num, den)
+        return {(mono.without(i, j, n), top): coeff}
     if spec.is_adjoint():
         return {}
     matrix = spec.zero_mode_matrix(i, j)

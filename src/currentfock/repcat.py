@@ -146,30 +146,29 @@ def vacuum_space(spec, tr):
 
     Scans the modes per bigrade: (u^(i) t^j)(n) maps bigrade (wt, nwt) into
     (wt - n, nwt - j), so the joint kernel is the direct sum of the kernels
-    on each bigrade (wt, nwt) within tr, where only the modes with
-    0 < n <= wt and j <= nwt act.  One exact kernel is solved per bigrade,
-    on its top-0 labels, and each kernel vector is emitted once per top
-    index.  Each block's canonical nullspace basis is what the whole stacked
-    matrix would give on those columns, so joining the blocks in basis order
-    gives the whole matrix's canonical basis.  For induced modules the
-    result is exactly the top space.
+    on each bigrade (wt, nwt) within tr.  One exact kernel is solved per
+    bigrade, on its top-0 labels, and each kernel vector is emitted once per
+    top index.  An annihilation mode (u^(i) t^j)(n) is n*l*d/dx_{i,j,n}, so
+    it kills every monomial without x_{i,j,n}: each monomial is read only
+    under the modes of its own distinct variables, one unmemoized column
+    each, and the rows are keyed by (mode, output label).  Row order does
+    not change a reduced row echelon form, so each block's canonical
+    nullspace basis is what the whole stacked matrix would give on those
+    columns, and joining the blocks in basis order gives the whole matrix's
+    canonical basis.  Above weight 0 each block of a Fock module has full
+    column rank and an empty kernel.  For induced modules the result is
+    exactly the top space.
     """
     states = []
     for wt, nwt in product(range(tr.max_wt + 1), range(tr.max_nwt + 1)):
         monos = enumerate_basis(spec.d, nwt, wt)
-        rows = []
-        for i in range(1, spec.d + 1):
-            for j in range(nwt + 1):
-                for n in range(1, wt + 1):
-                    # one sparse row {mono: coeff} per output label of this mode;
-                    # each column is read once, so none is memoized
-                    block = defaultdict(dict)
-                    for mono in monos:
-                        for key, coeff in _mode_column(spec, i, j, n, mono, 0).items():
-                            block[key][mono] = coeff
-                    rows.extend(block.values())
+        rows = defaultdict(dict)
+        for mono in monos:
+            for var, _mult in mono.distinct():
+                for key, coeff in _mode_column(spec, *var, mono, 0).items():
+                    rows[var, key][mono] = coeff
         # annihilation modes keep the top index and ignore it: r copies of one kernel
-        for vec in _nullspace(rows, monos):
+        for vec in _nullspace(rows.values(), monos):
             for top in range(spec.r):
                 states.append(State({(mono, top): c for mono, c in vec.items()}))
     return states

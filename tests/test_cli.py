@@ -604,10 +604,11 @@ class TestModule:
             (HOMDIM, ("--l", "2"), "--l"),
             (HOMDIM, ("--max-nwt", "1"), "--max-nwt"),
             (("vacuum", "--max-wt", "1", "--max-nwt", "0"), ("--tops", "r1:1@1"), "--tops"),
+            (("vacuum", "--max-wt", "1", "--max-nwt", "0"), ("--j-max", "5"), "--j-max"),
         ],
         ids=["casimir-d", "casimir-kind", "casimir-max-wt", "casimir-tops", "logcheck-d",
              "logcheck-kind", "logcheck-j-max", "homdim-kind", "homdim-l",
-             "homdim-max-nwt", "vacuum-tops"],
+             "homdim-max-nwt", "vacuum-tops", "vacuum-j-max"],
     )
     def test_module_refuses_a_flag_it_does_not_read(self, capsys, argv, extra, unread):
         # the first unread module flag, in the order `--help` lists them, is named
@@ -935,7 +936,7 @@ JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]
 MODULE_BAD = {
     "casimir": [["--c=1"], ["--c=1/0"], ["--lambda=x"], ["--d=1"], ["--l=2"],
                 ["--H=[[1]]"], ["--max-wt=1"], ["--tops"]],
-    "vacuum": SPEC_BAD + [["--tops", "r1:1@1"]],
+    "vacuum": SPEC_BAD + [["--tops", "r1:1@1"], ["--j-max=0"]],
     "logcheck": [["--H=[[[]]]"], ["--H=[[1],[2]]"], ["--H=[[1.5]]"], ["--l=0"],
                  ["--kind=evaluation"], ["--d=1"], ["--j-max=0"], ["--tops"]],
     "homdim": [["--tops", "r1:1@1"], ["--tops", "r1:1@1", "r1:1@1", "bogus"],

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from currentfock import exactmath
 from currentfock.exactmath import (
     RatMatrix,
+    _echelon,
     _nullspace,
     _rref,
     jordan_structure,
@@ -116,12 +118,12 @@ def test_rank_nullspace_random_properties(seed):
 
 
 def sparse_rref_as_dense(entries, cols):
-    """`_rref` of dense rows, written out as `dense_rref` writes it.
+    """`_rref` of the `_echelon` of dense rows, written out as `dense_rref` writes it.
 
     The pivot rows come first, in pivot order, then one zero row for each
     dependent input row.
     """
-    reduced = _rref([dict(enumerate(row)) for row in entries])
+    reduced = _rref(_echelon([dict(enumerate(row)) for row in entries]))
     pivots = sorted(reduced)
     rows = [[reduced[p].get(col, 0) for col in range(cols)] for p in pivots]
     rows.extend([0] * cols for _ in range(len(entries) - len(pivots)))
@@ -134,7 +136,7 @@ def has_float(reduced):
 
 def test_rref_of_int_rows_stays_exact():
     # an int pivot once inverted to a float: [[1.0, 0.0], [0.0, 1.0]]
-    assert not has_float(_rref([{0: 2, 1: 1}, {0: 1, 1: 3}]))
+    assert not has_float(_rref(_echelon([{0: 2, 1: 1}, {0: 1, 1: 3}])))
     assert sparse_rref_as_dense([(2, 1), (1, 3)], 2) == ([[1, 0], [0, 1]], [0, 1])
 
 
@@ -153,7 +155,7 @@ INT_OR_FRACTION_ROWS = st.integers(0, 4).flatmap(
 @given(INT_OR_FRACTION_ROWS)
 def test_rank_nullspace_is_exact_on_int_and_fraction_entries(case):
     rows, cols = case
-    assert not has_float(_rref([dict(enumerate(row)) for row in rows]))
+    assert not has_float(_rref(_echelon([dict(enumerate(row)) for row in rows])))
     m = RatMatrix(rows, cols=cols)
     r, ns = rank_nullspace(m)
     assert r + len(ns) == cols
@@ -357,3 +359,31 @@ def test_nullspace_of_sparse_rows_with_label_columns_matches_dense(labels, cols,
     for vec in basis:
         for row in rows:
             assert sum(a * vec.get(label, 0) for label, a in row.items()) == 0
+
+
+def count_eliminations(monkeypatch):
+    """Count the calls of `_echelon` and of `_rref` made through exactmath."""
+    calls = {"_echelon": 0, "_rref": 0}
+    for name in calls:
+        def counted(arg, real=getattr(exactmath, name), name=name):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(exactmath, name, counted)
+    return calls
+
+
+def test_nullspace_of_full_column_rank_rows_skips_back_substitution(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    rows = ({0: 1, 1: 2, 2: 3}, {1: Fraction(1, 2), 2: 1}, {0: 4, 2: 7}, {0: 1, 1: 1, 2: 1})
+    assert _nullspace(iter(rows), range(3)) == []
+    assert calls == {"_echelon": 1, "_rref": 0}
+
+
+def test_nullspace_reads_a_generator_of_rank_deficient_rows_once(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    entries = [(1, 2, 3, 0), (2, 4, 6, 0), (0, 1, 1, Fraction(1, 3))]
+    rows = ({col: a for col, a in enumerate(row) if a} for row in entries)
+    basis = _nullspace(rows, range(4))
+    assert basis == dense_kernel(entries, 4)
+    assert basis == [{2: 1, 0: -1, 1: -1}, {3: 1, 0: Fraction(2, 3), 1: Fraction(-1, 3)}]
+    assert calls == {"_echelon": 1, "_rref": 1}

@@ -20,6 +20,7 @@ from currentfock import (
     mode,
     module_basis,
 )
+from currentfock.fock import _mode_column
 from currentfock.vertexops import _registry, operators
 
 
@@ -168,6 +169,26 @@ class TestApplyMode:
         s = State.term(mono((1, 0, 1), (1, 0, 1), (1, 0, 1)))
         out = apply_mode(mode(1, 0, 1), s, spec)
         assert out == State.term(mono((1, 0, 1), (1, 0, 1)), coeff=6)
+
+
+@pytest.mark.parametrize(
+    "l, n, mult, value",
+    [
+        (Fraction(1, 2), 2, 1, 1),
+        (Fraction(1, 2), 1, 2, 1),
+        (Fraction(1, 2), 1, 1, Fraction(1, 2)),
+        (Fraction(1, 3), 1, 1, Fraction(1, 3)),
+        (Fraction(-2, 3), 3, 2, -4),
+        (Fraction(-2, 3), 2, 1, Fraction(-4, 3)),
+        (Fraction(3), 2, 3, 18),
+    ],
+)
+def test_annihilation_value_is_an_int_wherever_integral(l, n, mult, value):
+    # n*l*mult, exact: an int when integral, else a Fraction in lowest terms
+    label = mono(*[(1, 0, n)] * mult, (2, 1, 1))
+    column = _mode_column(ModuleSpec.adjoint(2, l), 1, 0, n, label, 0)
+    assert column == {(label.without(1, 0, n), 0): value}
+    assert type(column[label.without(1, 0, n), 0]) is type(value)
 
 
 def random_state(rng, spec, max_wt=3, max_nwt=2, terms=2):

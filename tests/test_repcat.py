@@ -16,6 +16,7 @@ from currentfock import (
     apply_mode,
     casimir_partial,
     casimir_scalar,
+    enumerate_basis,
     eval_action,
     grading,
     intertwiner_dim,
@@ -27,6 +28,7 @@ from currentfock import (
     rank_nullspace,
     vacuum_space,
 )
+from currentfock import repcat
 from test_exactmath import dense_kernel
 
 
@@ -158,6 +160,7 @@ def whole_matrix_vacuum(spec, tr):
 VACUUM_SPECS = {
     "adjoint-d1": ModuleSpec.adjoint(1, 1),
     "adjoint-d2": ModuleSpec.adjoint(2, Fraction(1, 2)),
+    "adjoint-d2-l-2/3": ModuleSpec.adjoint(2, Fraction(-2, 3)),
     "scalar-eval": ModuleSpec.evaluation(1, 1, Fraction(1, 2), (2,)),
     "jordan-r2-c1/3": ModuleSpec.evaluation(
         2, 1, Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
@@ -177,6 +180,29 @@ def test_vacuum_space_matches_whole_matrix_oracle(name, tr):
     spec, tr = VACUUM_SPECS[name], Truncation(*tr)
     expected = [s.to_json() for s in whole_matrix_vacuum(spec, tr)]
     assert [s.to_json() for s in vacuum_space(spec, tr)] == expected
+
+
+def test_vacuum_space_reads_each_monomial_under_its_own_variables_only(monkeypatch):
+    # a(n), n > 0, kills every monomial without x_{i,j,n}: no other mode is applied
+    spec = VACUUM_SPECS["jordan-r2-c1/3"]
+    calls = []
+    read = repcat._mode_column
+
+    def counted(spec, i, j, n, mono, top):
+        calls.append((mono, (i, j, n)))
+        return read(spec, i, j, n, mono, top)
+
+    monkeypatch.setattr(repcat, "_mode_column", counted)
+    assert len(vacuum_space(spec, Truncation(2, 1))) == 2
+    pairs = [
+        (m, var)
+        for wt, nwt in itertools.product(range(3), range(2))
+        for m in enumerate_basis(2, nwt, wt)
+        for var, _mult in m.distinct()
+    ]
+    assert sorted(calls) == sorted(pairs)
+    # the scan of every mode over every monomial made 80 calls here
+    assert len(calls) == 20
 
 
 class TestL0TopMatrix:
