@@ -232,7 +232,7 @@ VERIFY_READS = {
     "e1": {"gen", "n_range", "n", "k_range", "k"},
     "field-commutator": {"a_state", "a_max_wt", "a_max_nwt", "n_range", "n", "k_range", "k"},
     "strong-grading": {"v_max_wt", "v_max_nwt", "j_range", "sample_size"},
-    "l0-grading": {"j_range"},
+    "l0-grading": {"j_max", "j_range"},
     "d-equals-lminus1": set(),
 }
 
@@ -430,7 +430,6 @@ def _add_spec_flags(parser):
 def _add_truncation_flags(parser, wt=4, nwt=3):
     parser.add_argument("--max-wt", type=int, default=wt)
     parser.add_argument("--max-nwt", type=int, default=nwt)
-    parser.add_argument("--j-max", type=int, default=0)
 
 
 def _read_flags(parser, actions):
@@ -467,6 +466,7 @@ def build_parser():
     _add_spec_flags(verify)
     _add_truncation_flags(verify)
     shared = len(verify._actions)  # the spec and truncation flags every identity reads
+    verify.add_argument("--j-max", type=int, default=0)
     verify.add_argument("--m-range", default="-1..3")
     verify.add_argument("--n-range", default="-1..3")
     verify.add_argument("--k-range", default="-3..3")
@@ -495,6 +495,7 @@ def build_parser():
     module.add_argument("action", choices=["casimir", "vacuum", "logcheck", "homdim"])
     _add_spec_flags(module)
     _add_truncation_flags(module)
+    module.add_argument("--j-max", type=int, default=0)
     module.add_argument("--tops", nargs="*", default=(), help="three top spaces")
     _read_flags(module, [a for a in module._actions if a.option_strings and a.dest != "help"])
     _add_common(module)

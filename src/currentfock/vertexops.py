@@ -18,7 +18,9 @@ Every internal use of these operators reads columns, dicts {id:
 numerator}, compiled by `Operators` into one memo per operator L(n) or
 Y(v)_k (a single mode a(k) is Y(x_{i,j,1})_k), a dict from the id of a
 basis label to its column; a compiled column is served by a plain dict
-lookup.  The numerators are ints over one positive int `den` per memo,
+lookup.  A column is compiled straight into ids in one pass: each output
+label is built once and interned at once, so no column is first keyed by
+labels.  The numerators are ints over one positive int `den` per memo,
 fixed when the memo is made, so the sweeps do int arithmetic and divide
 once per defect.  An id is a small int that one `Operators` object gives a
 (monomial, top) label the first time it meets it, in its intern table,
@@ -74,6 +76,7 @@ Evaluation modules keep their own level: their zero modes carry no l.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -264,7 +267,9 @@ class Operators:
     column: a dict {id: numerator}.  An id is the number of a (monomial,
     top) label in this object's intern table (see `_Module`):
     `intern(label)` gives it, `to_ids` and `to_labels` turn a term dict into
-    ids and a column over a den back into labels.  Each operator has a memo,
+    ids and a column over a den back into labels.  A compile interns each
+    output label as it builds it; `to_ids` serves only the term dicts that
+    callers hand in.  Each operator has a memo,
     a dict from the id of a basis label to its column that compiles a
     missing column on lookup, in one of two families: `_l[n]`, made once
     L(n) is checked to exist here, and `_vertex[v][k]`.  The single mode
@@ -396,7 +401,9 @@ def _l_memo(module, n):
     den is the lcm of their denominators; those of c^j H_i are bounded only
     for an integral c, and otherwise the memo keeps den 1 and int-first
     rationals (`bounded` false).  The top rows of L(0) and of the tail are
-    stored as numerators over the den.
+    stored as numerators over the den.  Its columns are compiled by
+    `_compile_l` in one pass into ids, and each is checked by `_numerators`
+    (bounded) or made int-first by `_int_first_terms` (unbounded).
     """
     if n < -1:
         raise ValueError("only the operators L(n) with n >= -1 exist here")
@@ -439,9 +446,8 @@ def _compile_mode(module, i, j, den, k, id_):
     column = _mode_column(module.spec, i, j, k, *module.labels[id_])
     if not column:
         return _EMPTY_COLUMN
-    if den != 1:
-        column = {key: _int_first(den * coeff) for key, coeff in column.items()}
-    return _numerators(module.to_ids(column))
+    intern = module.intern
+    return _numerators({intern(label): _int_first(den * c) for label, c in column.items()})
 
 
 def _compile_vertex(module, first, x, u, wt_v, k, id_):
@@ -481,66 +487,90 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
 
 
 def _compile_l(module, n, den, bounded, l, tail, id_):
-    """The column of L(n) at a label as numerators over den, l being den times the level."""
+    """The column of L(n) at a label as numerators over den, l being den times the level.
+
+    Each output label is built once, from a copy of the label's factors with
+    the annihilated variables removed and the created one inserted in order,
+    and interned at once; the terms are summed into the column by id and its
+    zeros dropped once, at the end.  The label's variables are counted only
+    for n != 0, the one case whose terms read them.
+    """
     weight = module.wt[id_]
     if n > weight:
         return _EMPTY_COLUMN  # L(n) lowers the weight by n, and no weight is negative
-    label = module.labels[id_]
-    mono, top = label
+    mono, top = module.labels[id_]
+    intern = module.intern
     out = {}
-
-    def add(key, coeff):
-        v = out.get(key, 0) + coeff
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-
-    # one scan of the label: each variable's multiplicity
-    counts = {}
-    for var in mono:
-        counts[var] = counts.get(var, 0) + 1
+    get = out.get
 
     # creation * annihilation pairings; for n = 0 each gives back w, so they sum to its weight
     if n == 0:
         if mono:
-            out[label] = weight * den
+            out[id_] = weight * den
     else:
+        # one scan of the label: each variable's multiplicity
+        counts = {}
+        for var in mono:
+            counts[var] = counts.get(var, 0) + 1
         floor = max(0, n)
-        for (i, j, q), mult in counts.items():
+        for var, mult in counts.items():
+            i, j, q = var
             if q > floor:
-                add((mono.without(i, j, q).times(i, j, q - n), top), q * mult * den)
+                factors = list(mono)
+                factors.remove(var)
+                insort(factors, (i, j, q - n))
+                key = intern((Monomial(factors), top))
+                out[key] = get(key, 0) + q * mult * den
 
-    # annihilation * annihilation, both factors acting on variables of w
-    if n >= 2:
-        for (i, j, p), mp in counts.items():
-            q = n - p
-            if p < q:
-                mq = counts.get((i, j, q))
-                if mq:
-                    add((mono.without(i, j, p).without(i, j, q), top), p * q * l * mp * mq)
-            elif p == q and mp >= 2:
-                add((mono.without(i, j, p).without(i, j, q), top), p * q * mp * (mp - 1) // 2 * l)
+        # annihilation * annihilation, both factors acting on variables of w
+        if n >= 2:
+            for var, mp in counts.items():
+                i, j, p = var
+                q = n - p
+                if p < q:
+                    pairs = mp * counts.get((i, j, q), 0)
+                elif p == q:
+                    pairs = mp * (mp - 1) // 2
+                else:
+                    continue
+                if pairs:
+                    factors = list(mono)
+                    factors.remove(var)
+                    factors.remove((i, j, q))
+                    key = intern((Monomial(factors), top))
+                    out[key] = get(key, 0) + p * q * pairs * l
 
-    if module.top_acts:
         # zero mode * annihilation: a(n) kills all but finitely many variables
-        if n >= 1:
-            for (i, j, q), mult in counts.items():
-                if q == n:
-                    for t, entry in module.zero_modes[(i, j)][top]:
-                        add((mono.without(i, j, q), t), _int_first(n * mult * den * entry))
+        if n >= 1 and module.top_acts:
+            for var, mult in counts.items():
+                if var[2] == n:
+                    factors = list(mono)
+                    factors.remove(var)
+                    rest = Monomial(factors)
+                    for t, entry in module.zero_modes[var[:2]][top]:
+                        key = intern((rest, t))
+                        out[key] = get(key, 0) + _int_first(n * mult * den * entry)
 
-        # doubly-zero-mode part of L(0): geometric series summed in closed form
-        if n == 0:
-            for t, entry in module.l0_top[top]:
-                add((mono, t), entry)
+    # doubly-zero-mode part of L(0): geometric series summed in closed form
+    if n == 0 and module.top_acts:
+        for t, entry in module.l0_top[top]:
+            key = intern((mono, t))
+            out[key] = get(key, 0) + entry
 
-        # creation * zero-mode tail of L(-1), infinite in j unless c = 0: cut at j <= j_max
-        for (i, j), rows in tail:
-            for t, entry in rows[top]:
-                add((mono.times(i, j, 1), t), entry)
+    # creation * zero-mode tail of L(-1), infinite in j unless c = 0: cut at j <= j_max
+    for (i, j), rows in tail:
+        factors = list(mono)
+        insort(factors, (i, j, 1))
+        grown = Monomial(factors)
+        for t, entry in rows[top]:
+            key = intern((grown, t))
+            out[key] = get(key, 0) + entry
 
-    return module.to_ids(_numerators(out) if bounded else _int_first_terms(out))
+    if 0 in out.values():
+        out = {key: c for key, c in out.items() if c}
+    if not out:
+        return _EMPTY_COLUMN
+    return _numerators(out) if bounded else _int_first_terms(out)
 
 
 @lru_cache(maxsize=4)

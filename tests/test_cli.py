@@ -376,9 +376,9 @@ UNREAD_VERIFY = {
         ("l0-grading", "--max-wt", "1", "--max-nwt", "0"), ("--gen", "1,1"), "--gen",
     ),
 }
-# flags every identity accepts: spec, truncation and common ones
+# flags every identity accepts: spec, weight bounds and common ones (not --j-max)
 SHARED_VERIFY_FLAGS = ("--kind", "adjoint", "--d", "1", "--l", "1", "--max-wt", "1",
-                       "--max-nwt", "0", "--j-max", "0", "--threads", "2", "--seed", "5",
+                       "--max-nwt", "0", "--threads", "2", "--seed", "5",
                        "--format", "json")
 
 
@@ -397,6 +397,15 @@ class TestVerifyReads:
         code, out, err = run(capsys, "verify", identity, *SHARED_VERIFY_FLAGS)
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["defect_zero"] is True
+
+    @pytest.mark.parametrize("identity", sorted(cli.VERIFY_READS))
+    def test_only_l0_grading_reads_j_max(self, capsys, identity):
+        code, out, err = run(capsys, "verify", identity, *SHARED_VERIFY_FLAGS, "--j-max", "0")
+        if identity == "l0-grading":
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error: verify %s does not read --j-max\n" % identity
 
     def test_each_read_flag_is_an_identity_flag_of_the_parser(self):
         dests = {dest for _flag, dest, _default in cli.build_parser().parse_args(
@@ -918,18 +927,19 @@ VERIFY_FLAGS = {
 # a malformed range, an --a-state that is not a list of term objects, an A = 0,
 # an --a-state with a bound that generates labels, and identity flags it does not read
 VERIFY_BAD = {
-    "virasoro": [["--m-range=1.."], ["--gen=1,0"], ["--k-range=0..0"], ["--sample-size=1"]],
-    "e1": [["--k-range=1..a"], ["--m-range=0"], ["--a-state=[[[[1,0,1]],1]]"]],
+    "virasoro": [["--m-range=1.."], ["--gen=1,0"], ["--k-range=0..0"], ["--sample-size=1"],
+                 ["--j-max=0"]],
+    "e1": [["--k-range=1..a"], ["--m-range=0"], ["--a-state=[[[[1,0,1]],1]]"], ["--j-max=0"]],
     "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
                          ["--a-state=" + FLOAT_DEPTH_A], ["--k-range=1..a"],
                          ["--a-state=[1]"], ['--a-state={"a":1}'], ['--a-state="x"'],
                          ["--a-state=[]"], ["--a-state=" + A_ONE, "--a-max-nwt=1"],
-                         ["--j-range=0"], ["--v-max-wt=1"]],
+                         ["--j-range=0"], ["--v-max-wt=1"], ["--j-max=0"]],
     "strong-grading": [["--v-max-wt=-1"], ["--v-max-wt=0"], ["--v-max-nwt=-1"],
                        ["--sample-size=0"], ["--sample-size=-1"], ["--j-range=q"],
-                       ["--n=0"], ["--a-max-wt=1"]],
+                       ["--n=0"], ["--a-max-wt=1"], ["--j-max=0"]],
     "l0-grading": [["--j-range=q"], ["--k=0"], ["--sample-size=1"]],
-    "d-equals-lminus1": [["--m-range=0..0"], ["--v-max-wt=3"]],
+    "d-equals-lminus1": [["--m-range=0..0"], ["--v-max-wt=3"], ["--j-max=0"]],
 }
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
 # per action: bad values of the flags it reads, and flags it does not read

@@ -426,8 +426,9 @@ FRACTIONAL_EVAL = ModuleSpec.evaluation(1, Fraction(2, 3), 0, (3,))
 OMEGA_SPECS["eval-c0-l2/3-lam3"] = FRACTIONAL_EVAL
 
 
-@pytest.mark.parametrize("spec", OMEGA_SPECS.values(), ids=OMEGA_SPECS.keys())
-def test_l_equals_omega_mode(spec):
+def assert_l_is_omega_mode(spec, n_values):
+    """L(n) w = omega_{n+1} w on the (3, 2) box; the number of nonzero images."""
+    nonzero = 0
     for wmono, top in module_basis(spec, 3, 2):
         w = State.term(wmono, top)
         scale = 1 / (2 * spec.l)
@@ -438,10 +439,17 @@ def test_l_equals_omega_mode(spec):
                 for j in range(wmono.nwt() + 1)
             }
         )
-        for n in range(-1, 3):
+        for n in n_values:
             lw, exact = l_apply(n, w, spec)
             assert exact
             assert lw == vertex_mode(omega, n + 1, w, spec), (wmono, top, n)
+            nonzero += not lw.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("spec", OMEGA_SPECS.values(), ids=OMEGA_SPECS.keys())
+def test_l_equals_omega_mode(spec):
+    assert assert_l_is_omega_mode(spec, range(-1, 6))
 
 
 def test_gbinom_is_an_exact_int():
@@ -692,6 +700,21 @@ JORDAN_TOPS = {
 }
 
 
+# At c != 0 the sum over j of omega is infinite, but for n >= 1 each term of L(n)
+# has a positive mode a_{i,j}, which kills w unless j <= nwt(w): omega_{n+1} is exact.
+OMEGA_TOPS = {
+    # no bound on the denominators of c^j H_i: the int-first path of L(n >= 1)
+    "jordan-d2-c1/3": JORDAN_TOPS["c1/3"],
+    # an integral c: the den of L(n >= 1) is that of H
+    "eval-c-2-l2/3-lam3": ModuleSpec.evaluation(1, Fraction(2, 3), -2, (3,)),
+}
+
+
+@pytest.mark.parametrize("spec", OMEGA_TOPS.values(), ids=OMEGA_TOPS.keys())
+def test_l_equals_omega_mode_on_a_top_that_acts_at_nonzero_c(spec):
+    assert assert_l_is_omega_mode(spec, range(1, 6))
+
+
 @pytest.mark.parametrize("spec", JORDAN_TOPS.values(), ids=JORDAN_TOPS.keys())
 def test_module_constants_match_the_matrices_they_replace(spec):
     ops = vertexops.Operators(spec, 3)
@@ -750,6 +773,39 @@ def test_l0_grading_refuses_a_truncated_tail_before_any_column():
     # the memos of L(j) were made, so each L(j) was checked, but no column was compiled
     ops = operators(spec, 0)
     assert set(ops._l) == {-1, 0, 1} and not any(ops._l.values())
+
+
+@pytest.mark.parametrize(
+    "spec, j_max", [(ADJ2, 0), (JORDAN_TOPS["c1/3"], 2)], ids=["adjoint", "jordan"]
+)
+def test_l_columns_compile_straight_into_ids(monkeypatch, spec, j_max):
+    # each output label is built and interned once: no term dict keyed by labels is
+    # turned into ids, and no Monomial is rebuilt through without() or times()
+    ops = vertexops.Operators(spec, j_max)
+    ids = [ops.intern(label) for label in module_basis(spec, 3, 2)]
+    calls = [count_calls(monkeypatch, vertexops._Module, "to_ids"),
+             count_calls(monkeypatch, Monomial, "without"),
+             count_calls(monkeypatch, Monomial, "times")]
+    terms = 0
+    for n in range(-1, 6):
+        memo = ops.l_columns(n)
+        for id_ in ids:
+            column = memo[id_]
+            assert 0 not in column.values(), (n, id_)
+            terms += len(column)
+    assert calls == [[], [], []]
+    assert terms > len(ids)
+
+
+def test_l_columns_drop_the_terms_that_cancel():
+    # L(0) = wt + h with h = -1 here: every weight-1 column cancels to an empty one
+    spec = ModuleSpec.evaluation(1, Fraction(-1, 2), 0, (1,))
+    ops = vertexops.Operators(spec, 0)
+    l_0 = ops.l_columns(0)
+    for label in module_basis(spec, 2, 1):
+        column = l_0[ops.intern(label)]
+        assert bool(column) == (label[0].weight() != 1), label
+        assert 0 not in column.values()
 
 
 MODULES = [cli, dims, exactmath, fock, repcat, vertexops]
