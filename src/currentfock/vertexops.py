@@ -493,7 +493,7 @@ def _compile_l(module, n, den, bounded, l, tail, id_):
     the annihilated variables removed and the created one inserted in order,
     and interned at once; the terms are summed into the column by id and its
     zeros dropped once, at the end.  The label's variables are counted only
-    for n != 0, the one case whose terms read them.
+    for n != 0: the terms of L(0) do not read them.
     """
     weight = module.wt[id_]
     if n > weight:
