@@ -44,7 +44,7 @@ def _parse_range(flag, text):
 
 
 def _index_range(args, name):
-    """The text and values of --{name}-range, or of the single --{name} that overrides it."""
+    """The text and values of --{name}-range, or of the single --{name} that replaces it."""
     flag, text = "--" + name, getattr(args, name)
     if text is None:
         flag, text = flag + "-range", getattr(args, name + "_range")
@@ -166,107 +166,125 @@ def _sample_modes(spec, args, j_values, rng):
     return sample
 
 
-def _verify_plan(args, spec, tr):
-    """Run the planned checks: the merged report's identity and params, and the sub-reports.
+def _plan_e1(args, spec, tr):
+    i, j = _parse_gen(args.gen)
+    n_text, n_values = _index_range(args, "n")
+    k_text, k_values = _index_range(args, "k")
+    reports = vertexops.check_l_mode_commutators((i, j), n_values, k_values, spec, tr)
+    params = {"gen": [i, j], "n_range": n_text, "k_range": k_text}
+    return "l-mode-commutator", params, reports
 
-    Sweeps over several combos name their merged params here; a single
-    whole-basis check returns params None and its report names its own.
-    Each range flag is parsed once, before any check runs.
-    """
-    identity = args.identity
-    if identity == "virasoro":
-        m_values = _parse_range("--m-range", args.m_range)
-        n_text, n_values = _index_range(args, "n")
-        pairs = [(m, n) for m in m_values for n in n_values]
-        params = {"m_range": args.m_range, "n_range": n_text}
-        return identity, params, vertexops.check_virasoro_pairs(pairs, spec, tr)
-    if identity == "e1":
-        i, j = _parse_gen(args.gen)
-        n_text, n_values = _index_range(args, "n")
-        k_text, k_values = _index_range(args, "k")
-        reports = vertexops.check_l_mode_commutators((i, j), n_values, k_values, spec, tr)
-        params = {"gen": [i, j], "n_range": n_text, "k_range": k_text}
-        return "l-mode-commutator", params, reports
-    if identity == "field-commutator":
-        if args.a_state:
-            labels = [_decode_json("--a-state", args.a_state, State.from_json)]
-        else:
-            if args.a_max_wt < 0 or args.a_max_nwt < 0:
-                raise ConfigError("--a-max-wt and --a-max-nwt must be nonnegative")
-            labels = [
-                State.term(mono)
-                for wt_a in range(args.a_max_wt + 1)
-                for nwt_a in range(args.a_max_nwt + 1)
-                for mono in enumerate_basis(spec.d, nwt_a, wt_a)
-            ]
-        n_text, n_values = _index_range(args, "n")
-        k_text, k_values = _index_range(args, "k")
-        reports = [
-            report
-            for a in labels
-            for report in vertexops.check_field_commutators(a, n_values, k_values, spec, tr)
+
+def _plan_virasoro(args, spec, tr):
+    m_values = _parse_range("--m-range", args.m_range)
+    n_text, n_values = _index_range(args, "n")
+    pairs = [(m, n) for m in m_values for n in n_values]
+    params = {"m_range": args.m_range, "n_range": n_text}
+    return "virasoro", params, vertexops.check_virasoro_pairs(pairs, spec, tr)
+
+
+def _plan_field_commutator(args, spec, tr):
+    if args.a_state:
+        labels = [_decode_json("--a-state", args.a_state, State.from_json)]
+    else:
+        if args.a_max_wt < 0 or args.a_max_nwt < 0:
+            raise ConfigError("--a-max-wt and --a-max-nwt must be nonnegative")
+        labels = [
+            State.term(mono)
+            for wt_a in range(args.a_max_wt + 1)
+            for nwt_a in range(args.a_max_nwt + 1)
+            for mono in enumerate_basis(spec.d, nwt_a, wt_a)
         ]
-        params = {"a_count": len(labels), "n_range": n_text, "k_range": k_text}
-        return identity, params, reports
-    if identity == "strong-grading":
-        if args.v_max_wt < 0 or args.v_max_nwt < 0:
-            raise ConfigError("--v-max-wt and --v-max-nwt must be nonnegative")
-        if args.v_max_wt == 0:
-            raise ConfigError("--v-max-wt 0 samples no mode; every mode has weight >= 1")
-        if args.sample_size is not None and args.sample_size < 1:
-            raise ConfigError("--sample-size must be positive")
-        j_values = _parse_range("--j-range", "-2..2" if args.j_range is None else args.j_range)
-        sample = _sample_modes(spec, args, j_values, random.Random(args.seed))
-        return identity, None, [vertexops.check_strong_grading(spec, tr, sample)]
-    if identity == "l0-grading":
-        j_values = _parse_range("--j-range", "-1..1" if args.j_range is None else args.j_range)
-        return identity, None, [vertexops.check_l0_grading(spec, tr, j_values)]
-    if identity == "d-equals-lminus1":
-        return identity, None, [vertexops.check_d_equals_lminus1(spec, tr)]
-    raise ConfigError("unknown identity %r" % identity)
+    n_text, n_values = _index_range(args, "n")
+    k_text, k_values = _index_range(args, "k")
+    reports = [
+        report
+        for a in labels
+        for report in vertexops.check_field_commutators(a, n_values, k_values, spec, tr)
+    ]
+    params = {"a_count": len(labels), "n_range": n_text, "k_range": k_text}
+    return "field-commutator", params, reports
 
 
-# the identity flags each identity reads; every other one it is given is refused
-VERIFY_READS = {
-    "virasoro": {"m_range", "n_range", "n"},
-    "e1": {"gen", "n_range", "n", "k_range", "k"},
-    "field-commutator": {"a_state", "a_max_wt", "a_max_nwt", "n_range", "n", "k_range", "k"},
-    "strong-grading": {"v_max_wt", "v_max_nwt", "j_range", "sample_size"},
-    "l0-grading": {"j_max", "j_range"},
-    "d-equals-lminus1": set(),
+def _plan_strong_grading(args, spec, tr):
+    if args.v_max_wt < 0 or args.v_max_nwt < 0:
+        raise ConfigError("--v-max-wt and --v-max-nwt must be nonnegative")
+    if args.v_max_wt == 0:
+        raise ConfigError("--v-max-wt 0 samples no mode; every mode has weight >= 1")
+    if args.sample_size is not None and args.sample_size < 1:
+        raise ConfigError("--sample-size must be positive")
+    j_values = _parse_range("--j-range", "-2..2" if args.j_range is None else args.j_range)
+    sample = _sample_modes(spec, args, j_values, random.Random(args.seed))
+    return None, None, [vertexops.check_strong_grading(spec, tr, sample)]
+
+
+def _plan_l0_grading(args, spec, tr):
+    j_values = _parse_range("--j-range", "-1..1" if args.j_range is None else args.j_range)
+    return None, None, [vertexops.check_l0_grading(spec, tr, j_values)]
+
+
+def _plan_d_equals_lminus1(args, spec, tr):
+    return None, None, [vertexops.check_d_equals_lminus1(spec, tr)]
+
+
+# each identity, in `--help` order: the identity flags it reads (every other one it
+# is given is refused) and its plan.  A plan parses each range flag before any check
+# runs; it returns the merged report's identity and params, None for a single check
+# whose report names its own, and the sub-reports.
+VERIFY = {
+    "e1": ({"gen", "n_range", "n", "k_range", "k"}, _plan_e1),
+    "virasoro": ({"m_range", "n_range", "n"}, _plan_virasoro),
+    "field-commutator": (
+        {"a_state", "a_max_wt", "a_max_nwt", "n_range", "n", "k_range", "k"},
+        _plan_field_commutator,
+    ),
+    "strong-grading": (
+        {"v_max_wt", "v_max_nwt", "j_range", "sample_size", "seed"}, _plan_strong_grading
+    ),
+    "l0-grading": ({"j_max", "j_range"}, _plan_l0_grading),
+    "d-equals-lminus1": (set(), _plan_d_equals_lminus1),
 }
+
+# flags that exclude each other: a given A is the one label checked, so the bounds
+# that generate labels would go unread, and a single --n or --k replaces its range
+EXCLUDED_PAIRS = (("--a-state", "--a-max-wt"), ("--a-state", "--a-max-nwt"),
+                  ("--n-range", "--n"), ("--k-range", "--k"))
 
 
 def _check_reads(args, command, reads):
-    """Give each unset flag of args.read_flags its default; refuse the first set one not read.
+    """Give each unset flag of args.read_flags its default; refuse a set one not read.
 
     An unset flag parses as None (see `_read_flags`), and the flags are
-    listed in `--help` order.  Returns the flags that were set, in that order.
+    listed in `--help` order.  The first set flag not read is named; then
+    the first pair of `EXCLUDED_PAIRS` that is set in full.
     """
-    given = []
+    given = set()
     for flag, dest, default in args.read_flags:
         if getattr(args, dest) is None:
             setattr(args, dest, default)
         elif dest not in reads:
             raise ConfigError("%s does not read %s" % (command, flag))
         else:
-            given.append(flag)
-    return given
+            given.add(flag)
+    for pair in EXCLUDED_PAIRS:
+        if given.issuperset(pair):
+            raise ConfigError("%s and %s exclude each other" % pair)
 
 
 def _cmd_verify(args):
     """Run the planned checks and merge their reports."""
-    given = _check_reads(args, "verify " + args.identity, VERIFY_READS[args.identity])
-    # a given A is the one label checked: the bounds that generate labels would go unread
-    for flag in ("--a-max-wt", "--a-max-nwt"):
-        if "--a-state" in given and flag in given:
-            raise ConfigError("--a-state and %s exclude each other" % flag)
+    reads, plan = VERIFY[args.identity]
+    _check_reads(args, "verify " + args.identity, reads)
     spec = _build_spec(args)
-    identity, params, reports = _verify_plan(args, spec, _truncation(args))
+    identity, params, reports = plan(args, spec, _truncation(args))
     if params is None:
         identity, params = reports[0].identity, dict(reports[0].params)
     params["spec"] = spec.to_json()
     return _emit_report(vertexops.merge_reports(reports, identity, params), args)
+
+
+# the columns of a `dims` row, in CSV order
+DIMS_COLUMNS = ("m", "n", "enum", "dp", "gf_product", "gf_paper_ct", "diff")
 
 
 def _cmd_dims(args):
@@ -288,27 +306,15 @@ def _cmd_dims(args):
                 agree = False
             ct = None if paper is None else paper.get(m, n)
             rows.append((m, n, enum, dp, gf, ct, None if ct is None else enum - ct))
-    meta = {"d": d, "max_p": P, "max_q": Q}
     if args.format == "json":
         payload = {
-            "meta": meta,
-            "rows": [
-                {
-                    "m": m,
-                    "n": n,
-                    "enum": enum,
-                    "dp": dp,
-                    "gf_product": gf,
-                    "gf_paper_ct": ct,
-                    "diff": diff,
-                }
-                for m, n, enum, dp, gf, ct, diff in rows
-            ],
+            "meta": {"d": d, "max_p": P, "max_q": Q},
+            "rows": [dict(zip(DIMS_COLUMNS, row)) for row in rows],
         }
         args.stream.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         args.stream.write("# d=%d,max_p=%d,max_q=%d\n" % (d, P, Q))
-        args.stream.write("m,n,enum,dp,gf_product,gf_paper_ct,diff\n")
+        args.stream.write(",".join(DIMS_COLUMNS) + "\n")
         for row in rows:
             args.stream.write(",".join("" if x is None else str(x) for x in row) + "\n")
     return EXIT_OK if agree else EXIT_COUNTEREXAMPLE
@@ -337,12 +343,57 @@ def _parse_top(token):
     return repcat.TopSpace(r=r, lam=lam, H=H)
 
 
-# the module flags each action reads; every other one it is given is refused
-MODULE_READS = {
-    "casimir": {"lam", "c"},
-    "vacuum": {"kind", "d", "l", "c", "lam", "H", "max_wt", "max_nwt"},
-    "logcheck": {"H", "c", "lam", "l"},
-    "homdim": {"tops"},
+def _module_casimir(args):
+    if args.lam is None or args.c is None:
+        raise ConfigError("casimir needs --lambda and --c")
+    lam = _parse_flag("--lambda", _parse_lambda, args.lam)
+    return rat_str(repcat.casimir_scalar(lam, _parse_flag("--c", rat, args.c)))
+
+
+def _module_vacuum(args):
+    spec = _build_spec(args)
+    tr = _truncation(args)
+    states = repcat.vacuum_space(spec, tr)
+    return {
+        "dimension": len(states),
+        "bigrades_scanned": {"max_wt": tr.max_wt, "max_nwt": tr.max_nwt},
+        "basis": [s.to_json() for s in states],
+    }
+
+
+def _module_logcheck(args):
+    if args.H is None or args.c is None:
+        raise ConfigError("logcheck needs --H and --c")
+    H = _decode_json("--H", args.H, _matrices)
+    r = H[0].rows
+    if any(m.rows != r or m.cols != r for m in H):
+        raise ConfigError("--H must hold square matrices of one size")
+    if args.lam is not None:
+        lam = _parse_flag("--lambda", _parse_lambda, args.lam)
+    else:
+        # trace/r is exact: each H_i has a single eigenvalue of multiplicity r
+        lam = tuple(sum((m[t, t] for t in range(r)), Fraction(0)) / r for m in H)
+    l, c = _parse_flag("--l", rat, args.l), _parse_flag("--c", rat, args.c)
+    spec = ModuleSpec.evaluation(len(H), l, c, lam, H=H)
+    genuine, blocks = repcat.is_genuine_logarithmic(spec)
+    return {"blocks": blocks, "genuine": genuine}
+
+
+def _module_homdim(args):
+    if len(args.tops) != 3:
+        raise ConfigError("homdim needs exactly three top spaces")
+    source, middle, target = (_parse_top(tok) for tok in args.tops)
+    problem = repcat.HomProblem(source=source, middle=middle, target=target)
+    return repcat.intertwiner_dim(problem)
+
+
+# each module action: the module flags it reads (every other one it is given is
+# refused) and the function that returns its JSON value
+MODULE = {
+    "casimir": ({"lam", "c"}, _module_casimir),
+    "vacuum": ({"kind", "d", "l", "c", "lam", "H", "max_wt", "max_nwt"}, _module_vacuum),
+    "logcheck": ({"H", "c", "lam", "l"}, _module_logcheck),
+    "homdim": ({"tops"}, _module_homdim),
 }
 
 
@@ -350,55 +401,10 @@ def _cmd_module(args):
     action = args.action
     if args.format != "json":
         raise ConfigError("module %s writes JSON only, not --format %s" % (action, args.format))
-    _check_reads(args, "module " + action, MODULE_READS[action])
-    if action == "casimir":
-        if args.lam is None or args.c is None:
-            raise ConfigError("casimir needs --lambda and --c")
-        lam = _parse_flag("--lambda", _parse_lambda, args.lam)
-        value = repcat.casimir_scalar(lam, _parse_flag("--c", rat, args.c))
-        args.stream.write(json.dumps(rat_str(value)) + "\n")
-        return EXIT_OK
-    if action == "vacuum":
-        spec = _build_spec(args)
-        tr = _truncation(args)
-        states = repcat.vacuum_space(spec, tr)
-        payload = {
-            "dimension": len(states),
-            "bigrades_scanned": {"max_wt": tr.max_wt, "max_nwt": tr.max_nwt},
-            "basis": [s.to_json() for s in states],
-        }
-        args.stream.write(json.dumps(payload, sort_keys=True) + "\n")
-        return EXIT_OK
-    if action == "logcheck":
-        if args.H is None or args.c is None:
-            raise ConfigError("logcheck needs --H and --c")
-        H = _decode_json("--H", args.H, _matrices)
-        r = H[0].rows
-        if any(m.rows != r or m.cols != r for m in H):
-            raise ConfigError("--H must hold square matrices of one size")
-        if args.lam is not None:
-            lam = _parse_flag("--lambda", _parse_lambda, args.lam)
-        else:
-            # trace/r is exact: each H_i has a single eigenvalue of multiplicity r
-            lam = tuple(
-                sum((m[t, t] for t in range(r)), Fraction(0)) / r for m in H
-            )
-        l, c = _parse_flag("--l", rat, args.l), _parse_flag("--c", rat, args.c)
-        spec = ModuleSpec.evaluation(len(H), l, c, lam, H=H)
-        genuine, blocks = repcat.is_genuine_logarithmic(spec)
-        args.stream.write(
-            json.dumps({"blocks": blocks, "genuine": genuine}, sort_keys=True) + "\n"
-        )
-        return EXIT_OK
-    if action == "homdim":
-        if len(args.tops) != 3:
-            raise ConfigError("homdim needs exactly three top spaces")
-        source, middle, target = (_parse_top(tok) for tok in args.tops)
-        problem = repcat.HomProblem(source=source, middle=middle, target=target)
-        dim = repcat.intertwiner_dim(problem)
-        args.stream.write(json.dumps(dim) + "\n")
-        return EXIT_OK
-    raise ConfigError("unknown module action %r" % action)
+    reads, run = MODULE[action]
+    _check_reads(args, "module " + action, reads)
+    args.stream.write(json.dumps(run(args), sort_keys=True) + "\n")
+    return EXIT_OK
 
 
 def _add_common(parser):
@@ -415,7 +421,6 @@ def _add_common(parser):
         help="accepted for compatibility and ignored; sweeps run serially in a "
         "fixed order",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
 
 
 def _add_spec_flags(parser):
@@ -452,17 +457,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run an identity sweep")
-    verify.add_argument(
-        "identity",
-        choices=[
-            "e1",
-            "virasoro",
-            "field-commutator",
-            "strong-grading",
-            "l0-grading",
-            "d-equals-lminus1",
-        ],
-    )
+    verify.set_defaults(run=_cmd_verify)
+    verify.add_argument("identity", choices=list(VERIFY))
     _add_spec_flags(verify)
     _add_truncation_flags(verify)
     shared = len(verify._actions)  # the spec and truncation flags every identity reads
@@ -471,8 +467,8 @@ def build_parser():
     verify.add_argument("--n-range", default="-1..3")
     verify.add_argument("--k-range", default="-3..3")
     verify.add_argument("--gen", default="1,0", help="generator as i,j")
-    verify.add_argument("--k", default=None, help="single mode (overrides --k-range)")
-    verify.add_argument("--n", default=None, help="single index (overrides --n-range)")
+    verify.add_argument("--k", default=None, help="single mode (excludes --k-range)")
+    verify.add_argument("--n", default=None, help="single index (excludes --n-range)")
     verify.add_argument("--a-state", default=None, help="JSON state labeling Y(A,z)")
     verify.add_argument("--a-max-wt", type=int, default=2)
     verify.add_argument("--a-max-nwt", type=int, default=1)
@@ -482,17 +478,20 @@ def build_parser():
         "--j-range", default=None, help="default -2..2; -1..1 for l0-grading"
     )
     verify.add_argument("--sample-size", type=int, default=None)
+    verify.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     _read_flags(verify, verify._actions[shared:])
     _add_common(verify)
 
     table = sub.add_parser("dims", help="emit the cross-checked dimension table")
+    table.set_defaults(run=_cmd_dims)
     table.add_argument("--d", type=int, default=1)
     table.add_argument("--max-p", type=int, default=8)
     table.add_argument("--max-q", type=int, default=6)
     _add_common(table)
 
     module = sub.add_parser("module", help="module-level quantities")
-    module.add_argument("action", choices=["casimir", "vacuum", "logcheck", "homdim"])
+    module.set_defaults(run=_cmd_module)
+    module.add_argument("action", choices=list(MODULE))
     _add_spec_flags(module)
     _add_truncation_flags(module)
     module.add_argument("--j-max", type=int, default=0)
@@ -520,13 +519,7 @@ def main(argv=None):
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         with _open_out(args.out) as args.stream:
-            if args.command == "verify":
-                return _cmd_verify(args)
-            if args.command == "dims":
-                return _cmd_dims(args)
-            if args.command == "module":
-                return _cmd_module(args)
-            raise ConfigError("unknown command %r" % args.command)
+            return args.run(args)
     # a ValueError is a library rule refusing the input; the CLI checks only its flags
     except (ConfigError, ValueError) as err:
         sys.stderr.write("error: %s\n" % err)

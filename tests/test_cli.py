@@ -376,10 +376,9 @@ UNREAD_VERIFY = {
         ("l0-grading", "--max-wt", "1", "--max-nwt", "0"), ("--gen", "1,1"), "--gen",
     ),
 }
-# flags every identity accepts: spec, weight bounds and common ones (not --j-max)
+# flags every identity accepts: spec, weight bounds and common ones (not --j-max or --seed)
 SHARED_VERIFY_FLAGS = ("--kind", "adjoint", "--d", "1", "--l", "1", "--max-wt", "1",
-                       "--max-nwt", "0", "--threads", "2", "--seed", "5",
-                       "--format", "json")
+                       "--max-nwt", "0", "--threads", "2", "--format", "json")
 
 
 class TestVerifyReads:
@@ -392,13 +391,13 @@ class TestVerifyReads:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: verify %s does not read %s\n" % (argv[0], unread)
 
-    @pytest.mark.parametrize("identity", sorted(cli.VERIFY_READS))
+    @pytest.mark.parametrize("identity", sorted(cli.VERIFY))
     def test_every_identity_accepts_the_shared_flags(self, capsys, identity):
         code, out, err = run(capsys, "verify", identity, *SHARED_VERIFY_FLAGS)
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["defect_zero"] is True
 
-    @pytest.mark.parametrize("identity", sorted(cli.VERIFY_READS))
+    @pytest.mark.parametrize("identity", sorted(cli.VERIFY))
     def test_only_l0_grading_reads_j_max(self, capsys, identity):
         code, out, err = run(capsys, "verify", identity, *SHARED_VERIFY_FLAGS, "--j-max", "0")
         if identity == "l0-grading":
@@ -407,10 +406,19 @@ class TestVerifyReads:
             assert (code, out) == (EXIT_USAGE, "")
             assert err == "error: verify %s does not read --j-max\n" % identity
 
+    @pytest.mark.parametrize("identity", sorted(cli.VERIFY))
+    def test_only_strong_grading_reads_seed(self, capsys, identity):
+        code, out, err = run(capsys, "verify", identity, *SHARED_VERIFY_FLAGS, "--seed", "5")
+        if identity == "strong-grading":
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error: verify %s does not read --seed\n" % identity
+
     def test_each_read_flag_is_an_identity_flag_of_the_parser(self):
         dests = {dest for _flag, dest, _default in cli.build_parser().parse_args(
             ["verify", "e1"]).read_flags}
-        assert set().union(*cli.VERIFY_READS.values()) == dests
+        assert set().union(*(reads for reads, _plan in cli.VERIFY.values())) == dests
 
 
 class TestPinnedOutput:
@@ -543,6 +551,17 @@ class TestModule:
         assert err == "error: dims writes JSON or CSV, not --format text\n"
         for fmt in ("json", "csv"):
             assert run(capsys, *argv, "--format", fmt)[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv", [("dims", "--max-p", "1", "--max-q", "0"), ("module", *CASIMIR)],
+        ids=["dims", "module"],
+    )
+    def test_dims_and_module_have_no_seed(self, capsys, argv):
+        # only verify strong-grading samples, so only verify defines --seed
+        assert run(capsys, *argv)[0] == EXIT_OK
+        code, out, err = run(capsys, *argv, "--seed", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --seed 5" in err
 
     def test_casimir_rejects_c_squared_one(self, capsys):
         code, _, err = run(capsys, "module", "casimir", "--lambda", "1", "--c", "-1")
@@ -719,6 +738,19 @@ SWEEP_REFUSALS = {
     "a-state-both": (
         ("field-commutator", "--a-max-nwt", "0", "--a-max-wt", "0", "--a-state", A_ONE),
         "error: --a-state and --a-max-wt exclude each other\n",
+    ),
+    # a single --n or --k replaces its range, so the two are refused together, even
+    # where the range is malformed or the single value alone would run
+    "n-with-n-range": (
+        ("virasoro", "--n", "0", "--n-range=5..6"),
+        "error: --n-range and --n exclude each other\n",
+    ),
+    "k-with-k-range": (
+        ("e1", "--k", "0", "--k-range=x"), "error: --k-range and --k exclude each other\n",
+    ),
+    "field-n-and-k-with-ranges": (
+        ("field-commutator", "--k-range=0", "--n-range=0", "--k", "0", "--n", "0"),
+        "error: --n-range and --n exclude each other\n",
     ),
 }
 
@@ -910,13 +942,14 @@ SPEC_BAD = [["--l=0"], ["--l=1/0"], ["--d=0"], ["--max-nwt=-1"], ["--max-wt=x"],
             ["--kind=adjoint", "--c=1/2"]]
 VERIFY_FLAGS = {
     "virasoro": {"--m-range": ["-1..1", "0..2", "2", "-1"],
-                 "--n-range": ["-1..1", "0..2", "-1"]},
-    "e1": {"--gen": ["1,0", "1,1"], "--n-range": ["-1..1", "0..2"],
-           "--k-range": ["-1..1", "0", "-2..0"]},
+                 "--n-range": ["-1..1", "0..2", "-1"], "--n": ["0", "-1"]},
+    "e1": {"--gen": ["1,0", "1,1"], "--n-range": ["-1..1", "0..2"], "--n": ["1"],
+           "--k-range": ["-1..1", "0", "-2..0"], "--k": ["0", "-1"]},
     "field-commutator": {"--a-max-wt": ["0", "1"], "--a-max-nwt": ["0", "1"],
                          "--a-state": ['[{"mono":[[1,0,1]],"coeff":"1"}]',
                                        '[{"mono":[[1,1,2]],"coeff":"-1/2"}]'],
-                         "--n-range": ["-1..1", "0..1"], "--k-range": ["-1..1", "0"]},
+                         "--n-range": ["-1..1", "0..1"], "--n": ["0"],
+                         "--k-range": ["-1..1", "0"], "--k": ["-1"]},
     "strong-grading": {"--v-max-wt": ["1", "2"], "--v-max-nwt": ["0", "1"],
                        "--j-range": ["-1..1", "0..2"], "--sample-size": ["1", "4"],
                        "--seed": ["0", "3"]},
@@ -925,32 +958,39 @@ VERIFY_FLAGS = {
 }
 # per identity: bounds that would sample nothing, a float depth in A's monomial,
 # a malformed range, an --a-state that is not a list of term objects, an A = 0,
-# an --a-state with a bound that generates labels, and identity flags it does not read
+# two flags that exclude each other, and identity flags it does not read
 VERIFY_BAD = {
     "virasoro": [["--m-range=1.."], ["--gen=1,0"], ["--k-range=0..0"], ["--sample-size=1"],
-                 ["--j-max=0"]],
-    "e1": [["--k-range=1..a"], ["--m-range=0"], ["--a-state=[[[[1,0,1]],1]]"], ["--j-max=0"]],
+                 ["--j-max=0"], ["--seed=1"], ["--n=0", "--n-range=5..6"]],
+    "e1": [["--k-range=1..a"], ["--m-range=0"], ["--a-state=[[[[1,0,1]],1]]"], ["--j-max=0"],
+           ["--seed=1"], ["--k=0", "--k-range=x"], ["--n-range=0", "--n=0"]],
     "field-commutator": [["--a-max-wt=-1"], ["--a-max-nwt=-1"],
                          ["--a-state=" + FLOAT_DEPTH_A], ["--k-range=1..a"],
                          ["--a-state=[1]"], ['--a-state={"a":1}'], ['--a-state="x"'],
                          ["--a-state=[]"], ["--a-state=" + A_ONE, "--a-max-nwt=1"],
-                         ["--j-range=0"], ["--v-max-wt=1"], ["--j-max=0"]],
+                         ["--j-range=0"], ["--v-max-wt=1"], ["--j-max=0"], ["--seed=1"],
+                         ["--k-range=0", "--k=0"], ["--n=0", "--n-range=0"]],
     "strong-grading": [["--v-max-wt=-1"], ["--v-max-wt=0"], ["--v-max-nwt=-1"],
                        ["--sample-size=0"], ["--sample-size=-1"], ["--j-range=q"],
                        ["--n=0"], ["--a-max-wt=1"], ["--j-max=0"]],
-    "l0-grading": [["--j-range=q"], ["--k=0"], ["--sample-size=1"]],
-    "d-equals-lminus1": [["--m-range=0..0"], ["--v-max-wt=3"], ["--j-max=0"]],
+    "l0-grading": [["--j-range=q"], ["--k=0"], ["--sample-size=1"], ["--seed=1"]],
+    "d-equals-lminus1": [["--m-range=0..0"], ["--v-max-wt=3"], ["--j-max=0"], ["--seed=1"]],
 }
+# flag pairs that exclude each other: a given A is the one label checked, and a single
+# --n or --k replaces its range
+EXCLUDED = [("--a-state", "--a-max-wt"), ("--a-state", "--a-max-nwt"),
+            ("--n-range", "--n"), ("--k-range", "--k")]
 JORDAN_TOP = json.dumps({"r": 2, "lambda": ["1"], "H": [[["1", "1"], ["0", "1"]]]})
 # per action: bad values of the flags it reads, and flags it does not read
 MODULE_BAD = {
     "casimir": [["--c=1"], ["--c=1/0"], ["--lambda=x"], ["--d=1"], ["--l=2"],
-                ["--H=[[1]]"], ["--max-wt=1"], ["--tops"]],
-    "vacuum": SPEC_BAD + [["--tops", "r1:1@1"], ["--j-max=0"]],
+                ["--H=[[1]]"], ["--max-wt=1"], ["--tops"], ["--seed=1"]],
+    "vacuum": SPEC_BAD + [["--tops", "r1:1@1"], ["--j-max=0"], ["--seed=1"]],
     "logcheck": [["--H=[[[]]]"], ["--H=[[1],[2]]"], ["--H=[[1.5]]"], ["--l=0"],
-                 ["--kind=evaluation"], ["--d=1"], ["--j-max=0"], ["--tops"]],
+                 ["--kind=evaluation"], ["--d=1"], ["--j-max=0"], ["--tops"], ["--seed=1"]],
     "homdim": [["--tops", "r1:1@1"], ["--tops", "r1:1@1", "r1:1@1", "bogus"],
-               ["--kind=evaluation"], ["--c=5"], ["--lambda=9"], ["--max-nwt=1"]],
+               ["--kind=evaluation"], ["--c=5"], ["--lambda=9"], ["--max-nwt=1"],
+               ["--seed=1"]],
 }
 
 
@@ -983,13 +1023,12 @@ def small_argv(draw):
                 argv.append("%s=%s" % (flag, draw(st.sampled_from(values))))
                 drawn.add(flag)
         bad = SPEC_BAD + VERIFY_BAD.get(identity, [])
-        # a given A excludes the bounds that generate labels
-        if "--a-state" in drawn and drawn & {"--a-max-wt", "--a-max-nwt"}:
+        if any(drawn.issuperset(pair) for pair in EXCLUDED):
             return argv + ["--format=" + fmt], fmt, True
     elif command == "dims":
         argv = ["dims", "--d=%d" % draw(st.integers(1, 2)),
                 "--max-p=%d" % draw(st.integers(0, 4)), "--max-q=%d" % draw(st.integers(0, 3))]
-        bad = [["--d=0"], ["--max-p=-1"], ["--max-q=-1"], ["--format=xml"]]
+        bad = [["--d=0"], ["--max-p=-1"], ["--max-q=-1"], ["--format=xml"], ["--seed=1"]]
     else:
         action = draw(st.sampled_from(sorted(MODULE_BAD)))
         argv = ["module", action]
@@ -1045,8 +1084,10 @@ L0_COUNTEREXAMPLE = ["verify", "l0-grading", "--j-range=2", "--max-wt=2", "--max
 @example((["module", "vacuum", "--max-wt=1", "--format=json", "--tops", "r1:1@1"], "json", True))
 # an identity flag the identity does not read
 @example((["verify", "virasoro", "--max-wt=1", "--format=json", "--gen=1,0"], "json", True))
-# a given A with a bound that generates labels
+# a given A with a bound that generates labels, and a single --k with its range
 @example((["verify", "field-commutator", "--max-wt=1", "--a-max-wt=1", "--a-state=" + A_ONE,
+           "--format=json"], "json", True))
+@example((["verify", "e1", "--max-wt=1", "--max-nwt=0", "--k=0", "--k-range=x",
            "--format=json"], "json", True))
 def test_argv_fuzz_keeps_the_exit_code_contract(case):
     argv, fmt, malformed = case
