@@ -36,9 +36,10 @@ the result back into labels.  What depends only on the module (the
 zero-mode entries, the L(0) matrix of the top space) is computed once per
 `Operators`.  The public `State` API,
 `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
-fresh states and is not called inside the package.  Every single-mode
-column, zero modes included, is `fock._mode_column`; the vacuum spaces in
-`repcat` read it once, unmemoized.
+fresh states and is not called inside the package.  A single-mode column
+is built here from the module's constants, apart from
+`fock._mode_column`, which `apply_mode` and the vacuum spaces in `repcat`
+read unmemoized.
 
 The six identities are plans of one sweep, `_sweep`, which refuses an
 empty plan and rescales each defect by the level law below.  One walk of
@@ -89,7 +90,6 @@ from .fock import (
     _check_mode,
     _int_first,
     _int_first_terms,
-    _mode_column,
     grading,
     module_basis,
 )
@@ -281,7 +281,8 @@ class Operators:
     `apply` and the public `State` API return fresh dicts and states.
 
     Each memo's columns hold int numerators over its den, and each compile
-    checks that they are ints.  A single mode's den is the lcm of the
+    checks that they are ints (a scaled single-mode column is an int times
+    checked ints).  A single mode's den is the lcm of the
     denominators of l and of c^j H_i; Y(v)_k's is the product of its
     factors' single-mode dens, as each iterate term multiplies a numerator
     of x by one of u; L(n)'s is that of the module constants it reads (see
@@ -315,7 +316,11 @@ class Operators:
     -n < mu < 0; and the sum over mu < 0 stops where u_{k-mu-r-1} w would
     have negative weight.
     The columns of the tail u come from the same memos, so they are shared
-    across the labels v, the modes k and the depths n.
+    across the labels v, the modes k and the depths n.  At u = 1 the
+    formula reduces to the derivative base case: x_{i,j,n} is
+    (1/(n-1)!) L(-1)^(n-1) x_{i,j,1}, whose field is the divided derivative
+    of x(z), so Y(x_{i,j,n})_k = C(n-k-2, n-1) x(k-n+1), one scaled column
+    of the single mode over its den.  Y(1) is made only for v = 1 itself.
     """
 
     def __init__(self, spec, j_max):
@@ -375,20 +380,27 @@ class Operators:
         memos = self._vertex.get(vmono)
         if memos is None:
             module = self._module
-            if len(vmono) == 1 and vmono[0][2] == 1:  # a single mode a(k)
-                i, j, _n = vmono[0]
-                _check_mode(self.spec, i, j)
-                den = math.lcm(module.l.denominator, _rows_den(module.zero_modes[(i, j)]))
-                args = (_compile_mode, module, i, j, den)
-            elif vmono:
+            if not vmono:  # Y(1, z) is the identity field
+                den, compile = 1, partial(_Memo, _compile_identity)
+            elif len(vmono) > 1:
                 first = vmono[0]
                 x = self._vertex_memos(Monomial((first[:2] + (1,),)))
                 u = self._vertex_memos(Monomial(vmono[1:]))
                 den = x.den * u.den
                 args = (_compile_vertex, module, first, x, u, vmono.weight())
-            else:
-                den, args = 1, (_compile_identity,)  # Y(1, z) is the identity field
-            memos = self._vertex[vmono] = _Memo(partial(_Memo, *args, den=den), den=den)
+                compile = partial(_Memo, *args, den=den)
+            elif vmono[0][2] == 1:  # a single mode a(k)
+                i, j, _n = vmono[0]
+                _check_mode(self.spec, i, j)
+                rows = module.zero_modes[(i, j)]
+                den = math.lcm(module.l.denominator, _rows_den(rows))
+                rows, l = _rows_over(den, rows), _int_first(den * module.l)
+                compile = partial(_Memo, _compile_mode, module, i, j, den, l, rows, den=den)
+            else:  # x_{i,j,n}, n >= 2: the divided derivative of x(z), x = x_{i,j,1}
+                i, j, n = vmono[0]
+                x = self._vertex_memos(Monomial(((i, j, 1),)))
+                den, compile = x.den, partial(_derivative_memo, x, n)
+            memos = self._vertex[vmono] = _Memo(compile, den=den)
         return memos
 
 
@@ -442,12 +454,32 @@ def _compile_identity(k, id_):
     return {id_: 1} if k == -1 else _EMPTY_COLUMN
 
 
-def _compile_mode(module, i, j, den, k, id_):
-    column = _mode_column(module.spec, i, j, k, *module.labels[id_])
-    if not column:
+def _compile_mode(module, i, j, den, l, rows, k, id_):
+    """The column of (u^(i) t^j)(k) at a label; l is den times the level, rows are over den."""
+    mono, top = module.labels[id_]
+    if k < 0:
+        return {module.intern((mono.times(i, j, -k), top)): den}
+    if k > 0:
+        mult = mono.count((i, j, k))
+        if not mult:
+            return _EMPTY_COLUMN
+        return _numerators({module.intern((mono.without(i, j, k), top)): k * mult * l})
+    if not rows[top]:
         return _EMPTY_COLUMN
-    intern = module.intern
-    return _numerators({intern(label): _int_first(den * c) for label, c in column.items()})
+    return _numerators({module.intern((mono, t)): entry for t, entry in rows[top]})
+
+
+def _derivative_memo(x, n, k):
+    """The memo of Y(x_{i,j,n})_k = C(n-k-2, n-1) x(k-n+1); at scale 1, that of x(k-n+1)."""
+    scale = _gbinom(n - k - 2, n - 1)
+    if scale == 1:
+        return x[k - n + 1]
+    return _Memo(_compile_scaled, x[k - n + 1] if scale else None, scale, den=x.den)
+
+
+def _compile_scaled(mode, scale, id_):
+    column = mode[id_] if scale else _EMPTY_COLUMN
+    return {key: scale * c for key, c in column.items()} if column else _EMPTY_COLUMN
 
 
 def _compile_vertex(module, first, x, u, wt_v, k, id_):
@@ -463,24 +495,20 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
     for a, b, q in module.labels[id_][0]:
         if a == i and b == j and q != mus[-1]:
             mus.append(q)
-    # the nonzero (C, x(mu) w, memo of u_{k-mu-r-1}) and (C, u_{k+p-r-1} w, memo of x(-p))
-    steps = []
-    for mu in mus:
-        x_w = x[mu][id_]
-        if x_w:
-            steps.append((_gbinom(-mu - 1, r), x_w, u[k - mu - r - 1]))
-    # x(-p) raises the weight by p, so u_{k+p-r-1} w (mostly empty) has weight `weight - p`
-    for p in range(n, weight + 1):
-        u_w = u[k + p - r - 1][id_]
-        if u_w:
-            steps.append((_gbinom(p - 1, r), u_w, x[-p]))
+    # mu <= -n: x(mu) raises the weight by -mu, so u_{k-mu-r-1} w (mostly empty) has
+    # weight `weight + mu`; each term is summed into the column as it is found
+    mus += range(-n, -weight - 1, -1)
     out = {}
     get = out.get
-    for scale, column, images in steps:
-        for key, coeff in column.items():
-            s = scale * coeff
-            for image, c in images[key].items():
-                out[image] = get(image, 0) + s * c
+    for mu in mus:
+        column = x[mu][id_] if mu >= 0 else u[k - mu - r - 1][id_]
+        if column:
+            images = u[k - mu - r - 1] if mu >= 0 else x[mu]
+            scale = _gbinom(-mu - 1, r) if r else 1
+            for key, coeff in column.items():
+                s = scale * coeff
+                for image, c in images[key].items():
+                    out[image] = get(image, 0) + s * c
     if 0 in out.values():
         out = {key: c for key, c in out.items() if c}
     return _numerators(out) if out else _EMPTY_COLUMN
@@ -694,10 +722,11 @@ def merge_reports(reports, identity, params):
 def _sweep(identity, spec, tr, ops, entries, defect_of):
     """One report per (params, plan, den) of entries, in order, from one walk of the basis.
 
-    The walk visits the id in ops of every basis label within tr, and for
-    each entry `defect_of(plan, module, w)` gives den times the defect of
-    the id w at the level of ops as (p, terms) parts, terms a nonzero dict
-    over ids whose factor count is p.  Each part is rescaled once by the
+    The walk visits the id in ops of every basis label within tr, and
+    `defect_of(plans, module, w)` gives, for each entry e whose plan has a
+    nonzero defect at the id w, (e, parts): den times that defect at the
+    level of ops as (p, terms) parts, terms a nonzero dict over ids whose
+    factor count is p.  Each part is rescaled once by the
     level law, with shift p + deg w, and the parts are summed before the
     defect is measured: parts of different p can share a key.  Each entry
     keeps its largest defect, divided by its den once at the end, and its
@@ -715,9 +744,9 @@ def _sweep(identity, spec, tr, ops, entries, defect_of):
     first = [None] * len(plans)
     for label in basis:
         w = intern(label)
-        for e, plan in enumerate(plans):
+        for e, parts in defect_of(plans, module, w):
             defect = {}
-            for p, terms in defect_of(plan, module, w):
+            for p, terms in parts:
                 _axpy(defect, 1, _rescale(terms, ratio, p + deg[w], deg))
             if defect:
                 if first[e] is None:
@@ -763,48 +792,58 @@ def _product_sweep(identity, spec, tr, ops, entries):
     return _sweep(identity, spec, tr, ops, int_entries, _product_defect)
 
 
-def _product_defect(plan, module, w):
-    """The parts of sum_t c_t X_t(Y_t w) + sum_s s Z_s w, one per (p, products, singles) of plan.
+def _product_defect(plans, module, w):
+    """The (e, parts) of each plan e with a nonzero part at w, in plan order.
 
-    products are (c, X lookup, Y lookup) and singles (s, Z lookup), with
-    int multipliers (see `_product_sweep`).  Each part is summed into one
-    dict over ids and its zeros dropped once, at its end.
+    A plan's parts are those of sum_t c_t X_t(Y_t w) + sum_s s Z_s w, one
+    per (p, products, singles) of it, products being (c, X lookup, Y
+    lookup) and singles (s, Z lookup), with int multipliers (see
+    `_product_sweep`).  Each part is summed into one dict over ids and its
+    zeros dropped once, at its end.
     """
-    parts = []
-    for p, products, singles in plan:
-        part = {}
-        get = part.get
-        for c, x, y in products:
-            for key, coeff in y(w).items():
-                s = c * coeff
-                for image, a in x(key).items():
-                    part[image] = get(image, 0) + s * a
-        for s, z in singles:
-            for key, coeff in z(w).items():
-                part[key] = get(key, 0) + s * coeff
-        if any(part.values()):
-            parts.append((p, {key: a for key, a in part.items() if a}))
-    return parts
+    out = []
+    for e, plan in enumerate(plans):
+        parts = []
+        for p, products, singles in plan:
+            part = {}
+            get = part.get
+            for c, x, y in products:
+                for key, coeff in y(w).items():
+                    s = c * coeff
+                    for image, a in x(key).items():
+                        part[image] = get(image, 0) + s * a
+            for s, z in singles:
+                for key, coeff in z(w).items():
+                    part[key] = get(key, 0) + s * coeff
+            if any(part.values()):
+                parts.append((p, {key: a for key, a in part.items() if a}))
+        if parts:
+            out.append((e, parts))
+    return out
 
 
-def _containment_defect(plan, module, w):
+def _containment_defect(plans, module, w):
     """The terms w' of Y w off weight wt(w) + shift or with nwt(w') - nwt(w) off window.
 
-    plan lists (Y memo, p, shift, window); the first entry with an
-    offending term gives the one part, divided by the den of Y, and an
-    empty window means Y w = 0.
+    Each plan lists (Y memo, p, shift, window); in each plan the first
+    entry with an offending term gives the plan's one part, divided by the
+    den of Y, and an empty window means Y w = 0.  Plans with no offending
+    term are left out.
     """
     wt, nwt = module.wt, module.nwt
     wt_w, nwt_w = wt[w], nwt[w]
-    for y, p, shift, window in plan:
-        offending = {
-            key: Fraction(coeff, y.den)
-            for key, coeff in y[w].items()
-            if nwt[key] - nwt_w not in window or wt[key] != wt_w + shift
-        }
-        if offending:
-            return [(p, offending)]
-    return ()
+    out = []
+    for e, plan in enumerate(plans):
+        for y, p, shift, window in plan:
+            offending = {
+                key: Fraction(coeff, y.den)
+                for key, coeff in y[w].items()
+                if nwt[key] - nwt_w not in window or wt[key] != wt_w + shift
+            }
+            if offending:
+                out.append((e, [(p, offending)]))
+                break
+    return out
 
 
 def check_l_mode_commutator(n, gen, k, spec, tr):

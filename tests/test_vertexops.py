@@ -1005,12 +1005,13 @@ ORACLE_V = [
     ((1, 0, 1),),
     ((1, 1, 2),),
     ((1, 0, 3),),
+    ((1, 2, 4),),
     ((1, 0, 1), (1, 0, 1)),
     ((1, 0, 1), (1, 1, 2)),
     ((1, 0, 3), (1, 2, 1)),
     ((1, 0, 1), (1, 0, 2), (1, 1, 3)),
 ]
-ORACLE_V_D2 = [((1, 0, 1), (2, 0, 1)), ((1, 1, 2), (2, 0, 1), (2, 0, 3))]
+ORACLE_V_D2 = [((2, 1, 3),), ((1, 0, 1), (2, 0, 1)), ((1, 1, 2), (2, 0, 1), (2, 0, 3))]
 # four factors; left out on the Jordan top, where enumerating every mode
 # assignment (zero modes act at every power) takes seconds per label of v
 ORACLE_V_LONG = [
@@ -1473,6 +1474,36 @@ def test_e1_compiles_only_its_single_mode(capsys):
     assert list(operators(ModuleSpec.adjoint(2, 1), 0)._vertex) == [mono((2, 1, 1))]
 
 
+@pytest.mark.parametrize("spec", [ADJ2, JORDAN_TOPS["c1/3"]], ids=["adjoint", "jordan"])
+def test_one_variable_columns_and_sweeps_do_no_extra_calls(monkeypatch, spec):
+    # Y(x_{i,j,n})_k = C(n-k-2, n-1) x(k-n+1) reads the single mode x alone: no iterate
+    # formula and no Y(1); x builds its own labels, apart from fock._mode_column
+    compiles = count_calls(monkeypatch, vertexops, "_compile_vertex")
+
+    def refuse(*args):
+        raise AssertionError("a single-mode column read fock._mode_column")
+
+    for owner in (fock, vertexops):
+        monkeypatch.setattr(owner, "_mode_column", refuse, raising=False)
+    ops = vertexops.Operators(spec, 0)
+    basis = [ops.intern(label) for label in module_basis(spec, 3, 2)]
+    nonzero = 0
+    for i in range(1, spec.d + 1):
+        for j in range(3):
+            for n in range(2, 5):
+                for k in range(-4, 5):
+                    memo = ops.vertex_columns(mono((i, j, n)), k)
+                    nonzero += sum(bool(memo[w]) for w in basis)
+    assert compiles == [] and EMPTY not in ops._vertex and nonzero > 100
+    # one defect call per basis state, for all the entries of a walk at once
+    defects = count_calls(monkeypatch, vertexops, "_product_defect")
+    tr = Truncation(3, 1)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert all(r.defect_zero for r in vertexops.check_virasoro_pairs(pairs, spec, tr))
+    assert len(defects) == len(module_basis(spec, 3, 1))
+    assert {len(args[0]) for args in defects} == {len(pairs)}
+
+
 def memo_dens(ops):
     """The den of each memo of ops: ("L", n), ("Y", v, k) and ("Y", v), v's memo of memos."""
     dens = {("L", n): memo.den for n, memo in ops._l.items()}
@@ -1492,7 +1523,7 @@ def test_the_dens_of_a_fractional_module():
     ops.vertex_columns(xx, 0)
     assert memo_dens(ops) == {
         ("L", -1): 2, ("L", 0): 4, ("L", 1): 1, ("L", 2): 3,
-        ("Y", x): 3, ("Y", mono((1, 1, 2))): 3, ("Y", mono((1, 1, 1))): 3, ("Y", EMPTY): 1,
+        ("Y", x): 3, ("Y", mono((1, 1, 2))): 3, ("Y", mono((1, 1, 1))): 3,
         ("Y", xx): 9, ("Y", xx, 0): 9,
     }
     assert ops._module.l0_top == (((0, 27),),)
