@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exactmath import RatMatrix, _axpy, rat, rat_str
 
@@ -38,22 +37,9 @@ class NotHomogeneousError(ValueError):
     """Raised when a state mixes terms of different bigrades."""
 
 
-class GenIndex(NamedTuple):
-    """A generator u^(i) t^j of the current algebra: color i, power j."""
-
-    i: int
-    j: int
-
-
-class ModeOp(NamedTuple):
-    """A single mode (u^(i) t^j)(n): creation for n<0, annihilation for n>0."""
-
-    gen: GenIndex
-    n: int
-
-
 def mode(i, j, n):
-    return ModeOp(GenIndex(i, j), n)
+    """The single mode (u^(i) t^j)(n) as ((i, j), n): creation for n < 0, annihilation for n > 0."""
+    return ((i, j), n)
 
 
 class Monomial(tuple):
@@ -93,9 +79,6 @@ class Monomial(tuple):
         factors = list(self)
         factors.remove((i, j, n))
         return Monomial(factors)
-
-    def multiplicity(self, i, j, n):
-        return self.count((i, j, n))
 
     def distinct(self):
         """Yield ((i, j, n), multiplicity) over the distinct variables."""
@@ -279,16 +262,6 @@ class ModuleSpec:
                 raise ValueError("the adjoint module carries no evaluation point")
         elif self.c is None:
             raise ValueError("evaluation modules need an evaluation point c")
-        # every cache keyed by a spec hashes it per lookup; hash the Fractions once
-        key = (self.kind, self.d, self.l, self.c, self.r, self.lam, self.H)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, so the loading process hashes its own strings
-        return (ModuleSpec, (self.kind, self.d, self.l, self.c, self.r, self.lam, self.H))
 
     @classmethod
     def adjoint(cls, d, l):
@@ -510,7 +483,7 @@ def _mode_column(spec, i, j, n, mono, top):
     if n < 0:
         return {(mono.times(i, j, -n), top): 1}
     if n > 0:
-        mult = mono.multiplicity(i, j, n)
+        mult = mono.count((i, j, n))
         if mult == 0:
             return {}
         # n*l*mult with the level's int parts: an int wherever it is integral

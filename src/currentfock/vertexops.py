@@ -33,8 +33,9 @@ of their own.  Every caller outside the sweep applies an operator to a term
 dict through one method, `Operators.apply`, which turns the labels into
 ids, sums the columns at the level asked for, divides by the den and turns
 the result back into labels.  What depends only on the module (the
-zero-mode entries, the L(0) matrix of the top space) is computed once per
-`Operators`.  The public `State` API,
+zero-mode entries) is computed once per `Operators`; the L(0) rows of the
+top space are built when the memo of L(0) is made and passed to its
+compile, as are the tail rows of L(-1).  The public `State` API,
 `l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
 fresh states and is not called inside the package.  A single-mode column
 is built here from the module's constants, apart from
@@ -196,13 +197,12 @@ class _Module:
     Its intern table numbers the labels 0, 1, 2, ... in the order they are
     met: `ids` maps a label to its id, `labels` an id to its label, and
     `wt`, `nwt` and `deg` hold the weight, nwt and variable count of each
-    id's monomial.  The L(0) matrix of the top space is taken from
-    `repcat.l0_top_matrix` when the memo of L(0) is made, after the
-    c^2 != 1 check, and kept as numerators over that memo's den.
+    id's monomial.  It keeps no L(n) data: the L(0) rows of the top space
+    are built when the memo of L(0) is made and passed to its compile.
     """
 
     __slots__ = (
-        "spec", "j_max", "l", "top_acts", "level_ok", "cuts_tail", "zero_modes", "l0_top",
+        "spec", "j_max", "l", "top_acts", "cuts_tail", "zero_modes",
         "ids", "labels", "wt", "nwt", "deg",
     )
 
@@ -211,11 +211,9 @@ class _Module:
         self.j_max = j_max
         self.l = _int_first(spec.l)
         self.top_acts = not spec.is_adjoint() and any(not m.is_zero() for m in spec.H)
-        self.level_ok = not self.top_acts or spec.c**2 != 1
         # the creation * zero-mode tail of L(-1) is cut at j <= j_max
         self.cuts_tail = self.top_acts and spec.c != 0
         self.zero_modes = _Memo(_zero_mode_rows, spec)
-        self.l0_top = None
         self.ids = {}
         self.labels = []
         self.wt = []
@@ -408,41 +406,46 @@ def _l_memo(module, n):
     """The memo of L(n), made once L(n) is checked to exist, over the den of its constants.
 
     Besides ints, the columns of L(n) read l (n >= 2) and, where the top
-    acts, the L(0) top matrix (n = 0), the tail c^j H_i / l, cut at
-    j <= j_max for c != 0 (n = -1), or c^j H_i at every power j (n >= 1).  The
-    den is the lcm of their denominators; those of c^j H_i are bounded only
-    for an integral c, and otherwise the memo keeps den 1 and int-first
-    rationals (`bounded` false).  The top rows of L(0) and of the tail are
-    stored as numerators over the den.  Its columns are compiled by
-    `_compile_l` in one pass into ids, and each is checked by `_numerators`
-    (bounded) or made int-first by `_int_first_terms` (unbounded).
+    acts, c^j H_i at every power j (n >= 1) or the top-space terms built
+    here: the doubly-zero-mode rows of L(0), from `repcat.l0_top_matrix`,
+    and the tail rows c^j H_i / l of L(-1), cut at j <= j_max for c != 0.
+    The den is the lcm of their denominators; those of c^j H_i are bounded
+    only for an integral c, and otherwise the memo keeps den 1 and int-first
+    rationals (`bounded` false).  The top-space terms are passed to
+    `_compile_l` as (created variable or None, rows over the den); its
+    columns are compiled in one pass into ids, and each is checked by
+    `_numerators` (bounded) or made int-first by `_int_first_terms`
+    (unbounded).
     """
     if n < -1:
         raise ValueError("only the operators L(n) with n >= -1 exist here")
-    if not module.level_ok:
-        raise ValueError("L(n) on an evaluation module with nontrivial top action needs c^2 != 1")
     spec = module.spec
+    acts = module.top_acts
+    if acts and spec.c**2 == 1:
+        raise ValueError("L(n) on an evaluation module with nontrivial top action needs c^2 != 1")
     den = module.l.denominator if n >= 2 else 1
     bounded = True
-    tail = ()
-    if module.top_acts:
+    top_terms = ()
+    if acts:
         if n == 0:
-            rows = _top_rows(l0_top_matrix(spec), spec.r)
-            den = _rows_den(rows)
-            module.l0_top = _rows_over(den, rows)
+            top_terms = [(None, _top_rows(l0_top_matrix(spec), spec.r))]
         elif n == -1:
             powers = range(module.j_max + 1) if module.cuts_tail else (0,)
-            gens = [(i, j) for i in range(1, spec.d + 1) for j in powers]
-            rows = [_top_rows(spec.zero_mode_matrix(*g).scale(1 / spec.l), spec.r) for g in gens]
-            den = _rows_den(*rows)
-            tail = [(gen, _rows_over(den, rows_of)) for gen, rows_of in zip(gens, rows)]
+            top_terms = [
+                ((i, j, 1), _top_rows(spec.zero_mode_matrix(i, j).scale(1 / spec.l), spec.r))
+                for i in range(1, spec.d + 1)
+                for j in powers
+            ]
         elif spec.c.denominator == 1:  # then the denominators of c^j H_i divide those of H_i
             h = [module.zero_modes[(i, 0)] for i in range(1, spec.d + 1)]
             den = math.lcm(den, _rows_den(*h))
         else:
             den, bounded = 1, False
+        if top_terms:
+            den = _rows_den(*(rows for _var, rows in top_terms))
+            top_terms = tuple((var, _rows_over(den, rows)) for var, rows in top_terms)
     l = _int_first(den * module.l)
-    return _Memo(_compile_l, module, n, den, bounded, l, tail, den=den)
+    return _Memo(_compile_l, module, n, den, bounded, l, acts, top_terms, den=den)
 
 
 def _zero_mode_rows(spec, gen):
@@ -514,14 +517,16 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
     return _numerators(out) if out else _EMPTY_COLUMN
 
 
-def _compile_l(module, n, den, bounded, l, tail, id_):
+def _compile_l(module, n, den, bounded, l, acts, top_terms, id_):
     """The column of L(n) at a label as numerators over den, l being den times the level.
 
-    Each output label is built once, from a copy of the label's factors with
-    the annihilated variables removed and the created one inserted in order,
-    and interned at once; the terms are summed into the column by id and its
-    zeros dropped once, at the end.  The label's variables are counted only
-    for n != 0: the terms of L(0) do not read them.
+    acts says whether the top acts; top_terms are the (created variable or
+    None, rows over den) of `_l_memo`.  Each output label is built once,
+    from a copy of the label's factors with the annihilated variables
+    removed and the created one inserted in order, and interned at once;
+    the terms are summed into the column by id and its zeros dropped once,
+    at the end.  The label's variables are counted only for n != 0: the
+    terms of L(0) do not read them.
     """
     weight = module.wt[id_]
     if n > weight:
@@ -531,65 +536,49 @@ def _compile_l(module, n, den, bounded, l, tail, id_):
     out = {}
     get = out.get
 
-    # creation * annihilation pairings; for n = 0 each gives back w, so they sum to its weight
     if n == 0:
+        # the creation * annihilation pairings each give back w: they sum to its weight
         if mono:
             out[id_] = weight * den
     else:
-        # one scan of the label: each variable's multiplicity
         counts = {}
         for var in mono:
             counts[var] = counts.get(var, 0) + 1
         floor = max(0, n)
+        # one pass over the distinct variables x_{i,j,q}, each paired with the mode p = n - q
         for var, mult in counts.items():
             i, j, q = var
-            if q > floor:
+            p = n - q
+            if q > floor:  # creation * annihilation
                 factors = list(mono)
                 factors.remove(var)
-                insort(factors, (i, j, q - n))
+                insort(factors, (i, j, -p))
                 key = intern((Monomial(factors), top))
                 out[key] = get(key, 0) + q * mult * den
-
-        # annihilation * annihilation, both factors acting on variables of w
-        if n >= 2:
-            for var, mp in counts.items():
-                i, j, p = var
-                q = n - p
-                if p < q:
-                    pairs = mp * counts.get((i, j, q), 0)
-                elif p == q:
-                    pairs = mp * (mp - 1) // 2
-                else:
-                    continue
+            elif q <= p:  # annihilation * annihilation, both on variables of w, q the smaller
+                pairs = mult * counts.get((i, j, p), 0) if q < p else mult * (mult - 1) // 2
                 if pairs:
                     factors = list(mono)
                     factors.remove(var)
-                    factors.remove((i, j, q))
+                    factors.remove((i, j, p))
                     key = intern((Monomial(factors), top))
                     out[key] = get(key, 0) + p * q * pairs * l
+            elif p == 0 and acts:  # zero mode * annihilation
+                factors = list(mono)
+                factors.remove(var)
+                rest = Monomial(factors)
+                for t, entry in module.zero_modes[(i, j)][top]:
+                    key = intern((rest, t))
+                    out[key] = get(key, 0) + _int_first(n * mult * den * entry)
 
-        # zero mode * annihilation: a(n) kills all but finitely many variables
-        if n >= 1 and module.top_acts:
-            for var, mult in counts.items():
-                if var[2] == n:
-                    factors = list(mono)
-                    factors.remove(var)
-                    rest = Monomial(factors)
-                    for t, entry in module.zero_modes[var[:2]][top]:
-                        key = intern((rest, t))
-                        out[key] = get(key, 0) + _int_first(n * mult * den * entry)
-
-    # doubly-zero-mode part of L(0): geometric series summed in closed form
-    if n == 0 and module.top_acts:
-        for t, entry in module.l0_top[top]:
-            key = intern((mono, t))
-            out[key] = get(key, 0) + entry
-
-    # creation * zero-mode tail of L(-1), infinite in j unless c = 0: cut at j <= j_max
-    for (i, j), rows in tail:
-        factors = list(mono)
-        insort(factors, (i, j, 1))
-        grown = Monomial(factors)
+    # top-space terms: the doubly-zero-mode part of L(0), a geometric series summed in
+    # closed form, and the creation * zero-mode tail of L(-1), cut at j <= j_max
+    for var, rows in top_terms:
+        grown = mono
+        if var is not None:
+            factors = list(mono)
+            insort(factors, var)
+            grown = Monomial(factors)
         for t, entry in rows[top]:
             key = intern((grown, t))
             out[key] = get(key, 0) + entry

@@ -189,6 +189,20 @@ class TestLApply:
             expected += State.term(mono((1, j, 1)), coeff=Fraction(1, 2) ** j)
         assert out == expected
 
+    @pytest.mark.parametrize("j_max", [1, 2])
+    def test_truncated_tail_of_a_matrix_top(self, j_max):
+        # L(-1) u = sum_{i, j <= j_max} x_{i,j,1} (c^j H_i / l) u on each top vector u
+        spec = JORDAN_TOPS["c1/3"]
+        for top in range(spec.r):
+            out, exact = l_apply(-1, State.vacuum(top), spec, Truncation(2, 1, j_max))
+            expected = State.zero()
+            for i in range(1, spec.d + 1):
+                for j in range(j_max + 1):
+                    matrix = spec.zero_mode_matrix(i, j)
+                    for t in range(spec.r):
+                        expected += State.term(mono((i, j, 1)), t, matrix[t, top] / spec.l)
+            assert not exact and out == expected and len(out.terms) > spec.d * j_max
+
     def test_c_zero_tail_is_exact(self):
         spec = ModuleSpec.evaluation(1, 2, 0, (3,))
         out, exact = l_apply(-1, State.vacuum(), spec)
@@ -797,6 +811,23 @@ def test_l_columns_compile_straight_into_ids(monkeypatch, spec, j_max):
     assert terms > len(ids)
 
 
+@pytest.mark.parametrize("spec, j_max", [(JORDAN_TOPS["c1/3"], 2), (JORDAN_TOPS["c-2"], 1)],
+                         ids=["jordan-c1/3", "jordan-c-2"])
+def test_l_memos_reassign_no_attribute_of_the_module(spec, j_max):
+    # the top-space rows of L(0) and L(-1) are passed to their compiles: making and
+    # compiling every L(n) fills the intern table and the zero-mode memo in place only
+    ops = vertexops.Operators(spec, j_max)
+    module = ops._module
+    before = {name: getattr(module, name) for name in type(module).__slots__}
+    ids = [ops.intern(label) for label in module_basis(spec, 3, 2)]
+    terms = 0
+    for n in range(-1, 6):
+        memo = ops.l_columns(n)
+        terms += sum(len(memo[id_]) for id_ in ids)
+    assert [name for name, value in before.items() if getattr(module, name) is not value] == []
+    assert module.zero_modes and len(module.labels) > len(ids) and terms > len(ids)
+
+
 def test_l_columns_drop_the_terms_that_cancel():
     # L(0) = wt + h with h = -1 here: every weight-1 column cancels to an empty one
     spec = ModuleSpec.evaluation(1, Fraction(-1, 2), 0, (1,))
@@ -1172,7 +1203,7 @@ def test_an_evicted_operators_object_is_freed_without_the_cycle_collector():
         assert check_l_mode_commutator(1, (1, 0), 0, spec, tr).defect_zero
         check_l0_grading(spec, tr, [0, -1])  # the cut tail leaves nwt
         assert set(ops._l) == {-1, 0, 1} and all(ops._l.values()) and ops._vertex
-        assert ops._module.l0_top is not None
+        assert ops._l[0].args[-1]  # the L(0) memo holds the rows of the top matrix
         assert len(ops._module.ids) == len(ops._module.labels) > 0
         freed = weakref.ref(ops)
         del ops
@@ -1526,7 +1557,8 @@ def test_the_dens_of_a_fractional_module():
         ("Y", x): 3, ("Y", mono((1, 1, 2))): 3, ("Y", mono((1, 1, 1))): 3,
         ("Y", xx): 9, ("Y", xx, 0): 9,
     }
-    assert ops._module.l0_top == (((0, 27),),)
+    # the top terms of the L(0) memo: no created variable, rows over its den 4
+    assert ops._l[0].args[-1] == ((None, (((0, 27),),)),)
 
 
 def test_an_unbounded_l_memo_keeps_den_one_and_rationals():
