@@ -889,11 +889,14 @@ class TestPlumbing:
         assert code == EXIT_USAGE
 
     def test_console_script_entry_point(self):
+        # run from the directory that holds the package under test, so that the
+        # child imports it with or without an install
         proc = subprocess.run(
             [sys.executable, "-m", "currentfock.cli", "module", "casimir",
              "--lambda", "1,1", "--c", "1/2"],
             capture_output=True,
             text=True,
+            cwd=pathlib.Path(cli.__file__).parents[1],
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == '"8/3"'
