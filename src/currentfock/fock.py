@@ -38,7 +38,7 @@ class NotHomogeneousError(ValueError):
 
 
 def mode(i, j, n):
-    """The single mode (u^(i) t^j)(n) as ((i, j), n): creation for n < 0, annihilation for n > 0."""
+    """The single mode (u^(i) t^j)(n) as ((i, j), n), the argument of `apply_mode`."""
     return ((i, j), n)
 
 

@@ -420,13 +420,12 @@ def _l_memo(module, n):
     if n < -1:
         raise ValueError("only the operators L(n) with n >= -1 exist here")
     spec = module.spec
-    acts = module.top_acts
-    if acts and spec.c**2 == 1:
+    if module.top_acts and spec.c**2 == 1:
         raise ValueError("L(n) on an evaluation module with nontrivial top action needs c^2 != 1")
     den = module.l.denominator if n >= 2 else 1
     bounded = True
     top_terms = ()
-    if acts:
+    if module.top_acts:
         if n == 0:
             top_terms = [(None, _top_rows(l0_top_matrix(spec), spec.r))]
         elif n == -1:
@@ -445,7 +444,7 @@ def _l_memo(module, n):
             den = _rows_den(*(rows for _var, rows in top_terms))
             top_terms = tuple((var, _rows_over(den, rows)) for var, rows in top_terms)
     l = _int_first(den * module.l)
-    return _Memo(_compile_l, module, n, den, bounded, l, acts, top_terms, den=den)
+    return _Memo(_compile_l, module, n, den, bounded, l, top_terms, den=den)
 
 
 def _zero_mode_rows(spec, gen):
@@ -517,16 +516,16 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
     return _numerators(out) if out else _EMPTY_COLUMN
 
 
-def _compile_l(module, n, den, bounded, l, acts, top_terms, id_):
+def _compile_l(module, n, den, bounded, l, top_terms, id_):
     """The column of L(n) at a label as numerators over den, l being den times the level.
 
-    acts says whether the top acts; top_terms are the (created variable or
-    None, rows over den) of `_l_memo`.  Each output label is built once,
-    from a copy of the label's factors with the annihilated variables
-    removed and the created one inserted in order, and interned at once;
-    the terms are summed into the column by id and its zeros dropped once,
-    at the end.  The label's variables are counted only for n != 0: the
-    terms of L(0) do not read them.
+    top_terms are the (created variable or None, rows over den) of
+    `_l_memo`.  Each output label is built once, from a copy of the label's
+    factors with the annihilated variables removed and the created one
+    inserted in order, and interned at once; the terms are summed into the
+    column by id and its zeros dropped once, at the end.  The label's
+    variables are counted only for n != 0: the terms of L(0) do not read
+    them.
     """
     weight = module.wt[id_]
     if n > weight:
@@ -563,11 +562,12 @@ def _compile_l(module, n, den, bounded, l, acts, top_terms, id_):
                     factors.remove((i, j, p))
                     key = intern((Monomial(factors), top))
                     out[key] = get(key, 0) + p * q * pairs * l
-            elif p == 0 and acts:  # zero mode * annihilation
+            # zero mode * annihilation, where the zero mode acts on this top vector
+            elif p == 0 and (rows := module.zero_modes[(i, j)][top]):
                 factors = list(mono)
                 factors.remove(var)
                 rest = Monomial(factors)
-                for t, entry in module.zero_modes[(i, j)][top]:
+                for t, entry in rows:
                     key = intern((rest, t))
                     out[key] = get(key, 0) + _int_first(n * mult * den * entry)
 
