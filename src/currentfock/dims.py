@@ -152,8 +152,6 @@ def gf_product_count(d, P, Q):
                 series = series.mul_geometric(0, b, a)
     table = DimTable(d=d)
     for (p, q), coeff in series.constant_x_term().items():
-        if coeff.denominator != 1:
-            raise AssertionError("Euler product produced a non-integer coefficient")
         table.entries[(q, p)] = coeff
     validate_dimension_table(table)
     return table
@@ -177,8 +175,6 @@ def gf_paper_ct(P, Q):
         series = series.mul_geometric(1, 0, a)
     table = DimTable(d=1)
     for (p, q), coeff in series.constant_x_term().items():
-        if coeff.denominator != 1:
-            raise AssertionError("constant term produced a non-integer coefficient")
         table.entries[(q, p)] = coeff
     return table
 

@@ -22,6 +22,7 @@ denominator omitted when it is 1 (``"-3/4"``, ``"7"``).  This is exactly what
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -44,15 +45,19 @@ def rat_str(x) -> str:
     return str(rat(x))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class RatMatrix:
     """Immutable dense matrix over the rationals.
 
-    Entries are stored as a tuple of row tuples of Fractions; matrices are
+    A frozen dataclass, compared and hashed over ``(rows, cols, entries)``;
+    entries are stored as a tuple of row tuples of Fractions.  Matrices are
     hashable because the top-space matrices H_i are fields of the hashed
     `ModuleSpec`, which keys the operator registry.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    rows: int
+    cols: int
+    entries: tuple
 
     def __init__(self, entries, cols=None):
         rows = tuple(tuple(rat(e) for e in row) for row in entries)
@@ -67,14 +72,6 @@ class RatMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __reduce__(self):
-        # __setattr__ refuses the default slot restore; rebuild through __init__
-        return (RatMatrix, (self.entries, self.cols))
 
     @classmethod
     def zero(cls, rows, cols):
@@ -93,26 +90,12 @@ class RatMatrix:
         i, j = idx
         return self.entries[i][j]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.rows, self.cols, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self):
         return "RatMatrix(%r)" % ([list(map(str, row)) for row in self.entries],)
 
     def __add__(self, other):
-        self._check_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("matrix shapes differ")
         return RatMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -122,14 +105,7 @@ class RatMatrix:
         )
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
+        return self + other.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -176,10 +152,6 @@ class RatMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * rat(v) for a, v in zip(row, vec)) for row in self.entries)
-
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shapes differ")
 
     def to_json(self):
         return [[rat_str(a) for a in row] for row in self.entries]

@@ -156,15 +156,6 @@ class _Memo(dict):
         return value
 
 
-class _Fresh(_Memo):
-    """A `_Memo` that stores nothing: a plan's own operator, read once per label."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        return self.compile(*self.args, key)
-
-
 def _numerators(column):
     """column itself, once each value is checked to be an int: a den is checked, not trusted."""
     for coeff in column.values():
@@ -972,7 +963,7 @@ def check_l0_grading(spec, tr, j_values):
             _axpy(out, -wt[w] * l_0.den, {w: 1})
             return out
 
-        plan.insert(0, (_Fresh(mismatch, den=l_0.den), 0, 0, range(0)))
+        plan.insert(0, (_Memo(mismatch, den=l_0.den), 0, 0, range(0)))
     params = {"j_values": j_values, "spec": spec.to_json()}
     if truncated:
         params["truncated"] = True
@@ -990,7 +981,7 @@ def check_d_equals_lminus1(spec, tr):
     def d(w):
         return ops.to_ids(_translate({labels[w]: 1}))
 
-    plan = [(0, [], [(1, _Fresh(d)), (-1, l_minus1)])]
+    plan = [(0, [], [(1, _Memo(d)), (-1, l_minus1)])]
     params = {"spec": spec.to_json()}
     return _product_sweep("d-equals-lminus1", spec, tr, ops, [(params, plan)])[0]
 

@@ -589,6 +589,12 @@ class TestModule:
         assert code == EXIT_OK
         assert json.loads(out) == {"blocks": [2], "genuine": True}
 
+    def test_logcheck_explicit_lambda(self, capsys):
+        code, out, err = run(
+            capsys, "module", "logcheck", "--H", "[[1,1],[0,1]]", "--c", "1/3", "--lambda", "1"
+        )
+        assert (code, out, err) == (EXIT_OK, '{"blocks": [2], "genuine": true}\n', "")
+
     def test_logcheck_degenerate(self, capsys):
         code, out, _ = run(
             capsys, "module", "logcheck", "--H", "[[0,1],[0,0]]", "--c", "0", "--l", "1"
@@ -699,6 +705,26 @@ NAMED_IN_ERROR = {
         "error: --c" + NOT_ADJOINT,
     ("module", "vacuum", "--lambda", "5"): "error: --lambda" + NOT_ADJOINT,
     ("verify", "e1", "--H", "[[1]]"): "error: --H" + NOT_ADJOINT,
+    # a flag an action needs, missing or malformed
+    ("verify", "virasoro", "--kind", "evaluation", "--max-wt", "1"):
+        "error: evaluation modules need --c\n",
+    ("module", "casimir", "--c", "0"): "error: casimir needs --lambda and --c\n",
+    ("module", "logcheck", "--c", "0"): "error: logcheck needs --H and --c\n",
+    ("module", "logcheck", "--H", "5", "--c", "0"):
+        "error: --H must be a JSON matrix or list of matrices\n",
+    ("module", "homdim", "--tops", "r1:1@0", "r1:1@0", "x1:1@0"):
+        "error: top space 'x1:1@0' not understood; use r{R}:{d}@{lambda,...} or JSON\n",
+    ("module", "homdim", "--tops", "r1:1@0", "r1:1@0", "r1:1"):
+        "error: top space 'r1:1' not understood; use r{R}:{d}@{lambda,...} or JSON\n",
+    ("verify", "e1", "--gen", "1,-1", "--max-wt", "1"):
+        "error: generator power must be nonnegative\n",
+    ("verify", "d-equals-lminus1", "--kind", "evaluation", "--c", "0", "--max-wt", "1"):
+        "error: d-equals-lminus1 is an adjoint-module identity\n",
+    ("verify", "field-commutator", "--max-wt", "1", "--a-state",
+     '[{"mono": [[1,0,1]], "top": 1, "coeff": "1"}]'):
+        "error: vertex-operator labels live in M(l); top index must be 0\n",
+    ("module", "logcheck", "--H", "[[1,1],[0,1]]", "--c", "1/3", "--lambda", "2"):
+        "error: lambda[0] is not the unique eigenvalue of H[0]\n",
 }
 
 
@@ -833,7 +859,10 @@ class TestPlumbing:
              "a-state-float-depth", "a-state-bool-top", "m-below-minus-one",
              "n-below-minus-one", "m-range-reaching-minus-two", "index-after-c-squared-one",
              "level-zero", "tops-bool-r", "a-state-empty", "a-state-zero-coeff", "l-word",
-             "c-word", "lambda-word", "adjoint-c", "adjoint-lambda", "adjoint-H"],
+             "c-word", "lambda-word", "adjoint-c", "adjoint-lambda", "adjoint-H",
+             "evaluation-no-c", "casimir-no-lambda", "logcheck-no-H", "H-scalar",
+             "tops-word", "tops-no-lambda-list", "gen-negative", "d-equals-evaluation",
+             "a-state-top-index", "lambda-not-eigenvalue"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

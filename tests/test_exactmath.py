@@ -1,6 +1,7 @@
 """Exact linear algebra: rank/nullspace and Jordan structure."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -174,6 +175,47 @@ def test_matrix_algebra_basics():
     assert (a ** 3) == a * a * a
     with pytest.raises(ValueError):
         RatMatrix([[1, 2], [3]])
+
+
+SQUARE = RatMatrix([[1, 2], [3, 4]])
+WIDE = RatMatrix([[1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: RatMatrix([[1, 2], [3]]), "matrix rows have unequal lengths"),
+        (lambda: RatMatrix([[1, 2]], cols=3), "declared column count does not match entries"),
+        (lambda: WIDE * SQUARE, "matrix shapes do not compose"),
+        (lambda: WIDE ** 2, "only square matrices can be raised to a power"),
+        (lambda: SQUARE ** -1, "negative matrix powers are not supported"),
+        (lambda: SQUARE.apply([1, 2, 3]), "vector length does not match column count"),
+        (lambda: SQUARE + WIDE, "matrix shapes differ"),
+        (lambda: SQUARE - WIDE, "matrix shapes differ"),
+    ],
+    ids=["ragged-rows", "cols-mismatch", "mul-shapes", "pow-not-square", "pow-negative",
+         "apply-length", "add-shapes", "sub-shapes"],
+)
+def test_matrix_refusals_keep_their_messages(refused, message):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert str(info.value) == message
+
+
+def test_matrix_value_semantics():
+    m = RatMatrix([[1, "1/2"], [0, -3]])
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    assert repr(m) == "RatMatrix([['1', '1/2'], ['0', '-3']])"
+    assert m * 2 == RatMatrix([[2, 1], [0, -6]])
+    from_ints = RatMatrix([[1, 0], [2, -3]])
+    from_strings = RatMatrix([["2/2", "0/5"], ["4/2", "-3/1"]])
+    assert from_ints == from_strings and hash(from_ints) == hash(from_strings)
+    assert hash(m) == hash((m.rows, m.cols, m.entries))
+    loaded = pickle.loads(pickle.dumps(m))
+    assert loaded == m and hash(loaded) == hash(m)
+    assert RatMatrix.zero(0, 3).cols == 3
+    assert jordan_structure(RatMatrix([]), 0) == []
 
 
 def test_jordan_canonical_block():

@@ -281,7 +281,7 @@ class TestModuleSpec:
         loaded = pickle.loads(payload)
         assert loaded == spec and hash(loaded) == hash(spec)
         assert loaded.H == spec.H and hash(loaded.H[0]) == hash(spec.H[0])
-        # cached hashes are rebuilt on load: a string hashes differently in another process
+        # no hash is pickled: a string hashes differently in another process
         assert b"_hash" not in payload
 
     def test_level_must_be_nonzero(self):
