@@ -161,9 +161,13 @@ class RatMatrix:
         return cls(data, cols=cols)
 
 
-def _axpy(out, s, col):
-    """out += s * col on sparse {key: coefficient} dicts; cancelled keys go."""
-    for key, c in col.items():
+def _axpy(out, s, pairs):
+    """out += s * pairs on a sparse {key: coefficient} dict; cancelled keys go.
+
+    pairs is any iterable of (key, coefficient) pairs, such as `d.items()`
+    of a dict d or a column tuple.
+    """
+    for key, c in pairs:
         v = out.get(key, 0) + s * c
         if v:
             out[key] = v
@@ -197,7 +201,7 @@ def _echelon(rows):
                     row = {key: a * inv for key, a in row.items()}
                 pivots[col] = row
                 break
-            _axpy(row, -lead, pivots[col])
+            _axpy(row, -lead, pivots[col].items())
     return pivots
 
 
@@ -214,7 +218,7 @@ def _rref(reduced):
         for col in pivots[:k]:
             above = reduced[col]
             if pivots[k] in above:
-                _axpy(above, -above[pivots[k]], below)
+                _axpy(above, -above[pivots[k]], below.items())
     return reduced
 
 

@@ -150,7 +150,7 @@ class State:
 
     def __add__(self, other):
         out = dict(self.terms)
-        _axpy(out, 1, other.terms)
+        _axpy(out, 1, other.terms.items())
         return State(out)
 
     def __sub__(self, other):
@@ -198,10 +198,6 @@ def _int_first(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
-
-
-def _int_first_terms(terms):
-    return {key: _int_first(c) for key, c in terms.items()}
 
 
 def _check_top(r, lam, H):
@@ -474,7 +470,7 @@ def apply_mode(op, w, spec):
     _check_mode(spec, i, j)
     out = {}
     for (mono, top), coeff in w.terms.items():
-        _axpy(out, coeff, _mode_column(spec, i, j, n, mono, top))
+        _axpy(out, coeff, _mode_column(spec, i, j, n, mono, top).items())
     return State(out)
 
 

@@ -14,33 +14,34 @@ a geometric series (hence the c^2 != 1 requirement), and the creation times
 zero-mode tail of L(-1), which for c != 0 is genuinely infinite and is
 truncated at j <= j_max with an explicit exactness flag.
 
-Every internal use of these operators reads columns, dicts {id:
-numerator}, compiled by `Operators` into one memo per operator L(n) or
-Y(v)_k (a single mode a(k) is Y(x_{i,j,1})_k), a dict from the id of a
-basis label to its column; a compiled column is served by a plain dict
-lookup.  A column is compiled straight into ids in one pass: each output
+Every internal use of these operators reads columns, immutable tuples of
+(id, numerator) pairs, () for an empty one, compiled by `Operators` into
+one memo per operator L(n) or Y(v)_k (a single mode a(k) is
+Y(x_{i,j,1})_k), a dict from the id of a basis label to its column; a
+compiled column is served by a plain dict lookup and read by iterating its
+pairs.  A column is compiled straight into ids in one pass: each output
 label is built once and interned at once, so no column is first keyed by
-labels.  The numerators are ints over one positive int `den` per memo,
-fixed when the memo is made, so the sweeps do int arithmetic and divide
-once per defect.  An id is a small int that one `Operators` object gives a
-(monomial, top) label the first time it meets it, in its intern table,
-which also keeps the weight, nwt and degree of each id; so no memo or sum
-hashes a nested label.  Ids of two objects never mix.  Columns are handed
-out read-only to the identity checkers (Virasoro, mode and field
-commutators, L(0) grading, d = L(-1), strong grading), the contragredient
-matrices here and the C1 quotients in `dims`, which accumulate into dicts
-of their own.  Every caller outside the sweep applies an operator to a term
-dict through one method, `Operators.apply`, which turns the labels into
-ids, sums the columns at the level asked for, divides by the den and turns
-the result back into labels.  What depends only on the module (the
-zero-mode entries) is computed once per `Operators`; the L(0) rows of the
-top space are built when the memo of L(0) is made and passed to its
-compile, as are the tail rows of L(-1).  The public `State` API,
-`l_apply`, `vertex_mode`, `d_apply` and `fock.apply_mode`, still returns
-fresh states and is not called inside the package.  A single-mode column
-is built here from the module's constants, apart from
-`fock._mode_column`, which `apply_mode` and the vacuum spaces in `repcat`
-read unmemoized.
+labels, and the tuple is built once, at the end of the compile; no caller
+can change it.  The numerators are ints over one positive int `den` per
+memo, fixed when the memo is made, so the sweeps do int arithmetic and
+divide once per defect.  An id is a small int that one `Operators` object
+gives a (monomial, top) label the first time it meets it, in its intern
+table, which also keeps the weight, nwt and degree of each id; so no memo
+or sum hashes a nested label.  Ids of two objects never mix.  Columns are
+handed out to the identity checkers (Virasoro, mode and field commutators,
+L(0) grading, d = L(-1), strong grading), the contragredient matrices here
+and the C1 quotients in `dims`, which accumulate into dicts of their own.
+Every caller outside the sweep applies an operator to a term dict through
+one method, `Operators.apply`, which turns the labels into ids, sums the
+columns at the level asked for, divides by the den and turns the result
+back into labels.  What depends only on the module (the zero-mode entries)
+is computed once per `Operators`; the L(0) rows of the top space are built
+when the memo of L(0) is made and passed to its compile, as are the tail
+rows of L(-1).  The public `State` API, `l_apply`, `vertex_mode`, `d_apply`
+and `fock.apply_mode`, still returns fresh states and is not called inside
+the package.  A single-mode column is built here from the module's
+constants, apart from `fock._mode_column`, which `apply_mode` and the
+vacuum spaces in `repcat` read unmemoized.
 
 The six identities are plans of one sweep, `_sweep`, which refuses an
 empty plan and rescales each defect by the level law below.  One walk of
@@ -90,7 +91,6 @@ from .fock import (
     State,
     _check_mode,
     _int_first,
-    _int_first_terms,
     grading,
     module_basis,
 )
@@ -130,35 +130,37 @@ def _vertex_labels(v, spec):
     return out
 
 
-_EMPTY_COLUMN = {}  # shared by every operator that kills a label; never changed
-
-
 class _Memo(dict):
-    """A dict that fills a missing key on lookup with `compile(*args, key)`.
+    """A dict that fills a missing key on lookup with `fill(key)`.
 
+    `fill` is one `partial(compile, *args)`, stored when the memo is made.
     Once the value exists, `memo[key]` and `memo.__getitem__` are plain dict
-    lookups.  If `compile` raises, nothing is stored.  A memo of columns
-    holds numerators over its positive int `den` (see `Operators`).  A memo
-    of memos is `_Memo(partial(_Memo, compile, *args, den=den), den=den)`:
-    its value at k is `_Memo(compile, *args, k, den=den)`.
+    lookups.  If the fill raises, nothing is stored.  A memo of columns
+    holds immutable tuples of (id, numerator) pairs over its positive int
+    `den` (see `Operators`).  A memo of memos is
+    `_Memo(partial(_Memo, compile, *args, den=den), den=den)`: its value at
+    k is `_Memo(compile, *args, k, den=den)`.
     """
 
-    __slots__ = ("compile", "args", "den")
+    __slots__ = ("fill", "den")
 
     def __init__(self, compile, *args, den=1):
         super().__init__()
-        self.compile = compile
-        self.args = args
+        self.fill = partial(compile, *args)
         self.den = den
 
     def __missing__(self, key):
-        value = self[key] = self.compile(*self.args, key)
+        value = self[key] = self.fill(key)
         return value
 
 
-def _numerators(column):
-    """column itself, once each value is checked to be an int: a den is checked, not trusted."""
-    for coeff in column.values():
+def _numerators(pairs):
+    """The (id, numerator) pairs as a tuple, once each numerator is checked to be an int.
+
+    A den is checked, not trusted.
+    """
+    column = tuple(pairs)
+    for _key, coeff in column:
         if type(coeff) is not int:
             raise AssertionError("a numerator is not an int: the den of its memo is wrong")
     return column
@@ -238,36 +240,38 @@ class _Module:
             out[self.intern(label) if id_ is None else id_] = coeff
         return out
 
-    def to_labels(self, column, den=1):
-        """A column {id: numerator} over den keyed by labels, as a fresh dict of its values.
+    def to_labels(self, pairs, den=1):
+        """(id, numerator) pairs over den, such as a column, as a fresh dict keyed by labels.
 
         A value over a den other than 1 comes out int-first.
         """
         labels = self.labels
         if den == 1:
-            return {labels[id_]: coeff for id_, coeff in column.items()}
-        return {labels[id_]: _int_first(Fraction(coeff, den)) for id_, coeff in column.items()}
+            return {labels[id_]: coeff for id_, coeff in pairs}
+        return {labels[id_]: _int_first(Fraction(coeff, den)) for id_, coeff in pairs}
 
 
 class Operators:
     """L(n) and vertex-operator modes Y(v)_k, single modes among them, on one module.
 
     Each operator is compiled on demand, one basis label at a time, into a
-    column: a dict {id: numerator}.  An id is the number of a (monomial,
-    top) label in this object's intern table (see `_Module`):
-    `intern(label)` gives it, `to_ids` and `to_labels` turn a term dict into
-    ids and a column over a den back into labels.  A compile interns each
-    output label as it builds it; `to_ids` serves only the term dicts that
-    callers hand in.  Each operator has a memo,
-    a dict from the id of a basis label to its column that compiles a
+    column: an immutable tuple of (id, numerator) pairs with distinct ids
+    and nonzero numerators, () when the operator kills the label.  An id is
+    the number of a (monomial, top) label in this object's intern table
+    (see `_Module`): `intern(label)` gives it, `to_ids` turns a term dict
+    into ids and `to_labels` the pairs of a column over a den back into
+    labels.  A compile interns each output label as it builds it; `to_ids`
+    serves only the term dicts that callers hand in.  Each operator has a
+    memo, a dict from the id of a basis label to its column that compiles a
     missing column on lookup, in one of two families: `_l[n]`, made once
     L(n) is checked to exist here, and `_vertex[v][k]`.  The single mode
     (u^(i) t^j)(k) is Y(x_{i,j,1})_k, the base case of the iterate formula
     below.  A sweep looks a column up with `memo[id]`, so a compiled column
-    costs one dict lookup; any other caller applies a sum of operators to a
-    term dict with `apply(level, operator, terms)`.  Columns are handed out
-    read-only; a caller that changed one would corrupt every later use.
-    `apply` and the public `State` API return fresh dicts and states.
+    costs one dict lookup, and reads it by iterating its pairs; any other
+    caller applies a sum of operators to a term dict with `apply(level,
+    operator, terms)`.  A column is a tuple, so no caller can change it and
+    corrupt a later use; `apply` and the public `State` API return fresh
+    dicts and states.
 
     Each memo's columns hold int numerators over its den, and each compile
     checks that they are ints (a scaled single-mode column is an int times
@@ -323,7 +327,7 @@ class Operators:
         self._vertex = {}
 
     def l_columns(self, n):
-        """The memo of L(n): id of a basis label -> read-only column; see `l_apply`."""
+        """The memo of L(n): id of a basis label -> column of (id, numerator) pairs."""
         return self._l[n]
 
     def exact_l_columns(self, n):
@@ -341,7 +345,7 @@ class Operators:
         return n == -1 and self._module.cuts_tail
 
     def vertex_columns(self, vmono, k):
-        """The memo of Y(v)_k, v a monomial of M(l): id of a basis label -> read-only column."""
+        """The memo of Y(v)_k, v a monomial of M(l): id of a basis label -> column of pairs."""
         return self._vertex_memos(vmono)[k]
 
     def apply(self, level, operator, terms):
@@ -362,7 +366,7 @@ class Operators:
             scale = den // memo.den
             for id_, coeff in w.items():
                 _axpy(out, c * coeff * scale, _rescale(memo[id_], ratio, p + deg[id_], deg))
-        return self.to_labels(out, den)
+        return self.to_labels(out.items(), den)
 
     def _vertex_memos(self, vmono):
         """The memo k -> memo of Y(v)_k, made after the memos of v's tail."""
@@ -404,9 +408,9 @@ def _l_memo(module, n):
     only for an integral c, and otherwise the memo keeps den 1 and int-first
     rationals (`bounded` false).  The top-space terms are passed to
     `_compile_l` as (created variable or None, rows over the den); its
-    columns are compiled in one pass into ids, and each is checked by
-    `_numerators` (bounded) or made int-first by `_int_first_terms`
-    (unbounded).
+    columns are compiled in one pass into ids, and each becomes a tuple of
+    (id, numerator) pairs checked by `_numerators` (bounded) or of
+    int-first rationals (unbounded).
     """
     if n < -1:
         raise ValueError("only the operators L(n) with n >= -1 exist here")
@@ -444,22 +448,20 @@ def _zero_mode_rows(spec, gen):
 
 
 def _compile_identity(k, id_):
-    return {id_: 1} if k == -1 else _EMPTY_COLUMN
+    return ((id_, 1),) if k == -1 else ()
 
 
 def _compile_mode(module, i, j, den, l, rows, k, id_):
     """The column of (u^(i) t^j)(k) at a label; l is den times the level, rows are over den."""
     mono, top = module.labels[id_]
     if k < 0:
-        return {module.intern((mono.times(i, j, -k), top)): den}
+        return ((module.intern((mono.times(i, j, -k), top)), den),)
     if k > 0:
         mult = mono.count((i, j, k))
         if not mult:
-            return _EMPTY_COLUMN
-        return _numerators({module.intern((mono.without(i, j, k), top)): k * mult * l})
-    if not rows[top]:
-        return _EMPTY_COLUMN
-    return _numerators({module.intern((mono, t)): entry for t, entry in rows[top]})
+            return ()
+        return _numerators(((module.intern((mono.without(i, j, k), top)), k * mult * l),))
+    return _numerators((module.intern((mono, t)), entry) for t, entry in rows[top])
 
 
 def _derivative_memo(x, n, k):
@@ -471,8 +473,7 @@ def _derivative_memo(x, n, k):
 
 
 def _compile_scaled(mode, scale, id_):
-    column = mode[id_] if scale else _EMPTY_COLUMN
-    return {key: scale * c for key, c in column.items()} if column else _EMPTY_COLUMN
+    return tuple((key, scale * c) for key, c in mode[id_]) if scale else ()
 
 
 def _compile_vertex(module, first, x, u, wt_v, k, id_):
@@ -482,7 +483,7 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
     # every term of a column of Y(v)_k has the label's weight plus wt v - k - 1
     weight = module.wt[id_] + wt_v - k - 1
     if weight < 0:
-        return _EMPTY_COLUMN
+        return ()
     # mu = 0 and each distinct q of a variable x_{i,j,q} of w, adjacent in the sorted label
     mus = [0]
     for a, b, q in module.labels[id_][0]:
@@ -498,13 +499,13 @@ def _compile_vertex(module, first, x, u, wt_v, k, id_):
         if column:
             images = u[k - mu - r - 1] if mu >= 0 else x[mu]
             scale = _gbinom(-mu - 1, r) if r else 1
-            for key, coeff in column.items():
+            for key, coeff in column:
                 s = scale * coeff
-                for image, c in images[key].items():
+                for image, c in images[key]:
                     out[image] = get(image, 0) + s * c
     if 0 in out.values():
         out = {key: c for key, c in out.items() if c}
-    return _numerators(out) if out else _EMPTY_COLUMN
+    return _numerators(out.items())
 
 
 def _compile_l(module, n, den, bounded, l, top_terms, id_):
@@ -520,7 +521,7 @@ def _compile_l(module, n, den, bounded, l, top_terms, id_):
     """
     weight = module.wt[id_]
     if n > weight:
-        return _EMPTY_COLUMN  # L(n) lowers the weight by n, and no weight is negative
+        return ()  # L(n) lowers the weight by n, and no weight is negative
     mono, top = module.labels[id_]
     intern = module.intern
     out = {}
@@ -576,9 +577,9 @@ def _compile_l(module, n, den, bounded, l, top_terms, id_):
 
     if 0 in out.values():
         out = {key: c for key, c in out.items() if c}
-    if not out:
-        return _EMPTY_COLUMN
-    return _numerators(out) if bounded else _int_first_terms(out)
+    if bounded:
+        return _numerators(out.items())
+    return tuple((key, _int_first(c)) for key, c in out.items())
 
 
 @lru_cache(maxsize=4)
@@ -601,22 +602,22 @@ def operators(spec, j_max):
     return _registry(spec.d if spec.is_adjoint() else (spec, j_max))
 
 
-def _rescale(terms, ratio, shift, deg):
-    """Adjoint terms {id: coeff} of one level at `ratio` times that level, by the level law.
+def _rescale(pairs, ratio, shift, deg):
+    """Adjoint (id, coeff) pairs of one level at `ratio` times that level, by the level law.
 
     `shift` is deg w under L(n) and p + deg w under Y(v)_k, the same for
     every term: callers split sums over mixed degrees or factor counts.
-    `deg` is the degree table of the ids.  Returns `terms` itself when
-    there is nothing to scale.
+    `deg` is the degree table of the ids.  Returns `pairs` itself when
+    there is nothing to scale, and a list of pairs otherwise.
     """
-    if not terms or ratio == 1:
-        return terms
-    out = {}
-    for key, coeff in terms.items():
+    if not pairs or ratio == 1:
+        return pairs
+    out = []
+    for key, coeff in pairs:
         half, odd = divmod(shift - deg[key], 2)
         if odd:
             raise AssertionError("an odd power of the level: the level law is broken")
-        out[key] = _int_first(coeff * ratio**half)
+        out.append((key, _int_first(coeff * ratio**half)))
     return out
 
 
@@ -657,7 +658,8 @@ def _translate(terms):
     out = {}
     for (mono, top), coeff in terms.items():
         for (i, j, q), mult in mono.distinct():
-            _axpy(out, coeff * q * mult, {(mono.without(i, j, q).times(i, j, q + 1), top): 1})
+            moved = (mono.without(i, j, q).times(i, j, q + 1), top)
+            _axpy(out, coeff * q * mult, ((moved, 1),))
     return out
 
 
@@ -727,7 +729,7 @@ def _sweep(identity, spec, tr, ops, entries, defect_of):
         for e, parts in defect_of(plans, module, w):
             defect = {}
             for p, terms in parts:
-                _axpy(defect, 1, _rescale(terms, ratio, p + deg[w], deg))
+                _axpy(defect, 1, _rescale(terms.items(), ratio, p + deg[w], deg))
             if defect:
                 if first[e] is None:
                     first[e] = label
@@ -788,12 +790,14 @@ def _product_defect(plans, module, w):
             part = {}
             get = part.get
             for c, x, y in products:
-                for key, coeff in y(w).items():
-                    s = c * coeff
-                    for image, a in x(key).items():
-                        part[image] = get(image, 0) + s * a
+                column = y(w)
+                if column:
+                    for key, coeff in column:
+                        s = c * coeff
+                        for image, a in x(key):
+                            part[image] = get(image, 0) + s * a
             for s, z in singles:
-                for key, coeff in z(w).items():
+                for key, coeff in z(w):
                     part[key] = get(key, 0) + s * coeff
             if any(part.values()):
                 parts.append((p, {key: a for key, a in part.items() if a}))
@@ -817,7 +821,7 @@ def _containment_defect(plans, module, w):
         for y, p, shift, window in plan:
             offending = {
                 key: Fraction(coeff, y.den)
-                for key, coeff in y[w].items()
+                for key, coeff in y[w]
                 if nwt[key] - nwt_w not in window or wt[key] != wt_w + shift
             }
             if offending:
@@ -960,8 +964,8 @@ def check_l0_grading(spec, tr, j_values):
 
         def mismatch(w):  # L(0) w - wt(w) w, which must vanish; over the den of L(0)
             out = dict(l_0[w])
-            _axpy(out, -wt[w] * l_0.den, {w: 1})
-            return out
+            _axpy(out, -wt[w] * l_0.den, ((w, 1),))
+            return tuple(out.items())
 
         plan.insert(0, (_Memo(mismatch, den=l_0.den), 0, 0, range(0)))
     params = {"j_values": j_values, "spec": spec.to_json()}
@@ -979,7 +983,7 @@ def check_d_equals_lminus1(spec, tr):
     labels = ops._module.labels
 
     def d(w):
-        return ops.to_ids(_translate({labels[w]: 1}))
+        return tuple(ops.to_ids(_translate({labels[w]: 1})).items())
 
     plan = [(0, [], [(1, _Memo(d)), (-1, l_minus1)])]
     params = {"spec": spec.to_json()}

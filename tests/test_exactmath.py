@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from currentfock import exactmath
@@ -163,6 +163,26 @@ def test_rank_nullspace_is_exact_on_int_and_fraction_entries(case):
     for vec in ns:
         assert not any(isinstance(x, float) for x in vec)
         assert all(x == 0 for x in m.apply(vec))
+
+
+NONZERO_SCALARS = SCALARS.filter(bool)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example({1: 2, 2: 1}, -1, {1: 2, 3: Fraction(1, 2), 4: 0})
+@given(
+    st.dictionaries(st.integers(0, 5), NONZERO_SCALARS),
+    SCALARS,
+    st.dictionaries(st.integers(0, 5), SCALARS),
+)
+def test_axpy_adds_pairs_and_drops_the_keys_that_cancel(out, s, d):
+    # the dict formula out[k] + s*c on every key, with the keys that cancel gone
+    expected = {k: out.get(k, 0) + s * d.get(k, 0) for k in out.keys() | d.keys()}
+    expected = {k: v for k, v in expected.items() if v}
+    for pairs in (d.items(), tuple(d.items())):
+        got = dict(out)
+        exactmath._axpy(got, s, pairs)
+        assert got == expected and 0 not in got.values()
 
 
 def test_matrix_algebra_basics():

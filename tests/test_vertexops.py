@@ -636,7 +636,7 @@ def test_the_intern_table_numbers_each_label_once():
     # every id a column holds is one of its own object's
     for family in compiled_columns(ops).values():
         for column in family.values():
-            assert all(0 <= key < len(ops._module.labels) for key in column)
+            assert all(0 <= key < len(ops._module.labels) for key, _coeff in column)
 
 
 class _OrderedColumns(vertexops.Operators):
@@ -644,7 +644,7 @@ class _OrderedColumns(vertexops.Operators):
 
     def __init__(self, spec, column):
         super().__init__(spec, 0)
-        self.column = self.to_ids(column)
+        self.column = tuple(self.to_ids(column).items())
 
     def l_columns(self, n):
         return vertexops._Memo(lambda label: self.column)
@@ -745,7 +745,7 @@ def test_module_constants_match_the_matrices_they_replace(spec):
                 assert got == expected, (label, i, j)
         # L(0) acts as the weight plus the top-space matrix
         expected = {(m, t): top_l0[t, top] for t in range(spec.r) if top_l0[t, top]}
-        exactmath._axpy(expected, m.weight(), {label: 1})
+        exactmath._axpy(expected, m.weight(), ((label, 1),))
         assert labeled(ops, ops.l_columns(0), label) == expected, label
 
 
@@ -805,7 +805,7 @@ def test_l_columns_compile_straight_into_ids(monkeypatch, spec, j_max):
         memo = ops.l_columns(n)
         for id_ in ids:
             column = memo[id_]
-            assert 0 not in column.values(), (n, id_)
+            assert 0 not in (coeff for _key, coeff in column), (n, id_)
             terms += len(column)
     assert calls == [[], [], []]
     assert terms > len(ids)
@@ -836,7 +836,7 @@ def test_l_columns_drop_the_terms_that_cancel():
     for label in module_basis(spec, 2, 1):
         column = l_0[ops.intern(label)]
         assert bool(column) == (label[0].weight() != 1), label
-        assert 0 not in column.values()
+        assert 0 not in (coeff for _key, coeff in column)
 
 
 MODULES = [cli, dims, exactmath, fock, repcat, vertexops]
@@ -997,9 +997,9 @@ def vertex_column_oracle(spec, vmono, k, label, modes):
                 key = (i, j, mu, m, top)
                 if key not in modes:
                     modes[key] = fock._mode_column(spec, i, j, mu, m, top)
-                exactmath._axpy(image, coeff, modes[key])
+                exactmath._axpy(image, coeff, modes[key].items())
             terms = image
-        exactmath._axpy(out, 1, terms)
+        exactmath._axpy(out, 1, terms.items())
 
     def descend(t, remaining, mus):
         if t == len(factors):
@@ -1203,7 +1203,7 @@ def test_an_evicted_operators_object_is_freed_without_the_cycle_collector():
         assert check_l_mode_commutator(1, (1, 0), 0, spec, tr).defect_zero
         check_l0_grading(spec, tr, [0, -1])  # the cut tail leaves nwt
         assert set(ops._l) == {-1, 0, 1} and all(ops._l.values()) and ops._vertex
-        assert ops._l[0].args[-1]  # the L(0) memo holds the rows of the top matrix
+        assert ops._l[0].fill.args[-1]  # the L(0) memo holds the rows of the top matrix
         assert len(ops._module.ids) == len(ops._module.labels) > 0
         freed = weakref.ref(ops)
         del ops
@@ -1236,8 +1236,8 @@ class _BadColumns(vertexops.Operators):
             if w != label:
                 return memo[w]
             out = dict(memo[w])
-            exactmath._axpy(out, coeff * memo.den, {key: 1})
-            return out
+            exactmath._axpy(out, coeff * memo.den, ((key, 1),))
+            return tuple(out.items())
 
         return vertexops._Memo(column, den=memo.den)
 
@@ -1558,7 +1558,7 @@ def test_the_dens_of_a_fractional_module():
         ("Y", xx): 9, ("Y", xx, 0): 9,
     }
     # the top terms of the L(0) memo: no created variable, rows over its den 4
-    assert ops._l[0].args[-1] == ((None, (((0, 27),),)),)
+    assert ops._l[0].fill.args[-1] == ((None, (((0, 27),),)),)
 
 
 def test_an_unbounded_l_memo_keeps_den_one_and_rationals():
@@ -1588,11 +1588,11 @@ def test_field_eval0_at_odd_lambda_runs_in_ints(capsys, lam):
         coeff
         for family in compiled_columns(ops).values()
         for column in family.values()
-        for coeff in column.values()
+        for _key, coeff in column
     ]
     assert len(values) > 50 and all(type(coeff) is int for coeff in values)
     # and the den is needed: some L(0) value is a half-integer
-    assert any(coeff % 2 for column in ops._l[0].values() for coeff in column.values())
+    assert any(coeff % 2 for column in ops._l[0].values() for _key, coeff in column)
 
 
 ODD_LAMBDA = ModuleSpec.evaluation(1, 1, 0, (1,))
@@ -1615,3 +1615,54 @@ def test_a_wrong_term_in_a_den_two_memo_gives_the_exact_defect(monkeypatch, swee
     report = sweep(ODD_LAMBDA, Truncation(2, 1))
     assert type(report.max_defect) is Fraction and report.max_defect == Fraction(5, 2)
     assert report.counterexample == State.vacuum() and not report.defect_zero
+
+
+TINY_VIRASORO = ["verify", "virasoro", "--max-wt", "2", "--max-nwt", "1",
+                 "--m-range=-1..1", "--n-range=-1..1", "--threads", "1", "--format", "json"]
+
+
+def test_memo_columns_are_immutable_pair_tuples(capsys):
+    # fill the memos of the tiny field-eval0 and virasoro-adjoint commands, and every
+    # L(n) of a Jordan top whose L(n >= 1) keeps int-first rationals over den 1
+    _registry.cache_clear()
+    assert cli.main(["verify", "field-commutator", "--kind", "evaluation", "--c", "0",
+                     "--lambda=1", "--a-max-wt", "1", "--a-max-nwt", "1", "--n-range=0..1",
+                     "--k-range=-1..1", "--max-wt", "2", "--max-nwt", "1",
+                     "--threads", "1", "--format", "json"]) == 0
+    for d in ("1", "2"):
+        for level in ("1", "1/2", "-2"):
+            assert cli.main(TINY_VIRASORO[:2] + ["--d", d, "--l=" + level] + TINY_VIRASORO[2:]) == 0
+    capsys.readouterr()
+    jordan = vertexops.Operators(JORDAN_TOPS["c1/3"], 2)
+    ids = [jordan.intern(label) for label in module_basis(jordan.spec, 3, 2)]
+    for n in range(-1, 6):
+        for id_ in ids:
+            jordan.l_columns(n)[id_]
+    objects = [operators(ModuleSpec.evaluation(1, 1, 0, (1,)), 0), _registry(1), _registry(2),
+               jordan]
+    columns = empty = rationals = 0
+    for ops in objects:
+        known = len(ops._module.labels)
+        for name, family in compiled_columns(ops).items():
+            for path, column in family.items():
+                memo = ops._l[path[0]] if name == "_l" else ops._vertex[path[0]][path[1]]
+                unbounded = ops is jordan and name == "_l" and path[0] >= 1
+                assert memo.den == 1 or not unbounded
+                assert type(column) is tuple, (name, path)
+                assert all(type(pair) is tuple and len(pair) == 2 for pair in column)
+                keys = [key for key, _coeff in column]
+                assert len(set(keys)) == len(keys) and all(0 <= key < known for key in keys)
+                for _key, coeff in column:
+                    assert coeff != 0, (name, path)
+                    if unbounded:  # int-first: an int wherever integral
+                        assert type(coeff) is int or coeff.denominator != 1
+                        rationals += type(coeff) is not int
+                    else:
+                        assert type(coeff) is int, (name, path)
+                if not column:
+                    assert column == ()
+                    empty += 1
+                with pytest.raises(TypeError):
+                    column[0] = (0, 1)
+                columns += 1
+    assert columns > 1000 and empty and rationals
