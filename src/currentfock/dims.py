@@ -27,19 +27,22 @@ changes no rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .exactmath import rank
+from .exactmath import Value, rank
 from .fock import count_table, enumerate_basis, module_basis
 from .vertexops import operators
 
 
-@dataclass
-class DimTable:
-    """Map from bigrades (m = nwt, n = weight) to a natural number."""
+class DimTable(Value):
+    """Map from bigrades (m = nwt, n = weight) to a natural number.
 
-    d: int
-    entries: dict = field(default_factory=dict)
+    Unhashable: its entries are a dict, filled after construction.
+    """
+
+    _fields = ("d", "entries")
+    __hash__ = None
+
+    def __init__(self, d, entries=None):
+        self._set(d, {} if entries is None else entries)
 
     def get(self, m, n):
         return self.entries.get((m, n), 0)

@@ -22,7 +22,6 @@ denominator omitted when it is 1 (``"-3/4"``, ``"7"``).  This is exactly what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -45,19 +44,55 @@ def rat_str(x) -> str:
     return str(rat(x))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class RatMatrix:
+class Value:
+    """An immutable value with named fields, compared and hashed over them.
+
+    A subclass names its fields in `_fields` and sets them once, in its own
+    `__init__`, through `_set`; assigning or deleting an attribute after
+    that raises `AttributeError`.  Two instances of one class are equal
+    when their field tuples are, and an instance is never equal to one of
+    another class.  `repr` reads ``Name(field=value, ...)``.  Pickling
+    goes through the instance ``__dict__``.  A subclass with a mutable
+    field sets ``__hash__ = None``.
+    """
+
+    _fields = ()
+
+    def _set(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class RatMatrix(Value):
     """Immutable dense matrix over the rationals.
 
-    A frozen dataclass, compared and hashed over ``(rows, cols, entries)``;
-    entries are stored as a tuple of row tuples of Fractions.  Matrices are
+    A `Value`, compared and hashed over ``(rows, cols, entries)``; entries
+    are stored as a tuple of row tuples of Fractions.  Matrices are
     hashable because the top-space matrices H_i are fields of the hashed
     `ModuleSpec`, which keys the operator registry.
     """
 
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
         rows = tuple(tuple(rat(e) for e in row) for row in entries)
@@ -69,9 +104,7 @@ class RatMatrix:
                 raise ValueError("declared column count does not match entries")
         else:
             ncols = 0 if cols is None else cols
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
+        self._set(len(rows), ncols, rows)
 
     @classmethod
     def zero(cls, rows, cols):

@@ -23,11 +23,10 @@ stored in the module description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import RatMatrix, _axpy, rat, rat_str
+from .exactmath import RatMatrix, Value, _axpy, rat, rat_str
 
 KIND_ADJOINT = "adjoint"
 KIND_EVALUATION = "evaluation"
@@ -218,8 +217,7 @@ def _check_top(r, lam, H):
                 raise ValueError("top-space matrices H[%d], H[%d] do not commute" % (a, b))
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Value):
     """Which module operators act on, with all exact data needed to act.
 
     kind "adjoint" is the vertex algebra M(l) itself (r = 1, zero modes act
@@ -231,15 +229,10 @@ class ModuleSpec:
     logarithmic ones.
     """
 
-    kind: str
-    d: int
-    l: Fraction
-    c: Fraction | None
-    r: int
-    lam: tuple
-    H: tuple
+    _fields = ("kind", "d", "l", "c", "r", "lam", "H")
 
-    def __post_init__(self):
+    def __init__(self, kind, d, l, c, r, lam, H):
+        self._set(kind, d, l, c, r, lam, H)
         if self.kind not in (KIND_ADJOINT, KIND_EVALUATION):
             raise ValueError("unknown module kind %r" % (self.kind,))
         if self.d < 1:

@@ -21,27 +21,22 @@ actions; their dimension is an exact nullspace computation.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactmath import RatMatrix, _nullspace, jordan_structure, rank, rat
+from .exactmath import RatMatrix, Value, _nullspace, jordan_structure, rank, rat
 from .fock import State, _check_top, _mode_column, enumerate_basis
 
 
-@dataclass(frozen=True)
-class TopSpace:
+class TopSpace(Value):
     """A finite-dimensional top space: commuting H_i with H_i - lam_i I nilpotent."""
 
-    r: int
-    lam: tuple
-    H: tuple
+    _fields = ("r", "lam", "H")
 
-    def __post_init__(self):
-        lam = tuple(rat(x) for x in self.lam)
-        H = tuple(m if isinstance(m, RatMatrix) else RatMatrix(m) for m in self.H)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "H", H)
+    def __init__(self, r, lam, H):
+        lam = tuple(rat(x) for x in lam)
+        H = tuple(m if isinstance(m, RatMatrix) else RatMatrix(m) for m in H)
+        self._set(r, lam, H)
         # as for a monomial's indices: bool is not an int, and a float is refused
         if type(self.r) is not int:
             raise ValueError("top-space dimension must be an int, got %r" % (self.r,))
@@ -75,15 +70,13 @@ class TopSpace:
         )
 
 
-@dataclass(frozen=True)
-class HomProblem:
+class HomProblem(Value):
     """A triple of evaluation-at-0 top spaces (source, middle, target)."""
 
-    source: TopSpace
-    middle: TopSpace
-    target: TopSpace
+    _fields = ("source", "middle", "target")
 
-    def __post_init__(self):
+    def __init__(self, source, middle, target):
+        self._set(source, middle, target)
         if not (self.source.d == self.middle.d == self.target.d):
             raise ValueError("all three top spaces must share the color count d")
 

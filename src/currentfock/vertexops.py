@@ -80,11 +80,10 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .exactmath import RatMatrix, _axpy, rat_str
+from .exactmath import RatMatrix, Value, _axpy, rat_str
 from .fock import (
     ModuleSpec,
     Monomial,
@@ -97,15 +96,13 @@ from .fock import (
 from .repcat import l0_top_matrix
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Value):
     """Explicit bounds making infinite sweeps and sums finitely computable."""
 
-    max_wt: int
-    max_nwt: int
-    j_max: int = 0
+    _fields = ("max_wt", "max_nwt", "j_max")
 
-    def __post_init__(self):
+    def __init__(self, max_wt, max_nwt, j_max=0):
+        self._set(max_wt, max_nwt, j_max)
         if self.max_wt < 0 or self.max_nwt < 0 or self.j_max < 0:
             raise ValueError("truncation bounds must be nonnegative")
 
@@ -663,16 +660,16 @@ def _translate(terms):
     return out
 
 
-@dataclass
-class Report:
-    """Outcome of one identity sweep over a truncated basis."""
+class Report(Value):
+    """Outcome of one identity sweep over a truncated basis; unhashable, as params is a dict."""
 
-    identity: str
-    params: dict
-    states_checked: int
-    defect_zero: bool
-    max_defect: Fraction
-    counterexample: State | None
+    _fields = (
+        "identity", "params", "states_checked", "defect_zero", "max_defect", "counterexample"
+    )
+    __hash__ = None
+
+    def __init__(self, identity, params, states_checked, defect_zero, max_defect, counterexample):
+        self._set(identity, params, states_checked, defect_zero, max_defect, counterexample)
 
     def to_json(self):
         return {
@@ -884,10 +881,12 @@ def check_virasoro_pairs(pairs, spec, tr):
     swept = _product_sweep("virasoro", spec, tr, ops, entries)
     checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
     diagonal = Report("virasoro", None, checked, True, Fraction(0), None)
-    return [
-        replace(swept[planned[frozenset((m, n))]] if m != n else diagonal, params={"m": m, "n": n})
-        for m, n in pairs
-    ]
+    reports = []
+    for m, n in pairs:
+        rep = swept[planned[frozenset((m, n))]] if m != n else diagonal
+        reports.append(Report(rep.identity, {"m": m, "n": n}, rep.states_checked,
+                              rep.defect_zero, rep.max_defect, rep.counterexample))
+    return reports
 
 
 def check_field_commutator(n, a_state, k, spec, tr):
@@ -985,9 +984,12 @@ def check_d_equals_lminus1(spec, tr):
     def d(w):
         return tuple(ops.to_ids(_translate({labels[w]: 1})).items())
 
-    plan = [(0, [], [(1, _Memo(d)), (-1, l_minus1)])]
+    # the int plan of `_product_sweep` for the singles (1, d) and (-1, L(-1)), d
+    # in ints: each d w is read once, by the walk, and kept by no memo
+    den = l_minus1.den
+    plan = [(0, [], [(den, d), (-1, l_minus1.__getitem__)])]
     params = {"spec": spec.to_json()}
-    return _product_sweep("d-equals-lminus1", spec, tr, ops, [(params, plan)])[0]
+    return _sweep("d-equals-lminus1", spec, tr, ops, [(params, plan, den)], _product_defect)[0]
 
 
 def check_strong_grading(spec, tr, sample):

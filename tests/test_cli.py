@@ -930,6 +930,25 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert proc.stdout.strip() == '"8/3"'
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # each command is a fresh process and pays for every module the import
+        # loads; the diff against the interpreter's own modules leaves out what
+        # site and .pth files load
+        script = (
+            "import sys; before = set(sys.modules); import currentfock.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=pathlib.Path(cli.__file__).parents[1],
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        added = set(proc.stdout.split())
+        assert "currentfock.cli" in added
+        assert not added & {"dataclasses", "inspect"}
+
     def test_readme_commands_run_as_documented(self, capsys):
         # every `currentfock ...` line of README's fenced blocks exits 0, and a
         # trailing `# value` is its whole stdout

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from currentfock import exactmath
+from currentfock import State, exactmath
+from currentfock.dims import DimTable
 from currentfock.exactmath import (
     RatMatrix,
     _echelon,
@@ -22,6 +23,8 @@ from currentfock.exactmath import (
     rat_str,
 )
 from currentfock.fock import Monomial
+from currentfock.repcat import HomProblem, TopSpace
+from currentfock.vertexops import Report, Truncation
 
 
 def det(matrix):
@@ -236,6 +239,83 @@ def test_matrix_value_semantics():
     assert loaded == m and hash(loaded) == hash(m)
     assert RatMatrix.zero(0, 3).cols == 3
     assert jordan_structure(RatMatrix([]), 0) == []
+    # one field differs (an entry, or cols alone), and a tuple of the fields is not a matrix
+    assert m != RatMatrix([[1, "1/2"], [0, -2]])
+    assert RatMatrix.zero(0, 3) != RatMatrix.zero(0, 2)
+    assert m != (m.rows, m.cols, m.entries) and (m.rows, m.cols, m.entries) != m
+    with pytest.raises(AttributeError):
+        del m.entries
+    assert m == RatMatrix([[1, "1/2"], [0, -3]])
+
+
+JORDAN_TOP = TopSpace(2, (1, "1/2"), [[[1, 1], [0, 1]], [["1/2", 0], [0, "1/2"]]])
+
+# name: (build, an instance with one field changed, field names, repr, hashable)
+VALUES = {
+    "truncation": (
+        lambda: Truncation(4, 2, 1), Truncation(4, 2), ("max_wt", "max_nwt", "j_max"),
+        "Truncation(max_wt=4, max_nwt=2, j_max=1)", True,
+    ),
+    "top-space": (
+        lambda: TopSpace(2, (1, "1/2"), [[[1, 1], [0, 1]], [["1/2", 0], [0, "1/2"]]]),
+        TopSpace(2, (1, "1/2"), [[[1, 0], [0, 1]], [["1/2", 0], [0, "1/2"]]]),
+        ("r", "lam", "H"),
+        "TopSpace(r=2, lam=(Fraction(1, 1), Fraction(1, 2)), "
+        "H=(RatMatrix([['1', '1'], ['0', '1']]), RatMatrix([['1/2', '0'], ['0', '1/2']])))",
+        True,
+    ),
+    "hom-problem": (
+        lambda: HomProblem(JORDAN_TOP, TopSpace.scalar((0, 1)), JORDAN_TOP),
+        HomProblem(JORDAN_TOP, TopSpace.scalar((0, 2)), JORDAN_TOP),
+        ("source", "middle", "target"),
+        "HomProblem(source=TopSpace(r=2, lam=(Fraction(1, 1), Fraction(1, 2)), "
+        "H=(RatMatrix([['1', '1'], ['0', '1']]), RatMatrix([['1/2', '0'], ['0', '1/2']]))), "
+        "middle=TopSpace(r=1, lam=(Fraction(0, 1), Fraction(1, 1)), "
+        "H=(RatMatrix([['0']]), RatMatrix([['1']]))), "
+        "target=TopSpace(r=2, lam=(Fraction(1, 1), Fraction(1, 2)), "
+        "H=(RatMatrix([['1', '1'], ['0', '1']]), RatMatrix([['1/2', '0'], ['0', '1/2']]))))",
+        True,
+    ),
+    "report": (
+        lambda: Report("virasoro", {"m": 0, "n": 1}, 7, False, Fraction(1, 2),
+                       State.term(Monomial.make([(1, 0, 1)]), 0)),
+        Report("virasoro", {"m": 0, "n": 1}, 8, False, Fraction(1, 2),
+               State.term(Monomial.make([(1, 0, 1)]), 0)),
+        ("identity", "params", "states_checked", "defect_zero", "max_defect", "counterexample"),
+        "Report(identity='virasoro', params={'m': 0, 'n': 1}, states_checked=7, "
+        "defect_zero=False, max_defect=Fraction(1, 2), counterexample=State(1*x[1,0,1]@0))",
+        False,
+    ),
+    "dim-table": (
+        lambda: DimTable(1, {(0, 0): 1, (1, 1): 1}), DimTable(1, {(0, 0): 1}), ("d", "entries"),
+        "DimTable(d=1, entries={(0, 0): 1, (1, 1): 1})", False,
+    ),
+}
+
+
+@pytest.mark.parametrize("build, other, fields, shown, hashable", VALUES.values(), ids=VALUES)
+def test_value_semantics(build, other, fields, shown, hashable):
+    value = build()
+    assert repr(value) == shown
+    again = build()
+    assert again is not value and again == value and not again != value
+    assert value != other and other != value
+    assert value != tuple(getattr(value, name) for name in fields)
+    if hashable:
+        assert hash(again) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(value, fields[0], getattr(other, fields[0]))
+        assert value == again
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_dim_table_entries_default_to_a_fresh_dict():
+    first, second = DimTable(2), DimTable(2)
+    assert first.entries == {} and first.entries is not second.entries
+    assert repr(first) == "DimTable(d=2, entries={})"
 
 
 def test_jordan_canonical_block():

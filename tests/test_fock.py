@@ -267,22 +267,47 @@ class TestModuleSpec:
         assert _registry.cache_info().maxsize is not None
 
     @pytest.mark.parametrize(
-        "spec",
+        "build, other, shown",
         [
-            ModuleSpec.adjoint(1, 1),
-            ModuleSpec.evaluation(
-                2, Fraction(1, 2), Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+            (
+                lambda: ModuleSpec.adjoint(1, 1),
+                ModuleSpec.adjoint(1, 2),
+                "ModuleSpec(kind='adjoint', d=1, l=Fraction(1, 1), c=None, r=1, "
+                "lam=(Fraction(0, 1),), H=(RatMatrix([['0']]),))",
+            ),
+            (
+                lambda: ModuleSpec.evaluation(
+                    2, Fraction(1, 2), Fraction(1, 3), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+                ),
+                ModuleSpec.evaluation(
+                    2, Fraction(1, 2), Fraction(1, 4), (1, 1), H=[[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+                ),
+                "ModuleSpec(kind='evaluation', d=2, l=Fraction(1, 2), c=Fraction(1, 3), r=2, "
+                "lam=(Fraction(1, 1), Fraction(1, 1)), H=(RatMatrix([['1', '1'], ['0', '1']]), "
+                "RatMatrix([['1', '0'], ['0', '1']])))",
             ),
         ],
         ids=["adjoint", "jordan"],
     )
-    def test_pickle_roundtrip(self, spec):
+    def test_pickle_roundtrip(self, build, other, shown):
+        spec = build()
         payload = pickle.dumps(spec)
         loaded = pickle.loads(payload)
         assert loaded == spec and hash(loaded) == hash(spec)
         assert loaded.H == spec.H and hash(loaded.H[0]) == hash(spec.H[0])
         # no hash is pickled: a string hashes differently in another process
         assert b"_hash" not in payload
+        # the value semantics of the registry key: other differs in l (adjoint) or c
+        assert repr(spec) == shown
+        again = build()
+        assert again is not spec and again == spec and hash(again) == hash(spec)
+        assert spec != other and other != spec
+        assert spec != (spec.kind, spec.d, spec.l, spec.c, spec.r, spec.lam, spec.H)
+        with pytest.raises(AttributeError):
+            spec.l = Fraction(2)
+        with pytest.raises(AttributeError):
+            del spec.c
+        assert spec == again
 
     def test_level_must_be_nonzero(self):
         with pytest.raises(ValueError):
