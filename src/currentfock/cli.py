@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import dims as dims_mod
 from . import repcat, vertexops
 from .exactmath import RatMatrix, rat, rat_str
-from .fock import ModuleSpec, State, count_table, enumerate_basis
+from .fock import ModuleSpec, State, count_table, module_basis
 from .vertexops import Truncation
 
 EXIT_OK = 0
@@ -152,14 +152,21 @@ def _emit_report(report, args):
     return EXIT_OK if report.defect_zero else EXIT_COUNTEREXAMPLE
 
 
+def _monomials(spec, max_wt, max_nwt):
+    """The monomials of M(l) within the bounds, in the order of `module_basis`."""
+    adjoint = ModuleSpec.adjoint(spec.d, spec.l)
+    return [mono for mono, _top in module_basis(adjoint, max_wt, max_nwt)]
+
+
 def _sample_modes(spec, args, j_values, rng):
     """Doubly homogeneous mode labels (v, j) for the strong-grading sweep."""
-    sample = []
-    for wt_v in range(1, args.v_max_wt + 1):
-        for nwt_v in range(args.v_max_nwt + 1):
-            for mono in enumerate_basis(spec.d, nwt_v, wt_v):
-                for j in j_values:
-                    sample.append((State.term(mono), j))
+    # every monomial but the vacuum has weight >= 1
+    sample = [
+        (State.term(mono), j)
+        for mono in _monomials(spec, args.v_max_wt, args.v_max_nwt)
+        if mono
+        for j in j_values
+    ]
     if args.sample_size is not None and args.sample_size < len(sample):
         sample = rng.sample(sample, args.sample_size)
         sample.sort(key=lambda vj: (json.dumps(vj[0].to_json()), vj[1]))
@@ -189,12 +196,7 @@ def _plan_field_commutator(args, spec, tr):
     else:
         if args.a_max_wt < 0 or args.a_max_nwt < 0:
             raise ConfigError("--a-max-wt and --a-max-nwt must be nonnegative")
-        labels = [
-            State.term(mono)
-            for wt_a in range(args.a_max_wt + 1)
-            for nwt_a in range(args.a_max_nwt + 1)
-            for mono in enumerate_basis(spec.d, nwt_a, wt_a)
-        ]
+        labels = [State.term(mono) for mono in _monomials(spec, args.a_max_wt, args.a_max_nwt)]
     n_text, n_values = _index_range(args, "n")
     k_text, k_values = _index_range(args, "k")
     reports = [

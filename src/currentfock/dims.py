@@ -28,7 +28,7 @@ changes no rank.
 from __future__ import annotations
 
 from .exactmath import Value, rank
-from .fock import count_table, enumerate_basis, module_basis
+from .fock import ModuleSpec, count_table, module_basis
 from .vertexops import operators
 
 
@@ -223,15 +223,14 @@ def c1_quotient_dims(spec, tr):
     for label in module_basis(spec, tr.max_wt, tr.max_nwt):
         labels_of_weight.setdefault(label[0].weight(), []).append(label)
 
+    # the monomials u of M(l) of positive weight: all but the vacuum
+    box = module_basis(ModuleSpec.adjoint(spec.d, spec.l), tr.max_wt, tr.max_nwt)
+    monomials = [(u.weight(), u) for u, _top in box if u]
+
     counts = count_table(spec.d, tr.max_nwt, tr.max_wt)
     table = DimTable(d=spec.d)
     for target_m in range(tr.max_nwt + 1):
-        gens = [
-            (wt_u, u)
-            for wt_u in range(1, tr.max_wt + 1)
-            for nwt_u in range(target_m + 1)
-            for u in enumerate_basis(spec.d, nwt_u, wt_u)
-        ]
+        gens = [(wt_u, u) for wt_u, u in monomials if u.nwt() <= target_m]
         for n in range(tr.max_wt + 1):
             # each row back in labels, so `rank` eliminates in label order
             images = [

@@ -39,6 +39,13 @@ def rat(x) -> Fraction:
     raise TypeError("cannot build an exact rational from %r" % (x,))
 
 
+def _int_first(x):
+    """An integral rational as an int; any other rational unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def rat_str(x) -> str:
     """Serialize a rational as "num/den" (denominator omitted when 1)."""
     return str(rat(x))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import RatMatrix, Value, _axpy, rat, rat_str
+from .exactmath import RatMatrix, Value, _axpy, _int_first, rat, rat_str
 
 KIND_ADJOINT = "adjoint"
 KIND_EVALUATION = "evaluation"
@@ -192,13 +192,6 @@ class State:
         return cls(terms)
 
 
-def _int_first(x):
-    """An integral rational as an int; any other rational unchanged."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
-
-
 def _check_top(r, lam, H):
     """Validate a top space: d commuting r x r matrices with H_i - lam_i*I nilpotent."""
     if len(lam) != len(H):
@@ -277,13 +270,6 @@ class ModuleSpec(Value):
 
     def is_adjoint(self):
         return self.kind == KIND_ADJOINT
-
-    def h_square_sum(self):
-        """sum_i H_i^2: L(0) acts on the top space as this over 2l(1-c^2)."""
-        total = RatMatrix.zero(self.r, self.r)
-        for H in self.H:
-            total = total + H * H
-        return total
 
     def zero_mode_matrix(self, i, j):
         """The matrix of (u^(i) t^j)(0) on the top space: c^j * H_i."""

@@ -173,19 +173,20 @@ def l0_top_matrix(spec):
         raise ValueError("l0_top_matrix applies to evaluation modules")
     if spec.c**2 == 1:
         raise ValueError("L(0) on the top space needs c^2 != 1")
-    return spec.h_square_sum().scale(1 / (2 * spec.l * (1 - spec.c**2)))
+    total = RatMatrix.zero(spec.r, spec.r)
+    for H in spec.H:
+        total = total + H * H
+    return total.scale(1 / (2 * spec.l * (1 - spec.c**2)))
 
 
 def is_genuine_logarithmic(spec):
     """Whether L(0) on the top space has a Jordan block of size >= 2.
 
     Returns (flag, block_sizes); the unique eigenvalue of the L(0) top matrix
-    is computed from lam directly as <lam, lam> / (2l(1-c^2)).
+    is the Casimir scalar <lam, lam> / (1 - c^2) over 2l.
     """
     matrix = l0_top_matrix(spec)
-    norm = sum((x**2 for x in spec.lam), Fraction(0))
-    eigenvalue = norm / (2 * spec.l * (1 - spec.c**2))
-    blocks = jordan_structure(matrix, eigenvalue)
+    blocks = jordan_structure(matrix, casimir_scalar(spec.lam, spec.c) / (2 * spec.l))
     return any(size >= 2 for size in blocks), blocks
 
 

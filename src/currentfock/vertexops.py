@@ -83,16 +83,8 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .exactmath import RatMatrix, Value, _axpy, rat_str
-from .fock import (
-    ModuleSpec,
-    Monomial,
-    State,
-    _check_mode,
-    _int_first,
-    grading,
-    module_basis,
-)
+from .exactmath import RatMatrix, Value, _axpy, _int_first, rat_str
+from .fock import ModuleSpec, Monomial, State, _check_mode, grading, module_basis
 from .repcat import l0_top_matrix
 
 

@@ -453,7 +453,7 @@ class TestPinnedOutput:
         def refuse(*args):
             raise AssertionError("dims listed a basis or walked one cell")
 
-        monkeypatch.setattr("currentfock.cli.enumerate_basis", refuse)
+        monkeypatch.setattr("currentfock.fock.enumerate_basis", refuse)
         monkeypatch.setattr("currentfock.fock.count_basis", refuse)
         monkeypatch.setattr("currentfock.cli.count_basis", refuse, raising=False)
         assert run(capsys, *DIMS_D2)[:2] == (EXIT_OK, PINNED_DIMS_JSON)
@@ -488,6 +488,27 @@ class TestDims:
         for row in payload["rows"]:
             assert row["enum"] == row["dp"] == row["gf_product"]
             assert row["gf_paper_ct"] is None
+
+    def test_disagreement_exits_one(self, capsys, monkeypatch):
+        # a product column off by one in a single cell is a counterexample, and every
+        # row is still written
+        real = cli.dims_mod.gf_product_count
+
+        def off_by_one(d, P, Q):
+            table = real(d, P, Q)
+            table.entries[(1, 2)] += 1
+            return table
+
+        monkeypatch.setattr("currentfock.dims.gf_product_count", off_by_one)
+        code, out, _ = run(capsys, "dims", "--d", "1", "--max-p", "4", "--max-q", "2")
+        assert code == EXIT_COUNTEREXAMPLE
+        rows = json.loads(out)["rows"]
+        assert [(row["m"], row["n"]) for row in rows] == [
+            (m, n) for m in range(3) for n in range(5)
+        ]
+        for row in rows:
+            assert row["enum"] == row["dp"]
+            assert (row["gf_product"] != row["enum"]) == ((row["m"], row["n"]) == (1, 2))
 
     def test_single_cell(self, capsys):
         code, out, _ = run(
@@ -725,6 +746,16 @@ NAMED_IN_ERROR = {
         "error: vertex-operator labels live in M(l); top index must be 0\n",
     ("module", "logcheck", "--H", "[[1,1],[0,1]]", "--c", "1/3", "--lambda", "2"):
         "error: lambda[0] is not the unique eigenvalue of H[0]\n",
+    # a top that does not fit its module, or a top space that does not parse
+    ("verify", "virasoro", "--kind", "evaluation", "--d", "1", "--c", "0", "--lambda", "1",
+     "--H", "[[[1]],[[1]]]"): "error: lambda and H must have one entry per color\n",
+    ("verify", "virasoro", "--kind", "evaluation", "--d", "2", "--c", "0", "--lambda", "1,1",
+     "--H", "[[[1]],[[1,0],[0,1]]]"): "error: H[1] is not 1 x 1\n",
+    ("module", "homdim", "--tops", "x1:1@1", "r1:1@1", "r1:1@1"):
+        "error: top space 'x1:1@1' not understood; use r{R}:{d}@{lambda,...} or JSON\n",
+    ("module", "homdim", "--tops", '{"r": 0, "lambda": [1], "H": [[[1]]]}', "r1:1@1",
+     "r1:1@1"):
+        "error: malformed --tops: ValueError: top-space dimension must be at least 1\n",
 }
 
 
@@ -862,7 +893,8 @@ class TestPlumbing:
              "c-word", "lambda-word", "adjoint-c", "adjoint-lambda", "adjoint-H",
              "evaluation-no-c", "casimir-no-lambda", "logcheck-no-H", "H-scalar",
              "tops-word", "tops-no-lambda-list", "gen-negative", "d-equals-evaluation",
-             "a-state-top-index", "lambda-not-eigenvalue"],
+             "a-state-top-index", "lambda-not-eigenvalue", "H-count-per-color",
+             "H-wrong-size", "tops-first-word", "tops-r-zero"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

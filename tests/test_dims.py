@@ -133,6 +133,19 @@ class TestEulerProduct:
     def test_structural_invariants(self):
         validate_dimension_table(gf_product_count(2, 4, 4))
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 0): 2}, "a graded-dimension table has a one-dimensional (0, 0) cell"),
+            ({(0, 0): 1, (1, 0): 1}, "positive nwt needs positive weight; cell (1, 0)"),
+        ],
+        ids=["vacuum-cell", "nwt-without-weight"],
+    )
+    def test_structural_refusals(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            validate_dimension_table(DimTable(1, entries))
+        assert str(info.value) == message
+
 
 class TestPaperConstantTerm:
     def test_partition_row(self):

@@ -253,6 +253,12 @@ def test_bigrade_shifts():
     assert grading(apply_mode(mode(1, 1, 0), w, spec)) == (2, 1)
 
 
+# the top action of an adjoint spec (r = 1 and r = 2), and the scalar top (1)
+Z1 = (RatMatrix.zero(1, 1),)
+Z2 = (RatMatrix.zero(2, 2),)
+ONE = (RatMatrix([[1]]),)
+
+
 class TestModuleSpec:
     def test_equal_specs_share_cache_entries(self):
         def build():
@@ -313,6 +319,39 @@ class TestModuleSpec:
         with pytest.raises(ValueError):
             ModuleSpec.adjoint(1, 0)
 
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (lambda: ModuleSpec.evaluation(2, 1, 0, (1,)), "lambda must have d entries"),
+            (
+                lambda: ModuleSpec.evaluation(1, 1, 0, (0,), H=[RatMatrix([])]),
+                "top-space dimension must be at least 1",
+            ),
+            (
+                lambda: ModuleSpec("bogus", 1, Fraction(1), None, 1, (Fraction(0),), Z1),
+                "unknown module kind 'bogus'",
+            ),
+            (
+                lambda: ModuleSpec("adjoint", 1, Fraction(1), None, 2, (Fraction(0),), Z2),
+                "the adjoint module has r = 1 and trivial top action",
+            ),
+            (
+                lambda: ModuleSpec("adjoint", 1, Fraction(1), Fraction(0), 1, (Fraction(0),), Z1),
+                "the adjoint module carries no evaluation point",
+            ),
+            (
+                lambda: ModuleSpec("evaluation", 1, Fraction(1), None, 1, (Fraction(1),), ONE),
+                "evaluation modules need an evaluation point c",
+            ),
+        ],
+        ids=["lambda-count", "empty-top", "unknown-kind", "adjoint-r-2", "adjoint-with-c",
+             "evaluation-no-c"],
+    )
+    def test_refusals_keep_their_messages(self, refused, message):
+        with pytest.raises(ValueError) as info:
+            refused()
+        assert str(info.value) == message
+
     def test_noncommuting_tops_rejected(self):
         a = RatMatrix([[0, 1], [0, 0]])
         b = RatMatrix([[0, 0], [1, 0]])
@@ -353,6 +392,11 @@ def test_state_json_roundtrip():
     )
     assert State.from_json(s.to_json()) == s
     assert State.from_json(State.zero().to_json()).is_zero()
+
+
+def test_state_repr():
+    assert repr(State()) == "State(0)"
+    assert repr(-State.vacuum()) == "State(-1*1@0)"
 
 
 @pytest.mark.parametrize("data", [[1], {"a": 1}, "x", [None]], ids=repr)

@@ -53,6 +53,11 @@ class TestEvalAction:
         out = eval_action((1, 0), [(0, 2), (2, 3)], top, Fraction(1, 2))
         assert out == RatMatrix([[Fraction(11, 4)]])
 
+    def test_color_out_of_range(self):
+        with pytest.raises(ValueError) as info:
+            eval_action((3,), [(0, 1)], TopSpace.scalar((1,)), 0)
+        assert str(info.value) == "color index 3 out of range 1..1"
+
 
 class TestCasimir:
     def test_paper_scalar(self):
@@ -78,6 +83,11 @@ class TestCasimir:
         for c in (1, -1):
             with pytest.raises(ValueError):
                 casimir_scalar((1,), c)
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError) as info:
+            casimir_partial((1,), 0, -1)
+        assert str(info.value) == "truncation order must be nonnegative"
 
     @pytest.mark.parametrize("c", [0, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)])
     @pytest.mark.parametrize("lam", [(0,), (1,), (2, 1), (Fraction(1, 2), 3)])
