@@ -20,9 +20,9 @@ reported as a diagnostic with a diff column rather than silently dropped.
 
 The C1 quotient applies the modes u_{-1} through the shared column maps of
 `vertexops.operators` and reads each intersection dimension off two ranks.
-On the adjoint module at any level these are the level-1 columns, unscaled:
-the level law scales each image row and column by a nonzero factor, which
-changes no rank.
+On the adjoint module at any level these are the level-1 columns, unscaled,
+since by the level law (`vertexops._rescale`) the level scales each image
+row and column by a nonzero factor, which changes no rank.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The vertex operator attached to a monomial a_1(-n_1)...a_k(-n_k)1 is the
 normal-ordered product of the derivative fields (1/(n_t-1)!)(d/dz)^{n_t-1}
 a_t(z).  Its modes are built one factor at a time by the iterate formula of
-a normal-ordered product (see `Operators`), so a vertex-operator mode applied
-to a state is a finite signed sum of ordinary mode compositions.
+a normal-ordered product, so a vertex-operator mode applied to a state is a
+finite signed sum of ordinary mode compositions.
 
 L(n) is the quadratic expression (1/2l) sum over colors, generator powers j
 and splittings of n into two modes, normal ordered.  On the adjoint module
@@ -14,66 +14,23 @@ a geometric series (hence the c^2 != 1 requirement), and the creation times
 zero-mode tail of L(-1), which for c != 0 is genuinely infinite and is
 truncated at j <= j_max with an explicit exactness flag.
 
-Every internal use of these operators reads columns, immutable tuples of
-(id, numerator) pairs, () for an empty one, compiled by `Operators` into
-one memo per operator L(n) or Y(v)_k (a single mode a(k) is
-Y(x_{i,j,1})_k), a dict from the id of a basis label to its column; a
-compiled column is served by a plain dict lookup and read by iterating its
-pairs.  A column is compiled straight into ids in one pass: each output
-label is built once and interned at once, so no column is first keyed by
-labels, and the tuple is built once, at the end of the compile; no caller
-can change it.  The numerators are ints over one positive int `den` per
-memo, fixed when the memo is made, so the sweeps do int arithmetic and
-divide once per defect.  An id is a small int that one `Operators` object
-gives a (monomial, top) label the first time it meets it, in its intern
-table, which also keeps the weight, nwt and degree of each id; so no memo
-or sum hashes a nested label.  Ids of two objects never mix.  Columns are
-handed out to the identity checkers (Virasoro, mode and field commutators,
-L(0) grading, d = L(-1), strong grading), the contragredient matrices here
-and the C1 quotients in `dims`, which accumulate into dicts of their own.
-Every caller outside the sweep applies an operator to a term dict through
-one method, `Operators.apply`, which turns the labels into ids, sums the
-columns at the level asked for, divides by the den and turns the result
-back into labels.  What depends only on the module (the zero-mode entries)
-is computed once per `Operators`; the L(0) rows of the top space are built
-when the memo of L(0) is made and passed to its compile, as are the tail
-rows of L(-1).  The public `State` API, `l_apply`, `vertex_mode`, `d_apply`
-and `fock.apply_mode`, still returns fresh states and is not called inside
-the package.  A single-mode column is built here from the module's
-constants, apart from `fock._mode_column`, which `apply_mode` and the
-vacuum spaces in `repcat` read unmemoized.
+Each rule of the implementation is stated once, in the docstring of the code
+that enforces it:
 
-The six identities are plans of one sweep, `_sweep`, which refuses an
-empty plan and rescales each defect by the level law below.  One walk of
-the basis runs a list of plans and gives one report per plan, so a
-command's checks share a walk: every pair of `virasoro`, every (n, k) of
-`e1`, and every (n, k) of one A of the field commutator, whose pieces that
-depend on A alone are built once.  A plan is of one of two kinds.  A
-product plan lists parts of products c X(Y w) and singles s Z w whose sum
-must vanish: a commutator c [X, Y] is the products (c, X, Y) and (-c, Y,
-X), so Virasoro [L(m), L(n)] = (m-n) L(m+n), e1 [L(n), a(k)] = -k a(n+k)
-and the field commutator are product plans, and d = L(-1) is the singles d
-and -L(-1).  e1 keeps its closed form: it is the field commutator's sum at
-A = x_{i,j,1}, but that sum also compiles the columns of Y(x_{i,j,2}),
-which the closed form never reads.  A containment plan, for L(0) grading
-and strong grading (one entry per monomial of each sampled v), lists
-entries that name an operator Y, the weight shift of its terms and the
-window their change of nwt must keep, an empty one meaning Y w = 0.
+* columns, memos and their dens, and `Operators.apply` as the one way to
+  apply an operator outside a sweep: `Operators`;
+* the den of L(n), and the den-1 memos of L(n >= 1) at a non-integral c:
+  `_l_memo`;
+* the intern ids and the module constants: `_Module`;
+* the iterate formula of Y(v)_k and its base cases: `_compile_vertex`;
+* the level law, by which the adjoint module is compiled once, at l = 1:
+  `_rescale`;
+* the bounded registry of `Operators` objects: `operators`;
+* the two kinds of plan of the six identities, and their one walk: `_sweep`.
 
-The level law.  On the adjoint module a positive mode is n*l*d/dx and zero
-modes vanish, so a term w -> w' of a column is the l = 1 term times
-l^((deg w - deg w')/2) under L(n), and l^((p + deg w - deg w')/2) under
-Y(v)_k, v with p factors; deg counts the variables of a monomial.  So the
-registry `operators` keys the adjoint module by d alone and serves every
-level the one l = 1 object, compiled in ints.  `Operators.apply` rescales
-each column it reads to the level asked for, and the sweep rescales each
-defect once per label, both with `_rescale`; so sweep defects, `State`
-results and contragredient rows come out at that level, and an odd power
-raises AssertionError.  The states L(m)A of the field commutator are read
-at the level of the sweep's own object, whose defect is then rescaled.
-The C1 quotients read the level-1 columns as they are: the law scales each
-image row and column by a nonzero factor, which changes no rank.
-Evaluation modules keep their own level: their zero modes carry no l.
+The public `State` API, `l_apply`, `vertex_mode`, `d_apply` and
+`fock.apply_mode`, returns fresh states and is called by no code of the
+package.
 """
 
 from __future__ import annotations
@@ -120,15 +77,14 @@ def _vertex_labels(v, spec):
 
 
 class _Memo(dict):
-    """A dict that fills a missing key on lookup with `fill(key)`.
+    """A dict that fills a missing key on lookup with `fill(key)`, over one `den`.
 
     `fill` is one `partial(compile, *args)`, stored when the memo is made.
     Once the value exists, `memo[key]` and `memo.__getitem__` are plain dict
-    lookups.  If the fill raises, nothing is stored.  A memo of columns
-    holds immutable tuples of (id, numerator) pairs over its positive int
-    `den` (see `Operators`).  A memo of memos is
+    lookups.  If the fill raises, nothing is stored.  A memo of memos is
     `_Memo(partial(_Memo, compile, *args, den=den), den=den)`: its value at
-    k is `_Memo(compile, *args, k, den=den)`.
+    k is `_Memo(compile, *args, k, den=den)`.  The columns and dens that
+    memos hold are described in `Operators`.
     """
 
     __slots__ = ("fill", "den")
@@ -176,11 +132,15 @@ def _rows_over(den, rows):
 class _Module:
     """What the columns of one module read besides the label; holds no `Operators`.
 
-    Its intern table numbers the labels 0, 1, 2, ... in the order they are
-    met: `ids` maps a label to its id, `labels` an id to its label, and
-    `wt`, `nwt` and `deg` hold the weight, nwt and variable count of each
-    id's monomial.  It keeps no L(n) data: the L(0) rows of the top space
-    are built when the memo of L(0) is made and passed to its compile.
+    Its intern table numbers the (monomial, top) labels 0, 1, 2, ... in the
+    order they are met: `ids` maps a label to its id, `labels` an id to its
+    label, and `wt`, `nwt` and `deg` hold the weight, nwt and variable count
+    of each id's monomial.  So no memo lookup or sum hashes a nested label,
+    and the ids of two objects never mix.  A compile interns each output
+    label as it builds it; `to_ids` serves the term dicts that callers hand
+    in.  The module constants, the zero-mode rows c^j H_i, are computed once
+    here.  It keeps no L(n) data: `_l_memo` builds the top-space rows of L(0)
+    and L(-1) and passes them to the compile, and nothing is written back.
     """
 
     __slots__ = (
@@ -222,21 +182,15 @@ class _Module:
 
     def to_ids(self, terms):
         """A term dict {label: coeff} keyed by ids, as a fresh dict."""
-        get = self.ids.get
-        out = {}
-        for label, coeff in terms.items():
-            id_ = get(label)
-            out[self.intern(label) if id_ is None else id_] = coeff
-        return out
+        intern = self.intern
+        return {intern(label): coeff for label, coeff in terms.items()}
 
     def to_labels(self, pairs, den=1):
         """(id, numerator) pairs over den, such as a column, as a fresh dict keyed by labels.
 
-        A value over a den other than 1 comes out int-first.
+        Each value comes out int-first.
         """
         labels = self.labels
-        if den == 1:
-            return {labels[id_]: coeff for id_, coeff in pairs}
         return {labels[id_]: _int_first(Fraction(coeff, den)) for id_, coeff in pairs}
 
 
@@ -245,64 +199,36 @@ class Operators:
 
     Each operator is compiled on demand, one basis label at a time, into a
     column: an immutable tuple of (id, numerator) pairs with distinct ids
-    and nonzero numerators, () when the operator kills the label.  An id is
-    the number of a (monomial, top) label in this object's intern table
-    (see `_Module`): `intern(label)` gives it, `to_ids` turns a term dict
-    into ids and `to_labels` the pairs of a column over a den back into
-    labels.  A compile interns each output label as it builds it; `to_ids`
-    serves only the term dicts that callers hand in.  Each operator has a
-    memo, a dict from the id of a basis label to its column that compiles a
-    missing column on lookup, in one of two families: `_l[n]`, made once
-    L(n) is checked to exist here, and `_vertex[v][k]`.  The single mode
-    (u^(i) t^j)(k) is Y(x_{i,j,1})_k, the base case of the iterate formula
-    below.  A sweep looks a column up with `memo[id]`, so a compiled column
-    costs one dict lookup, and reads it by iterating its pairs; any other
-    caller applies a sum of operators to a term dict with `apply(level,
-    operator, terms)`.  A column is a tuple, so no caller can change it and
-    corrupt a later use; `apply` and the public `State` API return fresh
-    dicts and states.
+    (see `_Module`) and nonzero numerators, () when the operator kills the
+    label.  A compile builds its column in one pass straight into ids, so no
+    column is first keyed by labels, and makes it a tuple once, at the end.
+    Each operator has a memo (`_Memo`), a dict from the id of a basis label
+    to its column, in one of two families: `_l[n]`, made once L(n) is
+    checked to exist here, and `_vertex[v][k]`.  The single mode
+    (u^(i) t^j)(k) is Y(x_{i,j,1})_k, so its columns live among those of Y.
+    A sweep looks a column up with `memo[id]`, one dict lookup, and reads its
+    pairs.  Every other caller, `l_apply`, `vertex_mode`, the states L(m)A of
+    a field commutator, the contragredient matrices and the C1 quotients in
+    `dims`, applies a sum of operators to a term dict through `apply`.  No
+    caller can change a column and so corrupt a later use: each sums into
+    dicts of its own.
 
-    Each memo's columns hold int numerators over its den, and each compile
-    checks that they are ints (a scaled single-mode column is an int times
-    checked ints).  A single mode's den is the lcm of the
-    denominators of l and of c^j H_i; Y(v)_k's is the product of its
-    factors' single-mode dens, as each iterate term multiplies a numerator
-    of x by one of u; L(n)'s is that of the module constants it reads (see
-    `_l_memo`).  L(n >= 1) on a top that acts at a c that is not an integer
-    reads c^j H_i at every j, so it has no such bound: it keeps den 1 and
-    int-first rationals.  Every value that leaves a memo is divided by its
-    den: in `apply`, `to_labels` and the sweeps' defects.
-    Obtain one through `operators(spec, j_max)`, so that every sweep of one
-    command reuses the same columns.
+    Each memo has one positive int den, fixed when the memo is made, and its
+    columns hold int numerators over it, so the sweeps do int arithmetic and
+    divide once per defect.  Every value that leaves a memo is divided by
+    its den: in `apply`, `to_labels` and the sweeps' defects.  Each compile
+    checks its numerators with `_numerators`, but for a scaled single-mode
+    column, an int times checked ints, and the unbounded L(n) memos of
+    `_l_memo`.  A single mode's den is the lcm of the denominators of l and
+    of c^j H_i; Y(v)_k's is the product of its factors' single-mode dens, as
+    each iterate term multiplies a numerator of x by one of u; L(n)'s is set
+    by `_l_memo`.
 
-    The columns are those of `spec` at its own level; the registry serves
-    an adjoint spec at any level the level-1 object, and `apply` rescales
-    its columns to the level asked for (the level law above).
-
-    What depends only on the module (`_Module`), the intern table among it,
-    is computed once per object.  The compile callables of the memos hold it
-    and other memos, never the object, so no reference cycle keeps a dropped
+    Obtain an object through `operators(spec, j_max)`.  Its columns are those
+    of `spec` at its own level; `_rescale` reads them at another.  The
+    compile callables of the memos hold the module data (`_Module`) and
+    other memos, never the object, so no reference cycle keeps a dropped
     object alive.
-    The memos of Y(v)_k for one v share v's split into its first factor x
-    and its tail u, and hold the memos of x and u that the iterate formula
-    reads.
-
-    Y(v)_k is compiled by the iterate formula for a normal-ordered product.
-    For v = x(-n) u, with x = u^(i) t^j and r = n - 1,
-
-        (x(-n) u)_k w = sum_{mu >= 0} C(-mu-1, r) u_{k-mu-r-1} (x(mu) w)
-                      + sum_{mu < 0}  C(-mu-1, r) x(mu) (u_{k-mu-r-1} w),
-
-    Y(1)_k = delta_{k,-1} and Y(x_{i,j,1})_k = x(k).  x(mu) w vanishes for
-    mu > 0 unless w holds the variable x_{i,j,mu}; C(-mu-1, r) vanishes for
-    -n < mu < 0; and the sum over mu < 0 stops where u_{k-mu-r-1} w would
-    have negative weight.
-    The columns of the tail u come from the same memos, so they are shared
-    across the labels v, the modes k and the depths n.  At u = 1 the
-    formula reduces to the derivative base case: x_{i,j,n} is
-    (1/(n-1)!) L(-1)^(n-1) x_{i,j,1}, whose field is the divided derivative
-    of x(z), so Y(x_{i,j,n})_k = C(n-k-2, n-1) x(k-n+1), one scaled column
-    of the single mode over its den.  Y(1) is made only for v = 1 itself.
     """
 
     def __init__(self, spec, j_max):
@@ -343,7 +269,7 @@ class Operators:
         X is the memo of an L(n), with p = 0, or of a Y(v)_k whose v has p
         factors.  At the object's own level each column is read as compiled;
         at another level, on the level-1 adjoint object, it is rescaled by
-        the level law.  The sum is taken over the lcm of the memos' dens and
+        `_rescale`.  The sum is taken over the lcm of the memos' dens and
         divided once.  Returns a fresh {label: coeff} with no zero entries.
         """
         ratio = _int_first(level / self.spec.l)
@@ -358,7 +284,7 @@ class Operators:
         return self.to_labels(out.items(), den)
 
     def _vertex_memos(self, vmono):
-        """The memo k -> memo of Y(v)_k, made after the memos of v's tail."""
+        """The memo k -> memo of Y(v)_k, made after the memos of v's first factor and tail."""
         memos = self._vertex.get(vmono)
         if memos is None:
             module = self._module
@@ -393,13 +319,11 @@ def _l_memo(module, n):
     acts, c^j H_i at every power j (n >= 1) or the top-space terms built
     here: the doubly-zero-mode rows of L(0), from `repcat.l0_top_matrix`,
     and the tail rows c^j H_i / l of L(-1), cut at j <= j_max for c != 0.
-    The den is the lcm of their denominators; those of c^j H_i are bounded
-    only for an integral c, and otherwise the memo keeps den 1 and int-first
-    rationals (`bounded` false).  The top-space terms are passed to
-    `_compile_l` as (created variable or None, rows over the den); its
-    columns are compiled in one pass into ids, and each becomes a tuple of
-    (id, numerator) pairs checked by `_numerators` (bounded) or of
-    int-first rationals (unbounded).
+    The den is the lcm of their denominators.  Those of c^j H_i are bounded
+    only for an integral c: for L(n >= 1) on a top that acts at any other c,
+    the memo keeps den 1 and its columns hold int-first rationals, which
+    `_numerators` does not check (`bounded` false).  The top-space terms are
+    passed to `_compile_l` as (created variable or None, rows over the den).
     """
     if n < -1:
         raise ValueError("only the operators L(n) with n >= -1 exist here")
@@ -441,7 +365,11 @@ def _compile_identity(k, id_):
 
 
 def _compile_mode(module, i, j, den, l, rows, k, id_):
-    """The column of (u^(i) t^j)(k) at a label; l is den times the level, rows are over den."""
+    """The column of (u^(i) t^j)(k) at a label; l is den times the level, rows are over den.
+
+    `fock._mode_column` computes the same column independently, unmemoized,
+    for `fock.apply_mode` and the vacuum spaces in `repcat`.
+    """
     mono, top = module.labels[id_]
     if k < 0:
         return ((module.intern((mono.times(i, j, -k), top)), den),)
@@ -466,7 +394,25 @@ def _compile_scaled(mode, scale, id_):
 
 
 def _compile_vertex(module, first, x, u, wt_v, k, id_):
-    """The column of Y(v)_k at a label: each term is an int C(-mu-1, r) times numerators."""
+    """The column of Y(v)_k at a label, by the iterate formula of a normal-ordered product.
+
+    For v = x(-n) u, with x = u^(i) t^j and r = n - 1,
+
+        (x(-n) u)_k w = sum_{mu >= 0} C(-mu-1, r) u_{k-mu-r-1} (x(mu) w)
+                      + sum_{mu < 0}  C(-mu-1, r) x(mu) (u_{k-mu-r-1} w),
+
+    where x(mu) w vanishes for mu > 0 unless w holds the variable
+    x_{i,j,mu}, C(-mu-1, r) vanishes for -n < mu < 0, and the sum over
+    mu < 0 stops where u_{k-mu-r-1} w would have negative weight.  Each
+    term is an int C(-mu-1, r) times numerators.  x and u are the memos
+    k -> memo of x's single mode and of the tail u, taken from the same
+    family as every Y, so they are shared across the labels v, the modes k
+    and the depths n.  The base cases are Y(1)_k = delta_{k,-1}, made only
+    for v = 1 itself, the single mode Y(x_{i,j,1})_k = x(k)
+    (`_compile_mode`), and at u = 1 the divided derivative
+    (`_derivative_memo`): x_{i,j,n} is (1/(n-1)!) L(-1)^(n-1) x_{i,j,1},
+    whose field is the divided derivative of x(z).
+    """
     i, j, n = first
     r = n - 1
     # every term of a column of Y(v)_k has the label's weight plus wt v - k - 1
@@ -582,17 +528,32 @@ def _registry(key):
 def operators(spec, j_max):
     """The shared `Operators` of (spec, j_max), from a small bounded registry.
 
-    One command keeps using the same few modules (a field-commutator sweep
-    needs its module and the adjoint one), so their columns live across all
-    of the command's sweeps while the registry stays bounded.  An adjoint
-    spec is keyed by d alone: see the level law above; `j_max` cuts no
-    adjoint column.
+    The registry keeps the four most recent objects.  One command keeps
+    using the same few modules (a field-commutator sweep needs its module
+    and the adjoint one), so their columns live across all of the command's
+    sweeps while the registry stays bounded.  An adjoint spec at any level
+    is keyed by d alone and served the level-1 object, by the level law
+    (`_rescale`); `j_max` cuts no adjoint column.
     """
     return _registry(spec.d if spec.is_adjoint() else (spec, j_max))
 
 
 def _rescale(pairs, ratio, shift, deg):
     """Adjoint (id, coeff) pairs of one level at `ratio` times that level, by the level law.
+
+    The level law: on the adjoint module a positive mode is n*l*d/dx and
+    zero modes vanish, so a term w -> w' of a column is the l = 1 term times
+    l^((deg w - deg w')/2) under L(n), and l^((p + deg w - deg w')/2) under
+    Y(v)_k, v with p factors; deg counts the variables of a monomial.  An
+    odd power raises AssertionError.  So the adjoint module is compiled
+    once, at l = 1, in ints (`operators`), and read at any level through
+    here: `Operators.apply` rescales each column it reads, and `_sweep` each
+    defect once per basis label, so sweep defects, `State` results and
+    contragredient rows come out at the level asked for.  The states L(m)A
+    of a field commutator are read at the level of the sweep's own object,
+    whose defect is then rescaled.  The C1 quotients read the level-1
+    columns unscaled (see `dims`).  Evaluation modules do not obey the law,
+    since their zero modes carry no l, and are compiled at their own level.
 
     `shift` is deg w under L(n) and p + deg w under Y(v)_k, the same for
     every term: callers split sums over mixed degrees or factor counts.
@@ -692,6 +653,15 @@ def merge_reports(reports, identity, params):
 
 def _sweep(identity, spec, tr, ops, entries, defect_of):
     """One report per (params, plan, den) of entries, in order, from one walk of the basis.
+
+    Each of the six identities is a plan of this sweep, of one of two
+    kinds.  A product plan (`_product_sweep`) lists products c X(Y w) and
+    singles s Z w whose sum must vanish: the Virasoro, mode and field
+    commutators, and d = L(-1) as the singles d and -L(-1).  A containment
+    plan (`_containment_defect`), for L(0) grading and strong grading, lists
+    operators whose terms must keep a weight shift and an nwt window.  The
+    plans of one command share one walk: every pair of `virasoro`, every
+    (n, k) of `e1`, and every (n, k) of one A of the field commutator.
 
     The walk visits the id in ops of every basis label within tr, and
     `defect_of(plans, module, w)` gives, for each entry e whose plan has a
@@ -825,7 +795,12 @@ def check_l_mode_commutator(n, gen, k, spec, tr):
 
 
 def check_l_mode_commutators(gen, n_values, k_values, spec, tr):
-    """The reports of `check_l_mode_commutator(n, gen, k, spec, tr)` for each n, then k, from one walk."""
+    """The reports of `check_l_mode_commutator(n, gen, k, spec, tr)` for each n, then k, from one walk.
+
+    e1 keeps its closed form -k a(n+k) rather than the field commutator's
+    sum at A = x_{i,j,1}: the two agree, but that sum also compiles the
+    columns of Y(x_{i,j,2}), which the closed form never reads.
+    """
     i, j = gen
     ops = operators(spec, tr.j_max)
     # a single mode a(k) is Y(x_{i,j,1})_k, with one factor
@@ -858,7 +833,8 @@ def check_virasoro_pairs(pairs, spec, tr):
     only the first of an unordered pair gets a plan, and its mirror takes
     its report with m and n swapped in the params.  A diagonal pair (m, m)
     cancels term by term: its L(m) is checked to exist and be exact, and
-    its basis is counted, but nothing is composed.
+    its basis is counted, but nothing is composed; when no pair composes,
+    the basis is not walked.
     """
     ops = operators(spec, tr.j_max)
     entries = []
@@ -870,7 +846,7 @@ def check_virasoro_pairs(pairs, spec, tr):
             planned[frozenset((m, n))] = len(entries)
             plan = [(0, [(1, l_m, l_n), (-1, l_n, l_m)], [(n - m, ops.exact_l_columns(m + n))])]
             entries.append(({"m": m, "n": n}, plan))
-    swept = _product_sweep("virasoro", spec, tr, ops, entries)
+    swept = _product_sweep("virasoro", spec, tr, ops, entries) if entries else []
     checked = len(module_basis(spec, tr.max_wt, tr.max_nwt))
     diagonal = Report("virasoro", None, checked, True, Fraction(0), None)
     reports = []

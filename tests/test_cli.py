@@ -756,6 +756,9 @@ NAMED_IN_ERROR = {
     ("module", "homdim", "--tops", '{"r": 0, "lambda": [1], "H": [[[1]]]}', "r1:1@1",
      "r1:1@1"):
         "error: malformed --tops: ValueError: top-space dimension must be at least 1\n",
+    # two colors named, one lambda given
+    ("module", "homdim", "--tops", "r1:2@1", "r1:1@1", "r1:1@1"):
+        "error: top space 'r1:2@1' not understood; use r{R}:{d}@{lambda,...} or JSON\n",
 }
 
 
@@ -894,7 +897,7 @@ class TestPlumbing:
              "evaluation-no-c", "casimir-no-lambda", "logcheck-no-H", "H-scalar",
              "tops-word", "tops-no-lambda-list", "gen-negative", "d-equals-evaluation",
              "a-state-top-index", "lambda-not-eigenvalue", "H-count-per-color",
-             "H-wrong-size", "tops-first-word", "tops-r-zero"],
+             "H-wrong-size", "tops-first-word", "tops-r-zero", "tops-lambda-count"],
     )
     def test_malformed_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -275,6 +275,8 @@ class TestChecks:
         # each L(m) memo was made, so L(m) was checked, but nothing was composed
         ops = operators(ADJ, 0)
         assert set(ops._l) == {0, -1} and not any(ops._l.values())
+        # and with no plan to run, the basis was not walked: no label was interned
+        assert not ops._module.ids and not ops._module.labels
 
     def test_virasoro_on_evaluation_module(self):
         spec = ModuleSpec.evaluation(1, 1, Fraction(1, 3), (1,))
@@ -1615,6 +1617,25 @@ def test_a_wrong_term_in_a_den_two_memo_gives_the_exact_defect(monkeypatch, swee
     report = sweep(ODD_LAMBDA, Truncation(2, 1))
     assert type(report.max_defect) is Fraction and report.max_defect == Fraction(5, 2)
     assert report.counterexample == State.vacuum() and not report.defect_zero
+
+
+def test_a_den_that_does_not_clear_the_top_is_caught_by_the_compile(monkeypatch):
+    # H = [[1/2]] at c = 0: the zero mode's numerator is 1/2 over a den wrongly taken as 1
+    monkeypatch.setattr(vertexops, "_rows_den", lambda *rows: 1)
+    ops = vertexops.Operators(ModuleSpec.evaluation(1, 1, 0, (Fraction(1, 2),)), 0)
+    zero_mode = ops.vertex_columns(mono((1, 0, 1)), 0)
+    with pytest.raises(AssertionError, match="a numerator is not an int: the den of its memo"):
+        zero_mode[ops.intern((EMPTY, 0))]
+
+
+def test_a_column_off_the_level_law_is_refused_at_another_level():
+    # L(0) x_{1,0,1} -> x_{1,0,1}^2 gains one variable: an odd power of the level
+    label, key = (mono((1, 0, 1)), 0), (mono((1, 0, 1), (1, 0, 1)), 0)
+    ops = _BadColumns(ADJ, ("L", 0), label, key, 1, 0)
+    l_0 = [(1, ops.l_columns(0), 0)]
+    assert ops.apply(1, l_0, {label: 1}) == {label: 1, key: 1}
+    with pytest.raises(AssertionError, match="an odd power of the level: the level law is broken"):
+        ops.apply(Fraction(1, 2), l_0, {label: 1})
 
 
 TINY_VIRASORO = ["verify", "virasoro", "--max-wt", "2", "--max-nwt", "1",
